@@ -1,7 +1,6 @@
 //! Engine and substrate microbenchmarks: per-round simulation throughput
 //! across topology shapes, matching computation, and expansion search.
-//! Timing uses the in-tree [`mtm_bench::harness`] (the offline Criterion
-//! replacement).
+//! Timing uses the in-tree [`mtm_bench::harness`].
 
 use mtm_bench::harness::Bench;
 use mtm_core::{BlindGossip, Ppush, UidPool};

@@ -4,8 +4,7 @@
 //! the same code path as the full-scale harness binary, parameterized down
 //! so `cargo bench` finishes in minutes. Full-scale results for
 //! EXPERIMENTS.md come from `cargo run --release -p mtm-experiments --bin
-//! <id>_exp`. Timing uses the in-tree [`mtm_bench::harness`] (the offline
-//! Criterion replacement).
+//! <id>_exp`. Timing uses the in-tree [`mtm_bench::harness`].
 
 use mtm_bench::bench_opts;
 use mtm_bench::harness::Bench;

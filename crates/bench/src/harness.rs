@@ -1,4 +1,4 @@
-//! Minimal wall-clock benchmark harness (Criterion replacement).
+//! Minimal wall-clock benchmark harness.
 //!
 //! Each target is a closure run in a timing loop: one untimed warm-up
 //! iteration, then repeated timed iterations until either

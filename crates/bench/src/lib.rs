@@ -7,9 +7,8 @@
 //! result; the full-scale numbers themselves are produced by the
 //! `mtm-experiments` harness binaries.
 //!
-//! The offline build has no Criterion, so [`harness`] provides a small
-//! wall-clock timing loop with the same ergonomics (named targets, optional
-//! substring filter from the command line).
+//! [`harness`] provides the timing loop: a small wall-clock harness with
+//! named targets and an optional substring filter from the command line.
 
 use mtm_experiments::ExpOpts;
 

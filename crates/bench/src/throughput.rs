@@ -84,20 +84,24 @@ fn time_rounds<P: Protocol>(
     threads: usize,
 ) -> (f64, Option<u64>) {
     let sampler = RssSampler::start(10);
-    let mut best = f64::INFINITY;
-    for _ in 0..=reps {
+    let best = best_after_warmup(reps, || {
         let mut engine = build();
         engine.set_threads(threads);
         let sw = Stopwatch::start();
         engine.run_rounds(rounds);
         let secs = sw.elapsed_secs();
         std::hint::black_box(engine.metrics().connections);
-        // The first iteration is an untimed warm-up.
-        if best == f64::INFINITY || secs < best {
-            best = secs.min(best);
-        }
-    }
+        secs
+    });
     (best, sampler.stop())
+}
+
+/// Run `timed` once as an untimed warm-up, then `reps` times more, and
+/// return the minimum of those `reps` results.
+fn best_after_warmup(reps: u32, mut timed: impl FnMut() -> f64) -> f64 {
+    assert!(reps >= 1, "need at least one timed rep after the warm-up");
+    timed();
+    (0..reps).map(|_| timed()).fold(f64::INFINITY, f64::min)
 }
 
 fn blind_gossip_entry(name: &str, graph: &Graph, rounds: u64, reps: u32, threads: usize) -> Entry {
@@ -334,6 +338,16 @@ mod tests {
         set_series(&mut doc, "before", true, &entries);
         assert!(check(&doc, &[]).is_err());
         assert!(check(&doc, &["absent".to_string()]).is_err());
+    }
+
+    #[test]
+    fn warm_up_is_excluded_from_the_best() {
+        // The warm-up is the fastest sample, yet the best is the fastest
+        // of the timed reps after it.
+        let mut script = [0.5, 3.0, 2.0, 4.0].into_iter();
+        let best = best_after_warmup(3, || script.next().expect("one sample per call"));
+        assert_eq!(best, 2.0);
+        assert_eq!(script.next(), None, "warm-up plus reps samples");
     }
 
     #[test]

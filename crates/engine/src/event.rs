@@ -291,6 +291,8 @@ pub struct EventEngine<P: Protocol> {
     // Scan scratch, reused across events.
     vis: Vec<NodeId>,
     vis_tags: Vec<Tag>,
+    #[cfg(feature = "audit")]
+    auditor: crate::audit::Auditor,
 }
 
 impl<P: Protocol> EventEngine<P> {
@@ -352,6 +354,8 @@ impl<P: Protocol> EventEngine<P> {
             trace: None,
             vis: Vec::new(),
             vis_tags: Vec::new(),
+            #[cfg(feature = "audit")]
+            auditor: crate::audit::Auditor::default(),
         };
         for u in 0..n {
             let jitter = draw(engine.start_seed, u as u64, 0, 0, engine.latency.start_spread);
@@ -443,16 +447,27 @@ impl<P: Protocol> EventEngine<P> {
         s
     }
 
-    #[cfg(debug_assertions)]
-    fn check_payload_budget(&self, pl: &P::Payload) {
+    /// The payload-budget check the lockstep `Engine::connect` runs: an
+    /// audit in every build profile under the `audit` feature, a debug
+    /// assertion without it. `node` is the payload's owner.
+    #[inline]
+    fn check_payload_budget(&self, node: NodeId, pl: &P::Payload) {
+        #[cfg(feature = "audit")]
+        self.auditor.check_payload(
+            self.local_round[node as usize],
+            node as usize,
+            pl.uid_count(),
+            self.params.max_payload_uids,
+            pl.extra_bits(),
+            self.params.max_payload_bits,
+        );
+        #[cfg(not(feature = "audit"))]
         debug_assert!(
             pl.uid_count() <= self.params.max_payload_uids
                 && pl.extra_bits() <= self.params.max_payload_bits,
-            "payload exceeds the model budget"
+            "node {node} payload exceeds model budget"
         );
     }
-    #[cfg(not(debug_assertions))]
-    fn check_payload_budget(&self, _pl: &P::Payload) {}
 
     /// Process one event; returns true iff a payload was delivered (the
     /// only occasions protocol state can change through messages).
@@ -537,7 +552,7 @@ impl<P: Protocol> EventEngine<P> {
                             );
                         } else {
                             let pl = self.execs[ui].payload();
-                            self.check_payload_budget(&pl);
+                            self.check_payload_budget(node, &pl);
                             self.schedule(
                                 self.now + d,
                                 v,
@@ -573,8 +588,8 @@ impl<P: Protocol> EventEngine<P> {
                             // Payload snapshots before delivery, exactly as
                             // the lockstep connect() orders them.
                             let pv = self.execs[ui].payload();
-                            self.check_payload_budget(&pv);
-                            self.check_payload_budget(&pu);
+                            self.check_payload_budget(node, &pv);
+                            self.check_payload_budget(from, &pu);
                             self.execs[ui].deliver(&pu);
                             self.metrics.connections += 1;
                             delivered = true;
@@ -742,6 +757,57 @@ mod tests {
     fn engine_on(g: Graph, seed: u64, latency: LatencyModel) -> EventEngine<MinSpread> {
         let n = g.node_count();
         EventEngine::new(g, ModelParams::mobile(0), nodes(n), seed, latency)
+    }
+
+    #[test]
+    #[should_panic(expected = "payload exceeds model budget")]
+    fn payload_budget_enforced() {
+        /// Node whose payload claims more UIDs than the model allows, as in
+        /// the lockstep engine's twin test.
+        struct FatPayload {
+            propose: bool,
+        }
+        #[derive(Clone)]
+        struct TooManyUids;
+        impl PayloadCost for TooManyUids {
+            fn uid_count(&self) -> u32 {
+                99
+            }
+            fn extra_bits(&self) -> u32 {
+                0
+            }
+        }
+        impl Protocol for FatPayload {
+            type Payload = TooManyUids;
+            fn advertise(&mut self, _l: u64, _r: &mut SmallRng) -> Tag {
+                Tag::EMPTY
+            }
+            fn act(&mut self, scan: &Scan<'_>, _r: &mut SmallRng) -> Action {
+                match scan.neighbors.first() {
+                    Some(&v) if self.propose => Action::Propose(v),
+                    _ => Action::Listen,
+                }
+            }
+            fn payload(&self) -> TooManyUids {
+                TooManyUids
+            }
+            fn on_connect(&mut self, _p: &TooManyUids, _r: &mut SmallRng) {}
+        }
+        // Leaves propose to the listening hub, so the over-budget payload
+        // goes on the wire within the first local round.
+        let protocols = vec![
+            FatPayload { propose: false },
+            FatPayload { propose: true },
+            FatPayload { propose: true },
+        ];
+        let mut e = EventEngine::new(
+            gen::star(3),
+            ModelParams::mobile(0),
+            protocols,
+            0,
+            LatencyModel::multipeer(0),
+        );
+        e.run_until(1_000, |_| false);
     }
 
     #[test]

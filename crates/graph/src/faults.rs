@@ -28,7 +28,7 @@
 
 use crate::dynamic::DynamicTopology;
 use crate::rng::stream_rng;
-use crate::static_graph::{from_edges, Graph, GraphBuilder, NodeId};
+use crate::static_graph::{from_edges, Graph, NodeId};
 use rand::Rng;
 
 /// Parameters for [`FaultyTopology`]'s random fault process.
@@ -139,18 +139,17 @@ impl<T: DynamicTopology> FaultyTopology<T> {
     /// Build the effective graph for `round`: base edges minus edges with
     /// a down endpoint, minus this round's link-loss draws.
     fn build(&mut self, round: u64) {
-        let mut link_rng = stream_rng(self.seed, 2 * round + 1);
         let base = self.base.graph_at(round);
-        let mut b = GraphBuilder::with_capacity(base.node_count(), base.edge_count());
-        for (u, v) in base.edges() {
-            // Draw the link coin unconditionally so the stream position
-            // depends only on the base edge list, not on crash outcomes.
-            let link_down = self.cfg.link_loss > 0.0 && link_rng.gen_bool(self.cfg.link_loss);
-            if self.up[u as usize] && self.up[v as usize] && !link_down {
-                b.add_edge(u, v);
-            }
+        let p = self.cfg.link_loss;
+        if p > 0.0 {
+            // One link coin per base edge, drawn whatever the endpoints'
+            // state, so the stream position depends only on the base edge
+            // list, not on crash outcomes.
+            let mut link_rng = stream_rng(self.seed, 2 * round + 1);
+            base.retain_into(&self.up, || link_rng.gen_bool(p), &mut self.current);
+        } else {
+            base.retain_into(&self.up, || false, &mut self.current);
         }
-        self.current = b.build();
         self.built_round = round;
     }
 }
@@ -199,9 +198,14 @@ impl<T: DynamicTopology> DynamicTopology for FaultyTopology<T> {
 pub struct ScheduledCrashes<T> {
     base: T,
     outages: Vec<(NodeId, u64, u64)>,
+    /// Round `up` and `any_down` describe (0 = none yet).
     built_round: u64,
+    /// `up[u]` iff no outage window covers `u` at `built_round`.
+    up: Vec<bool>,
+    /// True iff some node is down at `built_round`. Only then does
+    /// `current` hold the filtered graph; otherwise the base passes through.
+    any_down: bool,
     current: Graph,
-    down_scratch: Vec<bool>,
 }
 
 impl<T: DynamicTopology> ScheduledCrashes<T> {
@@ -220,8 +224,9 @@ impl<T: DynamicTopology> ScheduledCrashes<T> {
             base,
             outages,
             built_round: 0,
+            up: vec![true; n],
+            any_down: false,
             current: from_edges(n, &[]),
-            down_scratch: vec![false; n],
         }
     }
 
@@ -245,28 +250,23 @@ impl<T: DynamicTopology> DynamicTopology for ScheduledCrashes<T> {
     fn graph_at(&mut self, round: u64) -> &Graph {
         assert!(round >= 1, "rounds are 1-based");
         if round != self.built_round {
-            self.down_scratch.fill(false);
-            let mut any_down = false;
+            self.up.fill(true);
+            self.any_down = false;
             for &(u, from, to) in &self.outages {
                 if (from..to).contains(&round) {
-                    self.down_scratch[u as usize] = true;
-                    any_down = true;
+                    self.up[u as usize] = false;
+                    self.any_down = true;
                 }
-            }
-            let base = self.base.graph_at(round);
-            if any_down {
-                let mut b = GraphBuilder::with_capacity(base.node_count(), base.edge_count());
-                for (u, v) in base.edges() {
-                    if !self.down_scratch[u as usize] && !self.down_scratch[v as usize] {
-                        b.add_edge(u, v);
-                    }
-                }
-                self.current = b.build();
-            } else {
-                self.current = base.clone();
             }
             self.built_round = round;
+        } else if self.any_down {
+            return &self.current;
         }
+        let base = self.base.graph_at(round);
+        if !self.any_down {
+            return base;
+        }
+        base.retain_into(&self.up, || false, &mut self.current);
         &self.current
     }
     fn may_change_at(&self, round: u64) -> bool {
@@ -275,7 +275,11 @@ impl<T: DynamicTopology> DynamicTopology for ScheduledCrashes<T> {
             || self.outages.iter().any(|&(_, from, to)| round == from || round == to)
     }
     fn is_node_up(&self, u: NodeId, round: u64) -> bool {
-        !self.is_down(u, round) && self.base.is_node_up(u, round)
+        // The trait contract has `graph_at(round)` run first, so its mask
+        // answers in O(1); any other round scans the outage list.
+        let up =
+            if round == self.built_round { self.up[u as usize] } else { !self.is_down(u, round) };
+        up && self.base.is_node_up(u, round)
     }
 }
 
@@ -445,12 +449,23 @@ mod tests {
     fn is_node_up_matches_is_down_and_graph() {
         let base = gen::clique(5);
         let mut t = ScheduledCrashes::new(StaticTopology::new(base), vec![(0, 2, 4), (3, 3, 5)]);
+        for u in 0..5u32 {
+            assert_eq!(t.is_node_up(u, 3), !t.is_down(u, 3), "node {u} before any build");
+        }
         for round in 1..=6 {
             let g = t.graph_at(round).clone();
             for u in 0..5u32 {
                 assert_eq!(t.is_node_up(u, round), !t.is_down(u, round), "node {u} round {round}");
                 if !t.is_node_up(u, round) {
                     assert_eq!(g.degree(u), 0, "down node {u} has edges in round {round}");
+                }
+                // Rounds other than the one just built fall back to the schedule.
+                for other in (1..=7).filter(|&r| r != round) {
+                    assert_eq!(
+                        t.is_node_up(u, other),
+                        !t.is_down(u, other),
+                        "node {u} round {other} queried after building {round}"
+                    );
                 }
             }
         }

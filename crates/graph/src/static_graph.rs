@@ -5,6 +5,8 @@
 //! slice reads. Graphs are immutable once built; dynamic topologies are
 //! sequences of immutable graphs (see [`crate::dynamic`]).
 
+use std::cell::Cell;
+
 /// Dense node identifier. Node ids always form the range `0..n`.
 pub type NodeId = u32;
 
@@ -207,6 +209,65 @@ impl Graph {
             b.add_edge(u, v);
         }
         b.build()
+    }
+
+    /// Overwrite `out` with the subgraph of `self` that keeps edge `{u, v}`
+    /// iff `keep[u] && keep[v]` and `drop_edge` did not drop it. Linear in
+    /// the CSR, with no sort: a filtered sorted row stays sorted and the
+    /// filter is symmetric, so `out` is exactly what [`GraphBuilder`] would
+    /// build from the surviving edges. `out`'s buffers are reused, so once
+    /// they have grown to fit, the pass allocates nothing.
+    ///
+    /// `drop_edge` is called exactly once per edge, in [`Graph::edges`]
+    /// order, whatever its endpoints' state: a caller drawing one coin per
+    /// call consumes a stream position that depends only on `self`.
+    pub(crate) fn retain_into(
+        &self,
+        keep: &[bool],
+        mut drop_edge: impl FnMut() -> bool,
+        out: &mut Graph,
+    ) {
+        assert_eq!(keep.len(), self.node_count(), "keep mask must cover every node");
+        let adj = &mut out.adjacency;
+        adj.clear();
+        adj.extend_from_slice(&self.adjacency);
+        // Walk the arcs `u → v` with `u < v`, which is `edges()` order. A
+        // dropped edge turns both of its arcs into self loops in the copy,
+        // which the compaction below discards.
+        for (u, w) in self.offsets.windows(2).enumerate() {
+            let (u, lo, hi) = (nid(u), w[0] as usize, w[1] as usize);
+            for (i, &v) in (lo..).zip(&self.adjacency[lo..hi]) {
+                if u < v && drop_edge() {
+                    adj[i] = u;
+                    adj[self.arc_index(v, u)] = v;
+                }
+            }
+        }
+        // Compact in place without branching on the outcome. The write
+        // index never passes the read index; cells let a row be read while
+        // the same buffer is written behind it.
+        out.offsets.clear();
+        out.offsets.push(0);
+        let arcs = Cell::from_mut(&mut adj[..]).as_slice_of_cells();
+        let mut len = 0;
+        for (u, w) in self.offsets.windows(2).enumerate() {
+            if keep[u] {
+                let u = nid(u);
+                for arc in &arcs[w[0] as usize..w[1] as usize] {
+                    let v = arc.get();
+                    arcs[len].set(v);
+                    len += usize::from((v != u) & keep[v as usize]);
+                }
+            }
+            out.offsets.push(u32::try_from(len).expect("at most the base's arc count"));
+        }
+        adj.truncate(len);
+    }
+
+    /// Position of `v` in `u`'s row within `adjacency`; `{u, v}` must be
+    /// an edge.
+    fn arc_index(&self, u: NodeId, v: NodeId) -> usize {
+        self.offsets[u as usize] as usize + self.neighbors(u).partition_point(|&w| w < v)
     }
 
     /// Sum of degrees (twice the edge count); handy for tests.
@@ -472,6 +533,44 @@ mod tests {
             assert!(u < v);
             assert!(g.has_edge(u, v));
         }
+    }
+
+    #[test]
+    fn retain_into_matches_builder_and_draws_one_coin_per_edge() {
+        let g = from_edges(6, &[(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]);
+        let keep = [true, true, true, false, true, true];
+        // Drop every third edge in `edges()` order, down endpoints or not.
+        let mut calls = 0;
+        let mut out = from_edges(0, &[]);
+        g.retain_into(
+            &keep,
+            || {
+                calls += 1;
+                calls % 3 == 0
+            },
+            &mut out,
+        );
+        assert_eq!(calls, g.edge_count());
+        let survivors: Vec<_> = g
+            .edges()
+            .enumerate()
+            .filter(|&(i, (u, v))| (i + 1) % 3 != 0 && keep[u as usize] && keep[v as usize])
+            .map(|(_, e)| e)
+            .collect();
+        assert_eq!(out, from_edges(6, &survivors));
+        assert_eq!(out.validate(), Ok(()));
+    }
+
+    #[test]
+    fn retain_into_reuses_out_buffers() {
+        let g = crate::gen::clique(6);
+        let mut out = from_edges(0, &[]);
+        g.retain_into(&[true; 6], || false, &mut out);
+        assert_eq!(out, g);
+        let buffers = (out.offsets.as_ptr(), out.adjacency.as_ptr());
+        g.retain_into(&[true, false, true, true, false, true], || false, &mut out);
+        assert_eq!(out.edge_count(), 6);
+        assert_eq!((out.offsets.as_ptr(), out.adjacency.as_ptr()), buffers);
     }
 
     #[test]

@@ -12,8 +12,11 @@
 use mtm_graph::dynamic::{DynamicTopology, EdgeSwapAdversary, RelabelingAdversary};
 use mtm_graph::expansion::{alpha_exact, alpha_of_set, boundary_size};
 use mtm_graph::matching::{brute_force_matching, cut_matching, gamma_exact, hopcroft_karp};
+use mtm_graph::rng::stream_rng;
 use mtm_graph::static_graph::from_edges;
-use mtm_graph::{gen, Graph, GraphBuilder};
+use mtm_graph::{
+    gen, FaultConfig, FaultyTopology, Graph, GraphBuilder, NodeId, ScheduledCrashes, StaticTopology,
+};
 use mtm_testkit::{run_cases, Rng, SmallRng};
 
 /// An arbitrary connected graph on 2..=n_max nodes, built by a random
@@ -195,6 +198,147 @@ fn from_edges_respects_input() {
         let g = from_edges(n as usize, &edges);
         for &(u, v) in &edges {
             assert!(g.has_edge(u, v));
+        }
+    });
+}
+
+/// Reference for [`FaultyTopology`]: the documented crash chain (even
+/// streams) and link coins (odd streams, one per base edge in `edges()`
+/// order), with each round's graph pushed through [`GraphBuilder`].
+struct ReferenceFaults {
+    base: Graph,
+    cfg: FaultConfig,
+    seed: u64,
+    up: Vec<bool>,
+    chain_round: u64,
+}
+
+impl ReferenceFaults {
+    fn new(base: Graph, cfg: FaultConfig, seed: u64) -> Self {
+        let up = vec![true; base.node_count()];
+        ReferenceFaults { base, cfg, seed, up, chain_round: 0 }
+    }
+
+    fn graph_at(&mut self, round: u64) -> Graph {
+        while self.chain_round < round {
+            self.chain_round += 1;
+            let mut rng = stream_rng(self.seed, 2 * self.chain_round);
+            for up in &mut self.up {
+                let flip = if *up { self.cfg.crash } else { self.cfg.recover };
+                if flip > 0.0 && rng.gen_bool(flip) {
+                    *up = !*up;
+                }
+            }
+        }
+        let mut link_rng = stream_rng(self.seed, 2 * round + 1);
+        let mut b = GraphBuilder::new(self.base.node_count());
+        for (u, v) in self.base.edges() {
+            let link_down = self.cfg.link_loss > 0.0 && link_rng.gen_bool(self.cfg.link_loss);
+            if self.up[u as usize] && self.up[v as usize] && !link_down {
+                b.add_edge(u, v);
+            }
+        }
+        b.build()
+    }
+}
+
+/// True iff an outage window `[from, to)` covers `u` at `round`.
+fn scheduled_down(outages: &[(NodeId, u64, u64)], u: NodeId, round: u64) -> bool {
+    outages.iter().any(|&(v, from, to)| v == u && from <= round && round < to)
+}
+
+/// Reference for [`ScheduledCrashes`]: `g` minus every edge with an
+/// endpoint scheduled down at `round`, rebuilt through [`GraphBuilder`].
+fn reference_schedule(g: &Graph, outages: &[(NodeId, u64, u64)], round: u64) -> Graph {
+    let mut b = GraphBuilder::new(g.node_count());
+    for (u, v) in g.edges() {
+        if !scheduled_down(outages, u, round) && !scheduled_down(outages, v, round) {
+            b.add_edge(u, v);
+        }
+    }
+    b.build()
+}
+
+/// A random-regular, Erdős–Rényi or star base on 6..=40 nodes.
+fn fault_base(rng: &mut SmallRng) -> Graph {
+    let n = rng.gen_range(6..=40usize);
+    let seed = rng.gen::<u64>();
+    match rng.gen_range(0..3) {
+        0 => gen::random_regular(n, if n % 2 == 0 { 3 } else { 4 }, seed),
+        1 => gen::erdos_renyi_connected(n, rng.gen_range(0.1..0.6), seed),
+        _ => gen::star(n),
+    }
+}
+
+/// Each rate is zero in about a third of the cases, so crash-only,
+/// loss-only and fault-free stacks all occur; `link_loss` otherwise lies
+/// in (0, 0.5].
+fn fault_config(rng: &mut SmallRng) -> FaultConfig {
+    let mut rate =
+        |max: f64| if rng.gen_range(0..3) == 0 { 0.0 } else { max * (1.0 - rng.gen::<f64>()) };
+    FaultConfig { crash: rate(0.3), recover: rate(0.5), link_loss: rate(0.5) }
+}
+
+#[test]
+fn fault_stack_matches_graph_builder_reference() {
+    const HORIZON: u64 = 30;
+    run_cases(0x670B, 64, |_case, rng| {
+        let base = fault_base(rng);
+        let n = base.node_count();
+        let cfg = fault_config(rng);
+        let seed = rng.gen::<u64>();
+        let outages: Vec<(NodeId, u64, u64)> = (0..rng.gen_range(0..=6))
+            .map(|_| {
+                let u = rng.gen_range(0..n as NodeId);
+                let from = rng.gen_range(1..=HORIZON);
+                let to = if rng.gen_bool(0.2) {
+                    u64::MAX
+                } else {
+                    rng.gen_range(from + 1..=HORIZON + 3)
+                };
+                (u, from, to)
+            })
+            .collect();
+        // Dense (every round) or skip-ahead (gaps and repeated rounds).
+        let rounds: Vec<u64> = if rng.gen_bool(0.5) {
+            (1..=HORIZON).collect()
+        } else {
+            let mut r = 0;
+            std::iter::from_fn(|| {
+                r += rng.gen_range(0..=4u64);
+                (r <= HORIZON).then_some(r.max(1))
+            })
+            .collect()
+        };
+
+        let faulty = || FaultyTopology::new(StaticTopology::new(base.clone()), cfg, seed);
+        let mut alone = faulty();
+        let mut scheduled =
+            ScheduledCrashes::new(StaticTopology::new(base.clone()), outages.clone());
+        let mut stacked = ScheduledCrashes::new(faulty(), outages.clone());
+        let mut reference = ReferenceFaults::new(base.clone(), cfg, seed);
+        for &round in &rounds {
+            let want_faulty = reference.graph_at(round);
+            let want = [
+                ("FaultyTopology", want_faulty.clone()),
+                ("ScheduledCrashes", reference_schedule(&base, &outages, round)),
+                (
+                    "ScheduledCrashes<FaultyTopology>",
+                    reference_schedule(&want_faulty, &outages, round),
+                ),
+            ];
+            let got = [alone.graph_at(round), scheduled.graph_at(round), stacked.graph_at(round)];
+            for ((name, want), got) in want.iter().zip(got) {
+                assert_eq!(got, want, "{name} diverged from the reference at round {round}");
+                assert_eq!(got.validate(), Ok(()), "{name} broke a CSR invariant at round {round}");
+            }
+            for u in 0..n as NodeId {
+                let down = scheduled_down(&outages, u, round);
+                assert_eq!(stacked.is_node_up(u, round), reference.up[u as usize] && !down);
+                // Any round, built or not, agrees with the schedule.
+                let other = rng.gen_range(1..=HORIZON + 3);
+                assert_eq!(scheduled.is_node_up(u, other), !scheduled_down(&outages, u, other));
+            }
         }
     });
 }

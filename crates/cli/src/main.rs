@@ -150,6 +150,7 @@ enum GraphSource {
 impl GraphSource {
     fn build(&self, seed: u64) -> Result<mtm_graph::Graph, String> {
         match self {
+            GraphSource::Family(_, n) if *n < 2 => Err(format!("n must be at least 2, got {n}")),
             GraphSource::Family(f, n) => Ok(f.build(*n, seed)),
             GraphSource::File(path) => {
                 let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;

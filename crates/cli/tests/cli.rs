@@ -9,7 +9,9 @@
 //!   dropping it);
 //! * `--backend event` determinism: same seed ⇒ byte-identical stdout,
 //!   different seed ⇒ different timing; flag validation for the
-//!   lockstep-only options.
+//!   lockstep-only options;
+//! * malformed input — `n < 2`, bad graph files — is a usage error (exit
+//!   2) on `elect`, `spread` and `serve`, never a panic (exit 101).
 
 use std::process::{Command, Output};
 
@@ -94,5 +96,48 @@ fn elect_event_backend_completes_and_validates_flags() {
         let mut args = vec!["elect", "blind", "cycle", "16", "--backend", "event"];
         args.extend_from_slice(extra);
         assert_eq!(mtm(&args).status.code(), Some(2), "{extra:?} must be rejected under event");
+    }
+}
+
+#[test]
+fn too_few_nodes_is_a_usage_error() {
+    for args in [
+        &["elect", "blind", "expander8", "1"][..],
+        &["elect", "bitconv", "clique", "0"][..],
+        &["spread", "push-pull", "expander8", "1"][..],
+        &["serve", "expander8", "1"][..],
+    ] {
+        let out = mtm(args);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+#[test]
+fn malformed_graph_file_is_a_usage_error() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for (name, text) in [
+        ("edge_before_header.txt", "0 1\n5 6\nn 3\n"),
+        ("huge_header.txt", "n 5000000000\n"),
+        ("max_id.txt", "0 4294967295\n"),
+        ("garbage.txt", "0 one\n"),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("temp graph file is writable");
+        let path = path.to_str().expect("temp path is UTF-8");
+        for cmd in [&["elect", "blind"][..], &["spread", "push-pull"][..], &["serve"][..]] {
+            let args = [cmd, &["--graph-file", path][..]].concat();
+            let out = mtm(&args);
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "{args:?}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
     }
 }

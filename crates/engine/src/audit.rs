@@ -10,7 +10,10 @@
 //!   `max_payload_uids` UIDs plus `max_payload_bits` extra bits,
 //! - a node only proposes to neighbors it actually saw in its scan,
 //! - under [`ConnectionPolicy::SingleUniform`] the accepted proposals
-//!   form a matching: no node participates in two connections per round.
+//!   form a matching: no node participates in two connections per round,
+//! - proposals are conserved: every proposal ends as a connection, a
+//!   rejection or a drop (the lockstep engine checks this after every
+//!   round, the event backend up to the proposals still in flight).
 //!
 //! Building with `--no-default-features` strips the audit for maximum
 //! throughput; the engine then falls back to the original spot asserts
@@ -52,6 +55,16 @@ pub enum Violation {
     /// Under the single-accept policy a node ended up in two accepted
     /// connections in one round — the accepted set must be a matching.
     NotAMatching { round: u64, node: NodeId },
+    /// `proposals − connections − rejected − dropped` left the range
+    /// `[0, in_flight_bound]`: a proposal was lost or counted twice.
+    Conservation {
+        round: u64,
+        proposals: u64,
+        connections: u64,
+        rejected: u64,
+        dropped: u64,
+        in_flight_bound: u64,
+    },
 }
 
 impl fmt::Display for Violation {
@@ -77,6 +90,19 @@ impl fmt::Display for Violation {
                 f,
                 "round {round}: node {node} participates in two accepted connections \
                  (SingleUniform must form a matching)"
+            ),
+            Violation::Conservation {
+                round,
+                proposals,
+                connections,
+                rejected,
+                dropped,
+                in_flight_bound,
+            } => write!(
+                f,
+                "round {round}: proposal conservation broken: {proposals} proposals vs \
+                 {connections} connections + {rejected} rejected + {dropped} dropped \
+                 (at most {in_flight_bound} may be in flight)"
             ),
         }
     }
@@ -137,9 +163,31 @@ impl Auditor {
         }
     }
 
+    /// Check proposal conservation on counters `m`: the proposals not yet
+    /// resolved as a connection, rejection or drop must number between 0
+    /// and `in_flight_bound` (0 where every round resolves all of them).
+    #[inline]
+    pub fn check_conservation(&self, round: u64, m: &Metrics, in_flight_bound: u64) {
+        let resolved = m.connections + m.rejected_proposals + m.dropped_proposals;
+        if m.proposals < resolved || m.proposals - resolved > in_flight_bound {
+            fail(Violation::Conservation {
+                round,
+                proposals: m.proposals,
+                connections: m.connections,
+                rejected: m.rejected_proposals,
+                dropped: m.dropped_proposals,
+                in_flight_bound,
+            });
+        }
+    }
+
     /// Check that the accepted set forms a matching (each node in at most
     /// one accepted connection), then count the round as audited.
-    pub fn check_matching(&mut self, round: u64, accepted: &[(NodeId, NodeId)]) {
+    pub fn check_matching<'a>(
+        &mut self,
+        round: u64,
+        accepted: impl IntoIterator<Item = &'a (NodeId, NodeId)>,
+    ) {
         self.endpoints.clear();
         for &(u, v) in accepted {
             self.endpoints.push(u);
@@ -245,6 +293,43 @@ mod tests {
     #[should_panic(expected = "two accepted connections")]
     fn double_acceptance_caught() {
         Auditor::default().check_matching(3, &[(0, 1), (2, 1)]);
+    }
+
+    fn counts(proposals: u64, connections: u64, rejected: u64, dropped: u64) -> Metrics {
+        Metrics {
+            rounds: 1,
+            proposals,
+            connections,
+            rejected_proposals: rejected,
+            dropped_proposals: dropped,
+        }
+    }
+
+    #[test]
+    fn balanced_proposals_pass() {
+        let a = Auditor::default();
+        a.check_conservation(1, &counts(10, 4, 5, 1), 0);
+        a.check_conservation(1, &Metrics::default(), 0);
+        // Up to the bound may still be in flight.
+        a.check_conservation(1, &counts(10, 4, 3, 1), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "proposal conservation broken")]
+    fn lost_proposal_caught() {
+        Auditor::default().check_conservation(5, &counts(10, 4, 4, 1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "proposal conservation broken")]
+    fn double_counted_proposal_caught() {
+        Auditor::default().check_conservation(5, &counts(10, 4, 6, 1), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2 may be in flight")]
+    fn in_flight_bound_enforced() {
+        Auditor::default().check_conservation(5, &counts(10, 4, 2, 1), 2);
     }
 
     #[test]

@@ -1,12 +1,20 @@
-//! The round executor.
+//! The lockstep round pipeline.
 //!
 //! [`Engine`] drives a vector of [`Protocol`] nodes through the mobile (or
-//! classical) telephone model's round phases over a dynamic topology. The
-//! model is a synchronous round-based system; within a trial the executor
-//! runs either the straight-line sequential path or the sharded parallel
-//! path (see [`Engine::set_threads`] and the `parallel` module) — the two
-//! are bit-for-bit identical. Trial-level fan-out lives one level up, in
-//! [`crate::runner`].
+//! classical) telephone model's round phases over a dynamic topology. Every
+//! round — sequential, sharded or scripted — runs through one private
+//! pipeline parameterized by two pieces of data:
+//!
+//! - the **shard plan**: `threads` contiguous node ranges, each phase one
+//!   function over a shard (the `parallel` module). Sequential execution is
+//!   simply the one-shard plan, run inline on the calling thread;
+//! - the **choice source**: each node's own RNG stream
+//!   ([`Engine::step`]) or a [`RoundScript`] ([`Engine::step_scripted`]).
+//!
+//! Each phase body (advertise, scan/act, accept, end-of-round) and each
+//! piece of glue between phases (active-set precompute, proposal merge and
+//! arena scatter, accepted merge and delivery, round close) exists once.
+//! Trial-level fan-out lives one level up, in [`crate::runner`].
 //!
 //! # Hot-path design
 //!
@@ -36,37 +44,37 @@
 //! engine makes. The contract (engine semantics
 //! [`ENGINE_SEMANTICS_VERSION`]) is:
 //!
-//! - node `u` draws only from its own stream (`stream_rng(seed, u)`), in
-//!   phase order within each round — advertise, act, acceptance (receivers
-//!   draw from their *own* streams), `on_connect`, `end_round`;
+//! - node `u` draws only from its own stream (`stream_rng(seed, u)`, bound
+//!   once by the stream helper both backends construct through), in phase
+//!   order within each round — advertise, act, acceptance (receivers draw
+//!   from their *own* streams), `on_connect`, `end_round`;
 //! - loss coins are *counter-based*: proposal survival is the pure
 //!   function `counter_coin(loss_seed, round, proposer) < loss_prob`,
 //!   independent of draw order (the v1 semantics drew from one global
 //!   sequential loss stream in proposer order);
 //! - receivers resolve acceptance and take delivery in **ascending node
 //!   id** order (v1 used first-proposal order). Per-node streams are
-//!   unaffected by this ordering — it exists so a shard-partitioned
-//!   executor can merge per-shard results by concatenation.
+//!   unaffected by this ordering — it exists so per-shard results merge by
+//!   concatenation.
 //!
-//! Because no draw depends on cross-node ordering, the sharded parallel
-//! path replays the sequential execution exactly. Any optimization must
-//! preserve the streams bit-for-bit — see the trace-equivalence suite
-//! (`tests/trace_equivalence.rs`), which pins both executor paths against
-//! a straight-line reference implementation at several thread counts, and
+//! Because no draw depends on cross-node ordering, every shard plan replays
+//! the same execution exactly. Any optimization must preserve the streams
+//! bit-for-bit — see the trace-equivalence suite
+//! (`tests/trace_equivalence.rs`), which pins the pipeline against a
+//! straight-line reference implementation at several thread counts, and
 //! [`crate::audit::determinism_self_check`].
 
-use mtm_graph::{DynamicTopology, NodeId};
+use mtm_graph::{DynamicTopology, Graph, NodeId};
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 
 use crate::activation::ActivationSchedule;
-use crate::executor::{uniform_accept_index, ExecutorSet, RoundExecuter};
 use crate::metrics::{Metrics, RoundTrace};
-use crate::model::{Acceptance, ConnectionPolicy, ModelParams, Tag};
-use crate::protocol::{Action, LeaderView, PayloadCost, Protocol, RumorView, Scan};
+use crate::model::{ConnectionPolicy, ModelParams, Tag};
+use crate::protocol::{Action, LeaderView, PayloadCost, Protocol, RumorView};
 
 #[path = "parallel.rs"]
 mod parallel;
+use parallel::{ShardPlan, ShardScratch};
 
 /// Version tag for the engine's execution semantics — the part of the RNG
 /// contract that recorded results depend on (see the module docs). Bumped
@@ -80,12 +88,131 @@ mod parallel;
 ///   Non-lossy per-node draws are unchanged from v1.
 pub const ENGINE_SEMANTICS_VERSION: &str = "v2";
 
+/// The node↔stream binding every backend constructs through: node `u`
+/// draws only from `stream_rng(seed, u)`.
+pub(crate) fn node_streams(seed: u64, n: usize) -> Vec<SmallRng> {
+    (0..n as u64).map(|u| mtm_graph::rng::stream_rng(seed, u)).collect()
+}
+
 /// Per-node resolved action for the current round.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Slot {
     Inactive,
     Listen,
     Propose(NodeId),
+}
+
+/// Where a round's choices come from.
+#[derive(Clone, Copy)]
+enum Choices<'a> {
+    /// Every node draws from its own stream.
+    Drawn,
+    /// The script resolves every advertise, act and acceptance choice.
+    Scripted(&'a RoundScript),
+}
+
+/// The read-only inputs every shard body of one round shares.
+struct RoundCtx<'a> {
+    round: u64,
+    params: ModelParams,
+    choices: Choices<'a>,
+    graph: &'a Graph,
+    active: &'a [bool],
+    local_rounds: &'a [u64],
+    all_active: bool,
+    loss_prob: f64,
+    loss_seed: u64,
+    #[cfg(feature = "audit")]
+    auditor: &'a crate::audit::Auditor,
+}
+
+/// The proposals that reached a listening receiver, as one CSR span per
+/// receiver over a flat arena, plus each receiver's scripted pick.
+#[derive(Default)]
+struct Inbox {
+    /// Surviving `(receiver, proposer)` pairs in ascending proposer order.
+    pairs: Vec<(NodeId, NodeId)>,
+    arena: Vec<NodeId>,
+    /// One past the end of each receiver's span, once scattered.
+    ends: Vec<u32>,
+    /// The proposer each receiver accepts in a scripted round.
+    picks: Vec<Option<NodeId>>,
+}
+
+impl Inbox {
+    /// Merge the shards' proposals in shard order (= ascending proposer
+    /// id, so each span stays proposer-sorted) and scatter those whose
+    /// receiver listened into the arena. A proposal to a node that itself
+    /// proposed is rejected. `lens` receives each receiver's span length.
+    fn collect(
+        &mut self,
+        shards: &mut [ShardScratch],
+        slots: &[Slot],
+        lens: &mut [u32],
+        metrics: &mut Metrics,
+    ) {
+        self.ends.resize(slots.len(), 0);
+        for shard in shards.iter_mut() {
+            // A proposal made at scan time either survived or was dropped.
+            metrics.proposals += shard.proposed.len() as u64 + shard.dropped;
+            shard.drain_counts(metrics);
+            for &(u, v) in &shard.proposed {
+                let vi = v as usize;
+                if slots[vi] == Slot::Listen {
+                    lens[vi] += 1;
+                    self.pairs.push((v, u));
+                } else {
+                    metrics.rejected_proposals += 1;
+                }
+            }
+            shard.proposed.clear();
+        }
+        // Every arena position below the pair count is overwritten by the
+        // scatter, so the buffer only ever grows — no per-round zeroing.
+        if self.arena.len() < self.pairs.len() {
+            self.arena.resize(self.pairs.len(), 0);
+        }
+        // Dense prefix-sum: one cache-linear pass over two u32 arrays
+        // (lengths are nonzero only for receivers with proposals).
+        let mut cursor = 0u32;
+        for (end, &len) in self.ends.iter_mut().zip(lens.iter()) {
+            *end = cursor;
+            cursor += len;
+        }
+        for &(v, u) in &self.pairs {
+            let c = self.ends[v as usize];
+            self.arena[c as usize] = u;
+            self.ends[v as usize] = c + 1;
+        }
+        self.pairs.clear();
+    }
+
+    /// The `k` proposers that reached receiver `v`.
+    #[inline]
+    fn incoming(&self, v: usize, k: usize) -> &[NodeId] {
+        let end = self.ends[v] as usize;
+        &self.arena[end - k..end]
+    }
+
+    /// Validate a script's matching against this round's slots and record
+    /// each receiver's pick.
+    fn pick(&mut self, accept: &[(NodeId, NodeId)], slots: &[Slot]) {
+        let n = slots.len();
+        self.picks.clear();
+        self.picks.resize(n, None);
+        for &(u, v) in accept {
+            let (ui, vi) = (u as usize, v as usize);
+            assert!(ui < n && vi < n, "accepted pair ({u}, {v}) out of range");
+            assert_eq!(
+                slots[ui],
+                Slot::Propose(v),
+                "accepted pair ({u}, {v}) does not match a scripted proposal"
+            );
+            assert_eq!(slots[vi], Slot::Listen, "receiver {v} did not listen this round");
+            assert!(self.picks[vi].is_none(), "receiver {v} accepts more than one proposal");
+            self.picks[vi] = Some(u);
+        }
+    }
 }
 
 /// Outcome of a run-to-stabilization helper.
@@ -206,15 +333,12 @@ pub struct Engine<P: Protocol, T: DynamicTopology> {
     // is `counter_coin(loss_seed, round, proposer) < loss_prob`, a pure
     // function with no sequential state (see the module docs).
     loss_seed: u64,
-    // Worker count for the sharded executor (1 = straight-line path).
+    // Worker count: the shard plan runs `threads` shards (1 = inline).
     threads: usize,
-    shard_scratch: Vec<parallel::ShardScratch>,
     // Workhorse buffers (reused every round).
+    shards: Vec<ShardScratch>,
     tags: Vec<Tag>,
     slots: Vec<Slot>,
-    accepted: Vec<(NodeId, NodeId)>,
-    visible: Vec<NodeId>,
-    visible_tags: Vec<Tag>,
     // Per-round active set: `active[u]` and `local_rounds[u]` are valid for
     // the round being executed; once `all_active` latches true they stop
     // being recomputed (activation is monotone).
@@ -222,18 +346,10 @@ pub struct Engine<P: Protocol, T: DynamicTopology> {
     local_rounds: Vec<u64>,
     all_active: bool,
     active_count: u64,
-    // Flat proposal arena: the scan phase appends every (proposer,
-    // receiver) pair to `proposed`; survivors are collected as (receiver,
-    // proposer) pairs in proposer order, then scattered into `arena` as one
-    // CSR span per touched receiver (`incoming_start`/`incoming_len`).
-    proposed: Vec<(NodeId, NodeId)>,
-    proposal_pairs: Vec<(NodeId, NodeId)>,
-    arena: Vec<NodeId>,
-    incoming_start: Vec<u32>,
+    inbox: Inbox,
+    // Per-receiver span lengths, outside `inbox` so acceptance can chunk
+    // them mutably while its shards share the arena.
     incoming_len: Vec<u32>,
-    // Scratch for selection-permutation acceptance (never aliases the
-    // scan-phase `visible` buffer).
-    accept_scratch: Vec<NodeId>,
     // Per-node fingerprint cache for the stuck detector (empty until the
     // first detector update; thereafter only active nodes are re-hashed).
     fp_cache: Vec<u64>,
@@ -255,33 +371,15 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
         nodes: Vec<P>,
         seed: u64,
     ) -> Self {
-        Self::from_executors(topology, params, schedule, ExecutorSet::spawn(nodes, seed))
-    }
-
-    /// Build the lockstep backend over an already-spawned
-    /// [`ExecutorSet`] — the typed round-executor surface shared with the
-    /// event backend (see [`crate::executor`]). The set is unzipped into
-    /// the engine's struct-of-arrays state: the hot path batches whole
-    /// phases over parallel arrays, but the node↔stream binding and the
-    /// per-phase draw rules are the executor contract's.
-    pub fn from_executors(
-        topology: T,
-        params: ModelParams,
-        schedule: ActivationSchedule,
-        set: ExecutorSet<P>,
-    ) -> Self {
         let n = topology.node_count();
-        assert_eq!(set.len(), n, "one protocol instance per topology node");
+        assert_eq!(nodes.len(), n, "one protocol instance per topology node");
         assert_eq!(schedule.len(), n, "activation schedule must cover all nodes");
-        let seed = set.seed();
-        let (nodes, rngs): (Vec<P>, Vec<SmallRng>) =
-            set.into_executors().into_iter().map(RoundExecuter::into_parts).unzip();
         Engine {
             topology,
             params,
             schedule,
             nodes,
-            rngs,
+            rngs: node_streams(seed, n),
             round: 0,
             metrics: Metrics::default(),
             traces: None,
@@ -292,22 +390,15 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
             // enabling proposal loss never perturbs node randomness.
             loss_seed: mtm_graph::rng::derive_seed(seed, u64::MAX),
             threads: 1,
-            shard_scratch: Vec::new(),
+            shards: Vec::new(),
             tags: vec![Tag::EMPTY; n],
             slots: vec![Slot::Inactive; n],
-            accepted: Vec::new(),
-            visible: Vec::new(),
-            visible_tags: Vec::new(),
             active: vec![false; n],
             local_rounds: vec![0; n],
             all_active: false,
             active_count: 0,
-            proposed: Vec::new(),
-            proposal_pairs: Vec::new(),
-            arena: Vec::new(),
-            incoming_start: vec![0; n],
+            inbox: Inbox::default(),
             incoming_len: vec![0; n],
-            accept_scratch: Vec::new(),
             fp_cache: Vec::new(),
             #[cfg(feature = "audit")]
             auditor: crate::audit::Auditor::default(),
@@ -404,15 +495,13 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
         self.loss_prob = prob;
     }
 
-    /// Set the worker count for the sharded round executor (`0` means "use
-    /// [`std::thread::available_parallelism`]"). The executor is bit-for-bit
-    /// deterministic: any thread count produces the identical execution, so
-    /// this is purely a throughput knob. With `threads ≤ 1` (the default)
-    /// rounds run on the calling thread.
-    ///
-    /// The sharded path covers [`ConnectionPolicy::SingleUniform`] (the
-    /// mobile telephone model); [`ConnectionPolicy::AcceptAll`] rounds and
-    /// [`Engine::step_scripted`] always run sequentially.
+    /// Set the worker count (`0` means "use
+    /// [`std::thread::available_parallelism`]"). Every round runs on
+    /// `min(threads, n)` contiguous shards; with one shard (the default)
+    /// it runs inline on the calling thread. The pipeline is bit-for-bit
+    /// deterministic: any thread count produces the identical execution —
+    /// for every [`ConnectionPolicy`] and for [`Engine::step_scripted`]
+    /// alike — so this is purely a throughput knob.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = if threads == 0 {
             std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
@@ -496,301 +585,25 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
         crate::audit::determinism_self_check(build, rounds)
     }
 
-    /// Execute one full round (all five phases).
+    /// Execute one full round (all five phases), every node drawing its
+    /// choices from its own stream.
     pub fn step(&mut self) {
-        // The sharded path covers the mobile model's matching-shaped
-        // acceptance; AcceptAll (classical model, sequential intra-round
-        // interactions) keeps the straight-line path. Both paths are
-        // bit-for-bit identical where they overlap.
-        if self.threads > 1 && self.params.policy == ConnectionPolicy::SingleUniform {
-            self.step_parallel();
-        } else {
-            self.step_sequential();
-        }
-    }
-
-    /// The straight-line round executor: the reference the sharded path is
-    /// pinned against (`tests/trace_equivalence.rs`).
-    fn step_sequential(&mut self) {
-        self.round += 1;
-        let round = self.round;
-        let n = self.nodes.len();
-        let topo_may_change = self.stuck.is_some() && self.topology.may_change_at(round);
-        let graph = self.topology.graph_at(round);
-        assert_eq!(graph.node_count(), n, "topology changed node count");
-
-        let round_proposals_before = self.metrics.proposals;
-        let round_connections_before = self.metrics.connections;
-
-        // Active-set precompute: one schedule check per node per round,
-        // with `local_round` cached alongside. Activation is monotone, so
-        // once everyone is awake the bitmap is complete forever and the
-        // steady state only bumps the cached local rounds.
-        if self.all_active {
-            for lr in &mut self.local_rounds {
-                *lr += 1;
-            }
-        } else {
-            self.active_count = 0;
-            for u in 0..n {
-                if self.schedule.is_active(u, round) {
-                    self.active[u] = true;
-                    self.active_count += 1;
-                    self.local_rounds[u] = self.schedule.local_round(u, round);
-                } else {
-                    self.active[u] = false;
-                }
-            }
-            self.all_active = self.active_count == n as u64;
-        }
-
-        // Phase 1: advertise. The lockstep zip lets the per-node loop run
-        // without bounds checks on any of the parallel arrays.
-        let tag_bits = self.params.tag_bits;
-        for (_u, (((((slot, &active), &lr), node), rng), tag_slot)) in self
-            .slots
-            .iter_mut()
-            .zip(&self.active)
-            .zip(&self.local_rounds)
-            .zip(&mut self.nodes)
-            .zip(&mut self.rngs)
-            .zip(&mut self.tags)
-            .enumerate()
-        {
-            if !active {
-                *slot = Slot::Inactive;
-                continue;
-            }
-            let tag = node.advertise(lr, rng);
-            #[cfg(feature = "audit")]
-            self.auditor.check_tag(round, _u, tag, tag_bits);
-            #[cfg(not(feature = "audit"))]
-            assert!(
-                tag.fits(tag_bits),
-                "node {_u} advertised tag {tag:?} exceeding b = {tag_bits} bits"
-            );
-            *tag_slot = tag;
-        }
-
-        // Phases 2-3: scan and act. With everyone active the CSR neighbor
-        // slice *is* the scan (zero-copy); during activation ramp-up the
-        // visible subset is filtered into scratch. Both slices are sorted,
-        // which the proposal audit below relies on.
-        let all_active = self.all_active;
-        for (u, (((((slot, &active), &lr), node), rng), nbrs)) in self
-            .slots
-            .iter_mut()
-            .zip(&self.active)
-            .zip(&self.local_rounds)
-            .zip(&mut self.nodes)
-            .zip(&mut self.rngs)
-            .zip(graph.neighbor_rows())
-            .enumerate()
-        {
-            if !active {
-                continue;
-            }
-            let neighbors: &[NodeId] = if all_active {
-                if tag_bits > 0 {
-                    self.visible_tags.clear();
-                    for &v in nbrs {
-                        self.visible_tags.push(self.tags[v as usize]);
-                    }
-                }
-                nbrs
-            } else {
-                self.visible.clear();
-                self.visible_tags.clear();
-                for &v in nbrs {
-                    if self.active[v as usize] {
-                        self.visible.push(v);
-                        if tag_bits > 0 {
-                            self.visible_tags.push(self.tags[v as usize]);
-                        }
-                    }
-                }
-                &self.visible
-            };
-            let scan = Scan { neighbors, tags: &self.visible_tags, round, local_round: lr };
-            *slot = match node.act(&scan, rng) {
-                Action::Listen => Slot::Listen,
-                Action::Propose(v) => {
-                    #[cfg(feature = "audit")]
-                    self.auditor.check_proposal(round, u, v, scan.neighbors);
-                    #[cfg(not(feature = "audit"))]
-                    assert!(
-                        scan.neighbors.binary_search(&v).is_ok(),
-                        "node {u} proposed to {v}, not a visible neighbor"
-                    );
-                    // hot path: u < n <= u32::MAX by construction. mtm-lint: allow(truncating-cast)
-                    self.proposed.push((u as NodeId, v));
-                    Slot::Propose(v)
-                }
-            };
-        }
-
-        // Phase 4: collect surviving proposals (loss coins are pure
-        // counter draws, evaluated only when loss is enabled), then lay
-        // them out as one CSR span per receiver in the flat arena.
-        debug_assert!(self.proposal_pairs.is_empty());
-        self.metrics.proposals += self.proposed.len() as u64;
-        if self.loss_prob > 0.0 {
-            Self::collect_proposals::<true>(
-                &self.slots,
-                &self.proposed,
-                self.loss_prob,
-                self.loss_seed,
-                round,
-                &mut self.metrics,
-                &mut self.incoming_len,
-                &mut self.proposal_pairs,
-            );
-        } else {
-            Self::collect_proposals::<false>(
-                &self.slots,
-                &self.proposed,
-                self.loss_prob,
-                self.loss_seed,
-                round,
-                &mut self.metrics,
-                &mut self.incoming_len,
-                &mut self.proposal_pairs,
-            );
-        }
-        self.proposed.clear();
-        // Every arena position below the pair count is overwritten by the
-        // scatter, so the buffer only ever grows — no per-round zeroing.
-        if self.arena.len() < self.proposal_pairs.len() {
-            self.arena.resize(self.proposal_pairs.len(), 0);
-        }
-        // Dense prefix-sum: one cache-linear pass over two u32 arrays
-        // (lengths are nonzero only for receivers with proposals).
-        let mut cursor = 0u32;
-        for (start, &len) in self.incoming_start.iter_mut().zip(&self.incoming_len) {
-            *start = cursor;
-            cursor += len;
-        }
-        // Scatter; pairs are in ascending proposer order, so each span
-        // stays proposer-sorted. Afterwards `incoming_start[v]` points one
-        // past the span's end.
-        for &(v, u) in &self.proposal_pairs {
-            let c = self.incoming_start[v as usize];
-            self.arena[c as usize] = u;
-            self.incoming_start[v as usize] = c + 1;
-        }
-
-        // Phase 4a: decide which proposals are accepted (may need the
-        // round graph for the selection-permutation device), receivers in
-        // ascending node id — the canonical order the sharded executor's
-        // shard-concatenation merge reproduces. Then Phase 4b: perform the
-        // payload exchanges.
-        debug_assert!(self.accepted.is_empty());
-        for vi in 0..n {
-            let k = self.incoming_len[vi] as usize;
-            if k == 0 {
-                continue;
-            }
-            self.incoming_len[vi] = 0;
-            // receivers are node ids: vi < n <= u32::MAX. mtm-lint: allow(truncating-cast)
-            let v = vi as NodeId;
-            let end = self.incoming_start[vi] as usize;
-            let incoming = &self.arena[end - k..end];
-            match self.params.policy {
-                ConnectionPolicy::SingleUniform => {
-                    let u = match self.params.acceptance {
-                        Acceptance::UniformIndex => {
-                            incoming[uniform_accept_index(&mut self.rngs[vi], k)]
-                        }
-                        Acceptance::SelectionPermutation => {
-                            // Definition VI.2's device: shuffle the
-                            // neighbor list, accept the proposer ranked
-                            // first. Distributionally identical to the
-                            // uniform-index choice. Inactive neighbors can
-                            // never propose, so only active ones enter the
-                            // shuffle (a subset's relative order within a
-                            // uniform permutation is itself uniform).
-                            self.accept_scratch.clear();
-                            if self.all_active {
-                                self.accept_scratch.extend_from_slice(graph.neighbors(v));
-                            } else {
-                                self.accept_scratch.extend(
-                                    graph
-                                        .neighbors(v)
-                                        .iter()
-                                        .copied()
-                                        .filter(|&w| self.active[w as usize]),
-                                );
-                            }
-                            self.accept_scratch.shuffle(&mut self.rngs[vi]);
-                            *self
-                                .accept_scratch
-                                .iter()
-                                .find(|cand| incoming.contains(cand))
-                                .expect("every proposer is a neighbor")
-                        }
-                    };
-                    self.metrics.rejected_proposals += (k - 1) as u64;
-                    self.accepted.push((u, v));
-                }
-                ConnectionPolicy::AcceptAll => {
-                    // Deliver in ascending proposer order; each proposer
-                    // sees the receiver's state as of *its* connection
-                    // (connections in the classical model are sequential
-                    // interactions within the round).
-                    for &u in incoming {
-                        self.accepted.push((u, v));
-                    }
-                }
-            }
-        }
-        self.proposal_pairs.clear();
-        #[cfg(feature = "audit")]
-        if self.params.policy == ConnectionPolicy::SingleUniform {
-            // Section III: each node participates in at most one
-            // connection per round — the accepted set is a matching.
-            self.auditor.check_matching(round, &self.accepted);
-        }
-        if self.connection_log.is_some() {
-            self.deliver_accepted::<true>(round);
-        } else {
-            self.deliver_accepted::<false>(round);
-        }
-        self.accepted.clear();
-
-        // Phase 5: end of round.
-        for (((&active, &lr), node), rng) in
-            self.active.iter().zip(&self.local_rounds).zip(&mut self.nodes).zip(&mut self.rngs)
-        {
-            if active {
-                node.end_round(lr, rng);
-            }
-        }
-
-        self.metrics.rounds = round;
-        if let Some(traces) = &mut self.traces {
-            traces.push(RoundTrace {
-                round,
-                active: self.active_count,
-                proposals: self.metrics.proposals - round_proposals_before,
-                connections: self.metrics.connections - round_connections_before,
-            });
-        }
-        if self.stuck.is_some() {
-            self.update_stuck_detector(topo_may_change);
-        }
+        self.run_round(Choices::Drawn);
     }
 
     /// Execute one round following `script` instead of drawing randomness —
     /// the scripted-adversary hook `mtm-check` uses to replay counterexample
-    /// schedules through the real executor (same phase order, payload
-    /// audits and delivery path as [`Engine::step`]).
+    /// schedules through the real executor (same pipeline, payload audits
+    /// and delivery path as [`Engine::step`]).
     ///
     /// Requirements (asserted): the acceptance policy is
     /// [`ConnectionPolicy::SingleUniform`], every node is active this round
     /// (the checker explores synchronized executions only), the script's
     /// vectors cover all nodes, every scripted proposal targets a current
     /// neighbor, and `accept` is a matching of scripted proposals onto
-    /// listening receivers. Scripted rounds draw nothing from the per-node
+    /// listening receivers. A listener that accepts nothing drops its
+    /// proposals (the scripted adversary subsumes proposal loss; no loss
+    /// coins are drawn). Scripted rounds draw nothing from the per-node
     /// RNG streams — checkable protocols keep `on_connect`/`end_round`
     /// RNG-free — so the streams stay aligned for any unscripted rounds
     /// around them.
@@ -803,199 +616,165 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
             ConnectionPolicy::SingleUniform,
             "scripted rounds model the mobile model's matching-shaped acceptance"
         );
+        self.run_round(Choices::Scripted(script));
+    }
+
+    /// The round pipeline: every phase runs over the shard plan, reading
+    /// its choices from `choices`.
+    fn run_round(&mut self, choices: Choices<'_>) {
         self.round += 1;
         let round = self.round;
+        let before = self.metrics;
         let topo_may_change = self.stuck.is_some() && self.topology.may_change_at(round);
+        self.update_active_set(round);
+        let scripted = matches!(choices, Choices::Scripted(_));
+        if scripted {
+            assert!(self.all_active, "scripted rounds require every node active in round {round}");
+        }
+        let n = self.nodes.len();
+        let plan = ShardPlan::new(self.threads, n);
+        if self.shards.len() < plan.shards {
+            self.shards.resize_with(plan.shards, Default::default);
+        }
+        let c = plan.chunk;
         let graph = self.topology.graph_at(round);
         assert_eq!(graph.node_count(), n, "topology changed node count");
+        let ctx = RoundCtx {
+            round,
+            params: self.params,
+            choices,
+            graph,
+            active: &self.active,
+            local_rounds: &self.local_rounds,
+            all_active: self.all_active,
+            loss_prob: if scripted { 0.0 } else { self.loss_prob },
+            loss_seed: self.loss_seed,
+            #[cfg(feature = "audit")]
+            auditor: &self.auditor,
+        };
 
-        let round_proposals_before = self.metrics.proposals;
-        let round_connections_before = self.metrics.connections;
+        // Phase 1: advertise. Tags land in disjoint chunks of the tag array.
+        plan.run(
+            self.nodes.chunks_mut(c).zip(self.rngs.chunks_mut(c)).zip(self.tags.chunks_mut(c)),
+            |base, ((nodes, rngs), tags)| parallel::advertise(&ctx, base, nodes, rngs, tags),
+        );
 
-        // Same active-set precompute as `step`, then demand full coverage.
+        // Phases 2-3: scan and act; proposals accumulate per shard.
+        let tags = &self.tags;
+        plan.run(
+            self.slots
+                .chunks_mut(c)
+                .zip(self.nodes.chunks_mut(c))
+                .zip(self.rngs.chunks_mut(c))
+                .zip(self.shards.iter_mut()),
+            |base, (((slots, nodes), rngs), scratch)| {
+                parallel::scan_act(&ctx, tags, base, slots, nodes, rngs, scratch)
+            },
+        );
+
+        // Glue: merge proposals into the arena; a scripted matching is
+        // validated once, before acceptance reads it.
+        self.inbox.collect(
+            &mut self.shards,
+            &self.slots,
+            &mut self.incoming_len,
+            &mut self.metrics,
+        );
+        if let Choices::Scripted(script) = choices {
+            self.inbox.pick(&script.accept, &self.slots);
+        }
+
+        // Phase 4a: acceptance, sharded by receiver.
+        let inbox = &self.inbox;
+        plan.run(
+            self.incoming_len
+                .chunks_mut(c)
+                .zip(self.rngs.chunks_mut(c))
+                .zip(self.shards.iter_mut()),
+            |base, ((lens, rngs), scratch)| {
+                parallel::accept(&ctx, inbox, base, lens, rngs, scratch)
+            },
+        );
+
+        // Phase 4b: payload exchanges on the calling thread.
+        self.deliver(round);
+
+        // Phase 5: end of round.
+        let (active, local_rounds) = (&self.active, &self.local_rounds);
+        plan.run(self.nodes.chunks_mut(c).zip(self.rngs.chunks_mut(c)), |base, (nodes, rngs)| {
+            parallel::end_round(active, local_rounds, base, nodes, rngs)
+        });
+
+        self.close_round(round, before, topo_may_change);
+    }
+
+    /// Active-set precompute: one schedule check per node per round, with
+    /// `local_round` cached alongside. Activation is monotone, so once
+    /// everyone is awake the bitmap is complete forever and the steady
+    /// state only bumps the cached local rounds.
+    fn update_active_set(&mut self, round: u64) {
         if self.all_active {
             for lr in &mut self.local_rounds {
                 *lr += 1;
             }
-        } else {
-            self.active_count = 0;
-            for u in 0..n {
-                if self.schedule.is_active(u, round) {
-                    self.active[u] = true;
-                    self.active_count += 1;
-                    self.local_rounds[u] = self.schedule.local_round(u, round);
-                } else {
-                    self.active[u] = false;
-                }
-            }
-            self.all_active = self.active_count == n as u64;
+            return;
         }
-        assert!(self.all_active, "scripted rounds require every node active in round {round}");
-
-        // Phase 1: advertise, resolving each node's randomness with the
-        // scripted choice.
-        let tag_bits = self.params.tag_bits;
-        for u in 0..n {
-            let tag = self.nodes[u].apply_choice(self.local_rounds[u], script.advertise[u]);
-            #[cfg(feature = "audit")]
-            self.auditor.check_tag(round, u, tag, tag_bits);
-            #[cfg(not(feature = "audit"))]
-            assert!(
-                tag.fits(tag_bits),
-                "node {u} advertised tag {tag:?} exceeding b = {tag_bits} bits"
-            );
-            self.tags[u] = tag;
-        }
-
-        // Phases 2-3: scan, then apply the scripted action.
-        for (u, nbrs) in graph.neighbor_rows().enumerate() {
-            if tag_bits > 0 {
-                self.visible_tags.clear();
-                for &v in nbrs {
-                    self.visible_tags.push(self.tags[v as usize]);
-                }
-            }
-            let scan = Scan {
-                neighbors: nbrs,
-                tags: &self.visible_tags,
-                round,
-                local_round: self.local_rounds[u],
-            };
-            let action = script.actions[u];
-            self.nodes[u].apply_action(&scan, action);
-            self.slots[u] = match action {
-                Action::Listen => Slot::Listen,
-                Action::Propose(v) => {
-                    #[cfg(feature = "audit")]
-                    self.auditor.check_proposal(round, u, v, scan.neighbors);
-                    #[cfg(not(feature = "audit"))]
-                    assert!(
-                        scan.neighbors.binary_search(&v).is_ok(),
-                        "node {u} proposed to {v}, not a visible neighbor"
-                    );
-                    self.metrics.proposals += 1;
-                    Slot::Propose(v)
-                }
-            };
-        }
-
-        // Phase 4: the scripted matching. Validate it against the scripted
-        // proposals, then account for the ones it left on the floor:
-        // rejected when the receiver was busy or chose another proposer,
-        // dropped when a listening receiver accepted nothing (the scripted
-        // adversary subsumes proposal loss).
-        debug_assert!(self.accepted.is_empty());
-        let mut receiver_took = vec![false; n];
-        let mut proposer_matched = vec![false; n];
-        for &(u, v) in &script.accept {
-            let (ui, vi) = (u as usize, v as usize);
-            assert!(ui < n && vi < n, "accepted pair ({u}, {v}) out of range");
-            assert_eq!(
-                self.slots[ui],
-                Slot::Propose(v),
-                "accepted pair ({u}, {v}) does not match a scripted proposal"
-            );
-            assert_eq!(self.slots[vi], Slot::Listen, "receiver {v} did not listen this round");
-            assert!(!receiver_took[vi], "receiver {v} accepts more than one proposal");
-            receiver_took[vi] = true;
-            proposer_matched[ui] = true;
-            self.accepted.push((u, v));
-        }
-        for (u, slot) in self.slots.iter().enumerate().take(n) {
-            if let Slot::Propose(v) = *slot {
-                if proposer_matched[u] {
-                    continue;
-                }
-                if self.slots[v as usize] == Slot::Listen && !receiver_took[v as usize] {
-                    self.metrics.dropped_proposals += 1;
-                } else {
-                    self.metrics.rejected_proposals += 1;
-                }
+        self.active_count = 0;
+        for (u, (active, lr)) in self.active.iter_mut().zip(&mut self.local_rounds).enumerate() {
+            *active = self.schedule.is_active(u, round);
+            if *active {
+                self.active_count += 1;
+                *lr = self.schedule.local_round(u, round);
             }
         }
-        self.accepted.sort_unstable();
+        self.all_active = self.active_count == self.nodes.len() as u64;
+    }
+
+    /// Phase 4b: take the shards' accepted connections in shard order (=
+    /// ascending receiver id, the canonical delivery order) and perform
+    /// the payload exchanges on the calling thread — `on_connect` touches
+    /// both endpoints, which may sit in different shards.
+    fn deliver(&mut self, round: u64) {
+        let mut shards = std::mem::take(&mut self.shards);
+        for shard in &mut shards {
+            shard.drain_counts(&mut self.metrics);
+        }
         #[cfg(feature = "audit")]
-        self.auditor.check_matching(round, &self.accepted);
-        if self.connection_log.is_some() {
-            self.deliver_accepted::<true>(round);
-        } else {
-            self.deliver_accepted::<false>(round);
+        if self.params.policy == ConnectionPolicy::SingleUniform {
+            // Section III: each node participates in at most one
+            // connection per round — the accepted set is a matching.
+            self.auditor.check_matching(round, shards.iter().flat_map(|s| &s.accepted));
         }
-        self.accepted.clear();
-
-        // Phase 5: end of round.
-        for ((&lr, node), rng) in self.local_rounds.iter().zip(&mut self.nodes).zip(&mut self.rngs)
-        {
-            node.end_round(lr, rng);
+        for shard in &mut shards {
+            for &(u, v) in &shard.accepted {
+                if let Some(log) = &mut self.connection_log {
+                    log.push((round, u, v));
+                }
+                self.connect(u as usize, v as usize);
+            }
+            shard.accepted.clear();
         }
+        self.shards = shards;
+    }
 
+    /// Round close: counters, conservation audit, trace, stuck detector.
+    fn close_round(&mut self, round: u64, before: Metrics, topo_may_change: bool) {
         self.metrics.rounds = round;
+        // On running totals, checked every round from a zero start, this
+        // is exactly the per-round law.
+        #[cfg(feature = "audit")]
+        self.auditor.check_conservation(round, &self.metrics, 0);
         if let Some(traces) = &mut self.traces {
             traces.push(RoundTrace {
                 round,
                 active: self.active_count,
-                proposals: self.metrics.proposals - round_proposals_before,
-                connections: self.metrics.connections - round_connections_before,
+                proposals: self.metrics.proposals - before.proposals,
+                connections: self.metrics.connections - before.connections,
             });
         }
         if self.stuck.is_some() {
             self.update_stuck_detector(topo_may_change);
         }
-    }
-
-    /// Phase-4 proposal collection over the scan phase's `proposed` list
-    /// (already in ascending proposer order), monomorphized over loss
-    /// injection so the loss-free common case carries no per-proposal
-    /// branch or coin evaluation. `LOSSY` must equal `loss_prob > 0.0`.
-    /// Survival of a proposal is the pure counter draw
-    /// `counter_coin(loss_seed, round, proposer) < loss_prob` — no
-    /// sequential state, so evaluation order is irrelevant (part of the
-    /// RNG contract; the sharded executor draws the same coins at scan
-    /// time). Takes fields rather than `&mut self` because the caller
-    /// still holds the round graph borrow. The caller accounts
-    /// `metrics.proposals`.
-    #[allow(clippy::too_many_arguments)]
-    fn collect_proposals<const LOSSY: bool>(
-        slots: &[Slot],
-        proposed: &[(NodeId, NodeId)],
-        loss_prob: f64,
-        loss_seed: u64,
-        round: u64,
-        metrics: &mut Metrics,
-        incoming_len: &mut [u32],
-        proposal_pairs: &mut Vec<(NodeId, NodeId)>,
-    ) {
-        for &(u, v) in proposed {
-            if LOSSY && mtm_graph::rng::counter_coin(loss_seed, round, u as u64) < loss_prob {
-                metrics.dropped_proposals += 1;
-                continue;
-            }
-            let vi = v as usize;
-            if slots[vi] == Slot::Listen {
-                incoming_len[vi] += 1;
-                proposal_pairs.push((v, u));
-            } else {
-                // Receiver proposed itself (or a race with inactivity):
-                // the proposal is lost.
-                metrics.rejected_proposals += 1;
-            }
-        }
-    }
-
-    /// Phase-4b delivery, monomorphized over connection logging so the
-    /// common no-log case carries no per-connection `Option` check.
-    fn deliver_accepted<const LOG: bool>(&mut self, round: u64) {
-        let accepted = std::mem::take(&mut self.accepted);
-        for &(u, v) in &accepted {
-            if LOG {
-                self.connection_log
-                    .as_mut()
-                    .expect("LOG is true only when the log is enabled")
-                    .push((round, u, v));
-            }
-            self.connect(u as usize, v as usize);
-        }
-        self.accepted = accepted;
     }
 
     /// Advance the stuck-run detector after a completed round.
@@ -1187,6 +966,7 @@ impl<P: Protocol + RumorView, T: DynamicTopology> Engine<P, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Scan;
     use mtm_graph::{gen, StaticTopology};
     use rand::Rng;
 
@@ -1267,6 +1047,65 @@ mod tests {
             nodes(n),
             seed,
         )
+    }
+
+    #[test]
+    fn node_streams_bind_canonical_streams() {
+        // Node u's stream must be exactly stream_rng(seed, u): draws from
+        // the two must coincide.
+        for (u, mut rng) in node_streams(42, 3).into_iter().enumerate() {
+            let mut reference = mtm_graph::rng::stream_rng(42, u as u64);
+            for _ in 0..8 {
+                assert_eq!(rng.gen::<u64>(), reference.gen::<u64>());
+            }
+        }
+    }
+
+    /// One scripted round on `star(3)` (hub 0, leaves 1 and 2) at
+    /// `threads` workers; returns the round's counters.
+    fn scripted_star_round(
+        threads: usize,
+        actions: [Action; 3],
+        accept: &[(NodeId, NodeId)],
+    ) -> Metrics {
+        let mut e = engine_on(gen::star(3), 3, 1);
+        e.set_threads(threads);
+        e.step_scripted(&RoundScript {
+            advertise: vec![0; 3],
+            actions: actions.to_vec(),
+            accept: accept.to_vec(),
+        });
+        e.metrics()
+    }
+
+    #[test]
+    fn scripted_round_accounting() {
+        use Action::{Listen, Propose};
+        let counts =
+            |m: Metrics| (m.proposals, m.connections, m.rejected_proposals, m.dropped_proposals);
+        for threads in [1, 2] {
+            let run = |actions, accept: &[_]| counts(scripted_star_round(threads, actions, accept));
+            // The hub accepts one of two leaf proposals; the other is rejected.
+            assert_eq!(run([Listen, Propose(0), Propose(0)], &[(1, 0)]), (2, 1, 1, 0));
+            // The hub listens but accepts nothing: the adversary drops both.
+            assert_eq!(run([Listen, Propose(0), Propose(0)], &[]), (2, 0, 0, 2));
+            // A proposal to a node that itself proposes is rejected.
+            assert_eq!(run([Propose(1), Listen, Propose(0)], &[(0, 1)]), (2, 1, 1, 0));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match a scripted proposal")]
+    fn scripted_accept_must_match_a_proposal() {
+        use Action::{Listen, Propose};
+        scripted_star_round(2, [Listen, Propose(0), Listen], &[(2, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "accepts more than one proposal")]
+    fn scripted_receiver_accepts_at_most_once() {
+        use Action::{Listen, Propose};
+        scripted_star_round(2, [Listen, Propose(0), Propose(0)], &[(1, 0), (2, 0)]);
     }
 
     #[test]

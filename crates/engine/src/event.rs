@@ -6,12 +6,12 @@
 //! do nothing of the sort: scans take device-dependent time, link latencies
 //! vary per pair and per message, and each node runs its *own* round loop,
 //! drifting freely against its neighbors. This backend models exactly
-//! that, driving the same typed [`RoundExecuter`]s as the lockstep engine
-//! (see [`crate::executor`]) through an event queue:
+//! that, driving the same [`Protocol`] hooks as the lockstep engine through
+//! an event queue:
 //!
-//! * **RoundStart(u)** — `u` begins local round `r`: it advertises
-//!   (executor draw) and posts the tag to the shared blackboard, then its
-//!   scan completes after `scan` ticks.
+//! * **RoundStart(u)** — `u` begins local round `r`: it advertises (a draw
+//!   from `u`'s stream) and posts the tag to the shared blackboard, then
+//!   its scan completes after `scan` ticks.
 //! * **Act(u)** — `u` scans the *current* tags of every neighbor that has
 //!   started (a drifted neighbor may be mid-round — that is the point) and
 //!   acts. A proposal travels as a message carrying the proposer's payload
@@ -21,8 +21,8 @@
 //!   otherwise rejected immediately (reject response after the return
 //!   latency).
 //! * **ListenEnd(v)** — `v` resolves its buffer: one proposal accepted
-//!   uniformly (the [`RoundExecuter::accept_index`] draw from `v`'s own
-//!   stream — the same rule as the lockstep backend), the rest rejected;
+//!   uniformly (the [`uniform_accept_index`] draw from `v`'s own stream —
+//!   the same rule as the lockstep backend), the rest rejected;
 //!   responses carry `v`'s payload snapshot back to the accepted proposer.
 //!   `v` ends its round and immediately starts the next.
 //! * **Response(v → u)** — unblocks the proposer; an accepting response
@@ -45,9 +45,9 @@
 //!   scheduling sequence)` — ties at one instant resolve by node id, and
 //!   a node's same-instant events by the (deterministic) order they were
 //!   scheduled in.
-//! * **Node randomness** flows only through each node's own
-//!   [`RoundExecuter`] stream, exactly as in the lockstep backend; only
-//!   the interleaving differs.
+//! * **Node randomness** flows only through each node's own stream
+//!   (`stream_rng(seed, u)`, bound by the same helper as the lockstep
+//!   backend); only the interleaving differs.
 //!
 //! Same seed ⇒ same event trace, byte for byte (pinned by tests here and
 //! by `tests/event_backend.rs`).
@@ -57,16 +57,23 @@
 //! reject would have arrived (one round trip), so loss never deadlocks the
 //! run. Crash/churn fault layers are a lockstep-only feature for now — the
 //! backend runs on a static [`Graph`].
+//!
+//! Under the `audit` feature the backend runs the lockstep conformance
+//! checks through the same [`Auditor`](crate::audit::Auditor) — tag width,
+//! proposal visibility, payload budget — plus proposal conservation after
+//! every `ListenEnd` and `Response`: with each proposer holding at most one
+//! outstanding proposal, `proposals − connections − rejected − dropped`
+//! stays within `[0, n]`.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use mtm_graph::rng::{counter_coin, derive_seed};
 use mtm_graph::{Graph, NodeId};
+use rand::rngs::SmallRng;
 
-use crate::executor::{ExecutorSet, RoundExecuter};
 use crate::metrics::Metrics;
-use crate::model::{Acceptance, ConnectionPolicy, ModelParams, Tag};
+use crate::model::{uniform_accept_index, Acceptance, ConnectionPolicy, ModelParams, Tag};
 use crate::protocol::{Action, LeaderView, PayloadCost, Protocol, RumorView, Scan};
 
 /// Per-phase timing distributions, in integer ticks. Every duration is
@@ -265,7 +272,8 @@ pub struct EventEngine<P: Protocol> {
     graph: Graph,
     params: ModelParams,
     latency: LatencyModel,
-    execs: Vec<RoundExecuter<P>>,
+    nodes: Vec<P>,
+    rngs: Vec<SmallRng>,
     loss_prob: f64,
     // Dedicated counter-coin streams (derived far from the node range).
     start_seed: u64,
@@ -299,11 +307,10 @@ impl<P: Protocol> EventEngine<P> {
     /// Build an event backend for `protocols` over the static `graph`.
     ///
     /// `seed` plays the same role as for the lockstep engine: node `u`
-    /// executes on `stream_rng(seed, u)` (via [`ExecutorSet::spawn`]), and
-    /// the latency/loss coin streams are derived from dedicated
-    /// sub-streams. Only [`ConnectionPolicy::SingleUniform`] with
-    /// [`Acceptance::UniformIndex`] is modeled — the mobile telephone
-    /// model's acceptance rule.
+    /// executes on `stream_rng(seed, u)`, and the latency/loss coin streams
+    /// are derived from dedicated sub-streams. Only
+    /// [`ConnectionPolicy::SingleUniform`] with [`Acceptance::UniformIndex`]
+    /// is modeled — the mobile telephone model's acceptance rule.
     pub fn new(
         graph: Graph,
         params: ModelParams,
@@ -324,7 +331,6 @@ impl<P: Protocol> EventEngine<P> {
         );
         let n = graph.node_count();
         assert_eq!(protocols.len(), n, "one protocol instance per graph node");
-        let set = ExecutorSet::spawn(protocols, seed);
         // One dedicated stream per coin family, derived far outside the
         // per-node stream range (the lockstep engine reserves u64::MAX for
         // its loss stream; this backend derives from u64::MAX - 1).
@@ -333,7 +339,8 @@ impl<P: Protocol> EventEngine<P> {
             graph,
             params,
             latency,
-            execs: set.into_executors(),
+            nodes: protocols,
+            rngs: crate::engine::node_streams(seed, n),
             loss_prob: 0.0,
             start_seed: derive_seed(base, 0),
             scan_seed: derive_seed(base, 1),
@@ -401,17 +408,17 @@ impl<P: Protocol> EventEngine<P> {
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.execs.len()
+        self.nodes.len()
     }
 
     /// Immutable view of node `u`'s protocol state.
     pub fn node(&self, u: usize) -> &P {
-        self.execs[u].protocol()
+        &self.nodes[u]
     }
 
     /// Iterate over all protocol states in node order.
     pub fn protocols(&self) -> impl Iterator<Item = &P> {
-        self.execs.iter().map(RoundExecuter::protocol)
+        self.nodes.iter()
     }
 
     /// Mean local round across nodes.
@@ -469,6 +476,18 @@ impl<P: Protocol> EventEngine<P> {
         );
     }
 
+    /// The conservation audit after a proposal was resolved: at most one
+    /// proposal per node can still be in flight.
+    #[inline]
+    fn check_conservation(&self) {
+        #[cfg(feature = "audit")]
+        self.auditor.check_conservation(
+            self.metrics.rounds,
+            &self.metrics,
+            self.nodes.len() as u64,
+        );
+    }
+
     /// Process one event; returns true iff a payload was delivered (the
     /// only occasions protocol state can change through messages).
     fn process(&mut self, node: NodeId, ev: Ev<P::Payload>) -> bool {
@@ -478,11 +497,14 @@ impl<P: Protocol> EventEngine<P> {
                 self.local_round[ui] += 1;
                 let lr = self.local_round[ui];
                 self.metrics.rounds = self.metrics.rounds.max(lr);
-                let tag = self.execs[ui].advertise(lr);
+                let tag = self.nodes[ui].advertise(lr, &mut self.rngs[ui]);
+                let tag_bits = self.params.tag_bits;
+                #[cfg(feature = "audit")]
+                self.auditor.check_tag(lr, ui, tag, tag_bits);
+                #[cfg(not(feature = "audit"))]
                 assert!(
-                    tag.fits(self.params.tag_bits),
-                    "node {ui} advertised tag {tag:?} exceeding b = {} bits",
-                    self.params.tag_bits
+                    tag.fits(tag_bits),
+                    "node {ui} advertised tag {tag:?} exceeding b = {tag_bits} bits"
                 );
                 self.tags[ui] = tag;
                 self.started[ui] = true;
@@ -515,7 +537,7 @@ impl<P: Protocol> EventEngine<P> {
                 }
                 let scan =
                     Scan { neighbors: &self.vis, tags: &self.vis_tags, round: lr, local_round: lr };
-                match self.execs[ui].act(&scan) {
+                match self.nodes[ui].act(&scan, &mut self.rngs[ui]) {
                     Action::Listen => {
                         self.phase[ui] = Phase::Listening;
                         self.buffers[ui].clear();
@@ -529,6 +551,9 @@ impl<P: Protocol> EventEngine<P> {
                         self.schedule(self.now + d, node, Ev::ListenEnd);
                     }
                     Action::Propose(v) => {
+                        #[cfg(feature = "audit")]
+                        self.auditor.check_proposal(lr, ui, v, &self.vis);
+                        #[cfg(not(feature = "audit"))]
                         assert!(
                             self.vis.binary_search(&v).is_ok(),
                             "node {ui} proposed to {v}, not a visible neighbor"
@@ -551,7 +576,7 @@ impl<P: Protocol> EventEngine<P> {
                                 Ev::Response { accepted: None },
                             );
                         } else {
-                            let pl = self.execs[ui].payload();
+                            let pl = self.nodes[ui].payload();
                             self.check_payload_budget(node, &pl);
                             self.schedule(
                                 self.now + d,
@@ -580,17 +605,17 @@ impl<P: Protocol> EventEngine<P> {
                 let mut delivered = false;
                 let mut buf = std::mem::take(&mut self.buffers[ui]);
                 if !buf.is_empty() {
-                    let pick = self.execs[ui].accept_index(buf.len());
+                    let pick = uniform_accept_index(&mut self.rngs[ui], buf.len());
                     for (i, (from, pu)) in buf.drain(..).enumerate() {
                         let s = self.next_msg(node);
                         let d = self.link_delay(node, from, s);
                         if i == pick {
                             // Payload snapshots before delivery, exactly as
                             // the lockstep connect() orders them.
-                            let pv = self.execs[ui].payload();
+                            let pv = self.nodes[ui].payload();
                             self.check_payload_budget(node, &pv);
                             self.check_payload_budget(from, &pu);
-                            self.execs[ui].deliver(&pu);
+                            self.nodes[ui].on_connect(&pu, &mut self.rngs[ui]);
                             self.metrics.connections += 1;
                             delivered = true;
                             self.schedule(self.now + d, from, Ev::Response { accepted: Some(pv) });
@@ -606,19 +631,21 @@ impl<P: Protocol> EventEngine<P> {
                 // not buffered into a window that no longer exists — a
                 // buffered-then-cleared proposal would strand its proposer.
                 self.phase[ui] = Phase::Scanning;
-                self.execs[ui].end_round(lr);
+                self.nodes[ui].end_round(lr, &mut self.rngs[ui]);
+                self.check_conservation();
                 self.schedule(self.now, node, Ev::RoundStart);
                 delivered
             }
             Ev::Response { accepted } => {
                 debug_assert_eq!(self.phase[ui], Phase::Waiting, "unsolicited response at {ui}");
                 let delivered = if let Some(pv) = accepted {
-                    self.execs[ui].deliver(&pv);
+                    self.nodes[ui].on_connect(&pv, &mut self.rngs[ui]);
                     true
                 } else {
                     false
                 };
-                self.execs[ui].end_round(self.local_round[ui]);
+                self.nodes[ui].end_round(self.local_round[ui], &mut self.rngs[ui]);
+                self.check_conservation();
                 self.schedule(self.now, node, Ev::RoundStart);
                 delivered
             }
@@ -667,7 +694,7 @@ impl<P: Protocol> EventEngine<P> {
 impl<P: Protocol + LeaderView> EventEngine<P> {
     /// True iff every node reports the same leader.
     pub fn leaders_agree(&self) -> Option<u64> {
-        let first = self.execs.first()?.protocol().leader();
+        let first = self.nodes.first()?.leader();
         if self.protocols().all(|p| p.leader() == first) {
             Some(first)
         } else {
@@ -701,7 +728,6 @@ impl<P: Protocol + RumorView> EventEngine<P> {
 mod tests {
     use super::*;
     use mtm_graph::gen;
-    use rand::rngs::SmallRng;
     use rand::Rng;
 
     /// Coin-flip min-UID spreader (blind-gossip-shaped), as in the engine
@@ -804,6 +830,35 @@ mod tests {
             gen::star(3),
             ModelParams::mobile(0),
             protocols,
+            0,
+            LatencyModel::multipeer(0),
+        );
+        e.run_until(1_000, |_| false);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeding b")]
+    fn tag_budget_enforced() {
+        /// Advertises a 1-bit tag under a b = 0 model, as in the lockstep
+        /// engine's twin test.
+        struct BadTag;
+        impl Protocol for BadTag {
+            type Payload = U64Payload;
+            fn advertise(&mut self, _l: u64, _r: &mut SmallRng) -> Tag {
+                Tag(1)
+            }
+            fn act(&mut self, _s: &Scan<'_>, _r: &mut SmallRng) -> Action {
+                Action::Listen
+            }
+            fn payload(&self) -> U64Payload {
+                U64Payload(0)
+            }
+            fn on_connect(&mut self, _p: &U64Payload, _r: &mut SmallRng) {}
+        }
+        let mut e = EventEngine::new(
+            gen::clique(2),
+            ModelParams::mobile(0),
+            vec![BadTag, BadTag],
             0,
             LatencyModel::multipeer(0),
         );

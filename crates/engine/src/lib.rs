@@ -29,13 +29,13 @@
 //!
 //! With the default-on `audit` cargo feature every executed round is
 //! additionally validated against the model contract (tag width, payload
-//! budget, proposal visibility, matching-shaped acceptance) — see [`audit`].
+//! budget, proposal visibility, matching-shaped acceptance, proposal
+//! conservation) — see [`audit`].
 
 pub mod activation;
 pub mod audit;
 pub mod engine;
 pub mod event;
-pub mod executor;
 pub mod fingerprint;
 pub mod metrics;
 pub mod model;
@@ -50,8 +50,7 @@ pub use engine::{
     ENGINE_SEMANTICS_VERSION,
 };
 pub use event::{EventEngine, EventKind, EventOutcome, EventRecord, LatencyModel};
-pub use executor::{uniform_accept_index, ExecutorSet, RoundExecuter};
 pub use metrics::{Metrics, RoundTrace, ServiceMetrics};
-pub use model::{ConnectionPolicy, ModelParams, Tag};
+pub use model::{uniform_accept_index, ConnectionPolicy, ModelParams, Tag};
 pub use protocol::{Action, EpochView, LeaderView, PayloadCost, Protocol, RumorView, Scan};
 pub use service::{EpochRecord, ServiceConfig, ServiceOutcome, ServiceStatus};

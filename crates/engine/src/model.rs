@@ -1,5 +1,8 @@
 //! Model parameters: tag length `b`, payload budget, connection policy.
 
+use rand::rngs::SmallRng;
+use rand::Rng;
+
 /// A `b`-bit advertising tag.
 ///
 /// Tags are the only information a node broadcasts to its whole neighborhood
@@ -49,6 +52,21 @@ pub enum Acceptance {
     /// Shuffle the receiver's full neighbor list and accept the incoming
     /// proposal whose sender ranks first (Definition VI.2's device).
     SelectionPermutation,
+}
+
+/// The uniform acceptance draw shared by every backend: a listener with
+/// `k ≥ 1` buffered proposals accepts index `gen_range(0..k)` from its own
+/// stream — except that `k = 1` consumes **no** randomness (part of the
+/// recorded RNG contract; both engines and the trace-equivalence reference
+/// implement exactly this rule).
+#[inline]
+pub fn uniform_accept_index(rng: &mut SmallRng, k: usize) -> usize {
+    debug_assert!(k >= 1, "acceptance draw over an empty proposal set");
+    if k == 1 {
+        0
+    } else {
+        rng.gen_range(0..k)
+    }
 }
 
 /// Static parameters of a model instance.
@@ -121,6 +139,19 @@ mod tests {
         assert!(!Tag(2).fits(1));
         assert!(Tag(7).fits(3));
         assert!(!Tag(8).fits(3));
+    }
+
+    #[test]
+    fn accept_index_draw_rule() {
+        use rand::SeedableRng;
+        // k = 1 consumes no randomness; k > 1 draws gen_range(0..k).
+        let mut a = SmallRng::seed_from_u64(5);
+        let mut b = SmallRng::seed_from_u64(5);
+        assert_eq!(uniform_accept_index(&mut a, 1), 0);
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "k = 1 must not advance the stream");
+        let mut c = SmallRng::seed_from_u64(9);
+        let mut d = SmallRng::seed_from_u64(9);
+        assert_eq!(uniform_accept_index(&mut c, 5), d.gen_range(0..5));
     }
 
     #[test]

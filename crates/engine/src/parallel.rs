@@ -1,404 +1,292 @@
-//! The sharded round executor: `Engine::step` on a worker pool, bit-for-bit
-//! identical to the straight-line path.
-//!
-//! # Why sharding is free of coordination
+//! The shard plan and the four phase bodies of the round pipeline.
 //!
 //! Every random choice in a round is drawn from the stream of the node that
-//! makes it (`rngs[u]`), and loss coins are pure counter draws — the RNG
-//! contract (see the [`engine`](super) module docs) leaves *nothing* that
-//! depends on cross-node execution order. So each phase shards by node id
-//! into `threads` contiguous ranges, workers run their range with zero
-//! shared mutable state, and the only sequential work is the glue between
-//! phases on the calling thread.
-//!
-//! # Shard/merge rules
-//!
-//! - **Partition**: shard `s` owns nodes `[s·chunk, (s+1)·chunk)` with
-//!   `chunk = ⌈n / threads⌉` — contiguous, so concatenating per-shard
-//!   output in shard order *is* ascending node order.
-//! - **Advertise / scan·act / end_round**: embarrassingly parallel over
-//!   `chunks_mut` of the struct-of-arrays node state; read-only state
-//!   (tags, active bitmap, the round graph) is shared by reference.
-//! - **Loss coins at scan time**: a shard evaluates
-//!   `counter_coin(loss_seed, round, u)` for its own proposers as proposals
-//!   are made. The draw is a pure function, so where it happens (scan
-//!   worker here, collection loop in the sequential path) cannot change it.
-//! - **Proposal merge**: per-shard proposal lists are concatenated in shard
-//!   order on the main thread — ascending proposer order, exactly the
-//!   sequential collection order — then the arena scatter is unchanged.
-//! - **Acceptance**: each shard resolves the receivers *it owns* from the
-//!   shared arena, drawing only from those receivers' own streams.
-//!   Concatenating per-shard accepted lists in shard order reproduces the
-//!   canonical ascending-receiver delivery order.
-//! - **Delivery** (payload exchange) runs on the main thread: under
-//!   [`ConnectionPolicy::SingleUniform`](crate::model::ConnectionPolicy)
-//!   the accepted set is a matching, and `on_connect` may touch both
-//!   endpoints' states and streams, which spans shards.
-//!
-//! The trace-equivalence suite pins this path against the sequential
-//! reference at thread counts {1, 2, 4, 8} over randomized configurations;
-//! `tests/parallel_determinism.rs` additionally pins a full service run.
+//! makes it, and loss coins are pure counter draws (see the
+//! [`engine`](super) module docs), so nothing depends on cross-node
+//! execution order. Shard `s` owns nodes `[s·chunk, (s+1)·chunk)`; each
+//! phase body runs over `chunks_mut` of the struct-of-arrays node state
+//! with read-only state (tags, active bitmap, round graph, arena) shared
+//! by reference, and the calling thread merges per-shard output in shard
+//! order — which, shards being contiguous, *is* ascending node order:
+//! proposer order for the proposal merge, receiver order for delivery.
 
-use mtm_graph::{DynamicTopology, NodeId};
+use mtm_graph::NodeId;
+use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 
-use super::{Engine, Slot};
-use crate::metrics::RoundTrace;
-use crate::model::{Acceptance, Tag};
+use super::{Choices, Inbox, RoundCtx, Slot};
+use crate::metrics::Metrics;
+use crate::model::{uniform_accept_index, Acceptance, ConnectionPolicy, Tag};
 use crate::protocol::{Action, Protocol, Scan};
 
-/// Per-shard scratch buffers, reused round to round. Each worker gets
-/// exclusive `&mut` access to its shard's entry; the main thread drains
+/// How a round is cut into shards: `shards = clamp(threads, 1, n)`
+/// contiguous ranges of `chunk` nodes (an empty engine gets one empty
+/// shard plan and still steps).
+#[derive(Clone, Copy, Debug)]
+pub(super) struct ShardPlan {
+    pub(super) shards: usize,
+    pub(super) chunk: usize,
+}
+
+impl ShardPlan {
+    pub(super) fn new(threads: usize, n: usize) -> Self {
+        let shards = threads.min(n).max(1);
+        ShardPlan { shards, chunk: n.div_ceil(shards).max(1) }
+    }
+
+    /// Run `body(base, shard)` for every shard, where `base` is the
+    /// shard's first node id: inline when the plan has one shard, else
+    /// each shard on its own scoped worker thread.
+    pub(super) fn run<S: Send>(
+        &self,
+        shards: impl Iterator<Item = S>,
+        body: impl Fn(usize, S) + Sync,
+    ) {
+        let chunk = self.chunk;
+        if self.shards == 1 {
+            shards.enumerate().for_each(|(si, shard)| body(si * chunk, shard));
+        } else {
+            std::thread::scope(|scope| {
+                let body = &body;
+                for (si, shard) in shards.enumerate() {
+                    scope.spawn(move || body(si * chunk, shard));
+                }
+            });
+        }
+    }
+}
+
+/// Per-shard scratch buffers, reused round to round. Each shard body gets
+/// exclusive `&mut` access to its entry; the calling thread drains
 /// `proposed`/`accepted` and the counters between phases.
 #[derive(Debug, Default)]
 pub(super) struct ShardScratch {
     visible: Vec<NodeId>,
     visible_tags: Vec<Tag>,
     accept_scratch: Vec<NodeId>,
-    proposed: Vec<(NodeId, NodeId)>,
-    accepted: Vec<(NodeId, NodeId)>,
-    proposals: u64,
-    dropped: u64,
+    /// `(proposer, receiver)` pairs that survived loss, proposer-sorted.
+    pub(super) proposed: Vec<(NodeId, NodeId)>,
+    /// `(proposer, receiver)` connections, receiver-sorted.
+    pub(super) accepted: Vec<(NodeId, NodeId)>,
     rejected: u64,
+    /// Proposals lost to a loss coin (scan) or a scripted listener that
+    /// accepted none of them (accept).
+    pub(super) dropped: u64,
 }
 
-impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
-    /// One round on the worker pool. Caller guarantees
-    /// `policy == SingleUniform` and `threads > 1`.
-    pub(super) fn step_parallel(&mut self) {
-        let n = self.nodes.len();
-        let threads = self.threads.min(n).max(1);
-        if threads <= 1 {
-            return self.step_sequential();
-        }
-        let chunk = n.div_ceil(threads);
-        if self.shard_scratch.len() < threads {
-            self.shard_scratch.resize_with(threads, Default::default);
-        }
+impl ShardScratch {
+    /// Move this shard's rejection and drop counters into `m`.
+    pub(super) fn drain_counts(&mut self, m: &mut Metrics) {
+        m.rejected_proposals += std::mem::take(&mut self.rejected);
+        m.dropped_proposals += std::mem::take(&mut self.dropped);
+    }
+}
 
-        self.round += 1;
-        let round = self.round;
-        let topo_may_change = self.stuck.is_some() && self.topology.may_change_at(round);
-        let graph = self.topology.graph_at(round);
-        assert_eq!(graph.node_count(), n, "topology changed node count");
-
-        let round_proposals_before = self.metrics.proposals;
-        let round_connections_before = self.metrics.connections;
-
-        // Active-set precompute, identical to the sequential path.
-        if self.all_active {
-            for lr in &mut self.local_rounds {
-                *lr += 1;
-            }
-        } else {
-            self.active_count = 0;
-            for u in 0..n {
-                if self.schedule.is_active(u, round) {
-                    self.active[u] = true;
-                    self.active_count += 1;
-                    self.local_rounds[u] = self.schedule.local_round(u, round);
-                } else {
-                    self.active[u] = false;
-                }
-            }
-            self.all_active = self.active_count == n as u64;
+/// Phase 1 over one shard: every active node advertises a tag, drawn or
+/// scripted. (An inactive node's slot needs no reset: activation is
+/// monotone, so it still holds its initial [`Slot::Inactive`].)
+pub(super) fn advertise<P: Protocol>(
+    ctx: &RoundCtx<'_>,
+    base: usize,
+    nodes: &mut [P],
+    rngs: &mut [SmallRng],
+    tags: &mut [Tag],
+) {
+    let end = base + nodes.len();
+    let tag_bits = ctx.params.tag_bits;
+    for (i, ((((&active, &lr), node), rng), tag_slot)) in ctx.active[base..end]
+        .iter()
+        .zip(&ctx.local_rounds[base..end])
+        .zip(nodes)
+        .zip(rngs)
+        .zip(tags)
+        .enumerate()
+    {
+        if !active {
+            continue;
         }
-
-        let tag_bits = self.params.tag_bits;
-
-        // Phase 1: advertise, sharded. Tags land in disjoint chunks of the
-        // shared tag array.
-        {
-            let active = &self.active;
-            let local_rounds = &self.local_rounds;
-            #[cfg(feature = "audit")]
-            let auditor = &self.auditor;
-            std::thread::scope(|s| {
-                for (si, (((slots, nodes), rngs), tags)) in self
-                    .slots
-                    .chunks_mut(chunk)
-                    .zip(self.nodes.chunks_mut(chunk))
-                    .zip(self.rngs.chunks_mut(chunk))
-                    .zip(self.tags.chunks_mut(chunk))
-                    .enumerate()
-                {
-                    let base = si * chunk;
-                    s.spawn(move || {
-                        for (i, (((slot, node), rng), tag_slot)) in
-                            slots.iter_mut().zip(nodes).zip(rngs).zip(tags).enumerate()
-                        {
-                            let u = base + i;
-                            if !active[u] {
-                                *slot = Slot::Inactive;
-                                continue;
-                            }
-                            let tag = node.advertise(local_rounds[u], rng);
-                            #[cfg(feature = "audit")]
-                            auditor.check_tag(round, u, tag, tag_bits);
-                            #[cfg(not(feature = "audit"))]
-                            assert!(
-                                tag.fits(tag_bits),
-                                "node {u} advertised tag {tag:?} exceeding b = {tag_bits} bits"
-                            );
-                            *tag_slot = tag;
-                        }
-                    });
-                }
-            });
-        }
-
-        // Phases 2-3: scan and act, sharded. Proposals accumulate per
-        // shard; loss coins are evaluated here (pure counter draws, so the
-        // earlier evaluation point cannot change any outcome — dropped
-        // proposals simply never reach the merge).
-        {
-            let active = &self.active;
-            let local_rounds = &self.local_rounds;
-            let tags = &self.tags;
-            let all_active = self.all_active;
-            let loss = self.loss_prob;
-            let loss_seed = self.loss_seed;
-            #[cfg(feature = "audit")]
-            let auditor = &self.auditor;
-            std::thread::scope(|s| {
-                for (si, (((slots, nodes), rngs), scratch)) in self
-                    .slots
-                    .chunks_mut(chunk)
-                    .zip(self.nodes.chunks_mut(chunk))
-                    .zip(self.rngs.chunks_mut(chunk))
-                    .zip(self.shard_scratch.iter_mut())
-                    .enumerate()
-                {
-                    let base = si * chunk;
-                    let graph = &graph;
-                    s.spawn(move || {
-                        scratch.proposals = 0;
-                        scratch.dropped = 0;
-                        debug_assert!(scratch.proposed.is_empty());
-                        for (i, ((slot, node), rng)) in
-                            slots.iter_mut().zip(nodes).zip(rngs).enumerate()
-                        {
-                            let u = base + i;
-                            if !active[u] {
-                                continue;
-                            }
-                            // shard-local id: u < n <= u32::MAX. mtm-lint: allow(truncating-cast)
-                            let nbrs = graph.neighbors(u as NodeId);
-                            let neighbors: &[NodeId] = if all_active {
-                                if tag_bits > 0 {
-                                    scratch.visible_tags.clear();
-                                    for &v in nbrs {
-                                        scratch.visible_tags.push(tags[v as usize]);
-                                    }
-                                }
-                                nbrs
-                            } else {
-                                scratch.visible.clear();
-                                scratch.visible_tags.clear();
-                                for &v in nbrs {
-                                    if active[v as usize] {
-                                        scratch.visible.push(v);
-                                        if tag_bits > 0 {
-                                            scratch.visible_tags.push(tags[v as usize]);
-                                        }
-                                    }
-                                }
-                                &scratch.visible
-                            };
-                            let scan = Scan {
-                                neighbors,
-                                tags: &scratch.visible_tags,
-                                round,
-                                local_round: local_rounds[u],
-                            };
-                            *slot = match node.act(&scan, rng) {
-                                Action::Listen => Slot::Listen,
-                                Action::Propose(v) => {
-                                    #[cfg(feature = "audit")]
-                                    auditor.check_proposal(round, u, v, scan.neighbors);
-                                    #[cfg(not(feature = "audit"))]
-                                    assert!(
-                                        scan.neighbors.binary_search(&v).is_ok(),
-                                        "node {u} proposed to {v}, not a visible neighbor"
-                                    );
-                                    scratch.proposals += 1;
-                                    if loss > 0.0
-                                        && mtm_graph::rng::counter_coin(loss_seed, round, u as u64)
-                                            < loss
-                                    {
-                                        scratch.dropped += 1;
-                                    } else {
-                                        // hot path: u < n <= u32::MAX. mtm-lint: allow(truncating-cast)
-                                        scratch.proposed.push((u as NodeId, v));
-                                    }
-                                    Slot::Propose(v)
-                                }
-                            };
-                        }
-                    });
-                }
-            });
-        }
-
-        // Glue: merge per-shard proposals in shard order (= ascending
-        // proposer order, the sequential collection order), then build the
-        // arena exactly as the sequential path does.
-        debug_assert!(self.proposal_pairs.is_empty());
-        for scratch in &mut self.shard_scratch {
-            self.metrics.proposals += scratch.proposals;
-            self.metrics.dropped_proposals += scratch.dropped;
-            scratch.proposals = 0;
-            scratch.dropped = 0;
-            for &(u, v) in &scratch.proposed {
-                let vi = v as usize;
-                if self.slots[vi] == Slot::Listen {
-                    self.incoming_len[vi] += 1;
-                    self.proposal_pairs.push((v, u));
-                } else {
-                    // Receiver proposed itself (or a race with inactivity):
-                    // the proposal is lost.
-                    self.metrics.rejected_proposals += 1;
-                }
-            }
-            scratch.proposed.clear();
-        }
-        if self.arena.len() < self.proposal_pairs.len() {
-            self.arena.resize(self.proposal_pairs.len(), 0);
-        }
-        let mut cursor = 0u32;
-        for (start, &len) in self.incoming_start.iter_mut().zip(&self.incoming_len) {
-            *start = cursor;
-            cursor += len;
-        }
-        for &(v, u) in &self.proposal_pairs {
-            let c = self.incoming_start[v as usize];
-            self.arena[c as usize] = u;
-            self.incoming_start[v as usize] = c + 1;
-        }
-
-        // Phase 4a: acceptance, sharded by receiver. Each worker resolves
-        // the receivers it owns from the shared arena, drawing only from
-        // those receivers' own streams — cross-shard order cannot matter.
-        {
-            let active = &self.active;
-            let arena = &self.arena;
-            let incoming_start = &self.incoming_start;
-            let all_active = self.all_active;
-            let acceptance = self.params.acceptance;
-            std::thread::scope(|s| {
-                for (si, ((lens, rngs), scratch)) in self
-                    .incoming_len
-                    .chunks_mut(chunk)
-                    .zip(self.rngs.chunks_mut(chunk))
-                    .zip(self.shard_scratch.iter_mut())
-                    .enumerate()
-                {
-                    let base = si * chunk;
-                    let graph = &graph;
-                    s.spawn(move || {
-                        debug_assert!(scratch.accepted.is_empty());
-                        for (i, len) in lens.iter_mut().enumerate() {
-                            let k = *len as usize;
-                            if k == 0 {
-                                continue;
-                            }
-                            *len = 0;
-                            let vi = base + i;
-                            // receivers are node ids: vi < n <= u32::MAX. mtm-lint: allow(truncating-cast)
-                            let v = vi as NodeId;
-                            let end = incoming_start[vi] as usize;
-                            let incoming = &arena[end - k..end];
-                            let rng = &mut rngs[i];
-                            let u = match acceptance {
-                                Acceptance::UniformIndex => {
-                                    incoming[crate::executor::uniform_accept_index(rng, k)]
-                                }
-                                Acceptance::SelectionPermutation => {
-                                    // Same device as the sequential path:
-                                    // shuffle the active neighbors, accept
-                                    // the proposer ranked first.
-                                    scratch.accept_scratch.clear();
-                                    if all_active {
-                                        scratch
-                                            .accept_scratch
-                                            .extend_from_slice(graph.neighbors(v));
-                                    } else {
-                                        scratch.accept_scratch.extend(
-                                            graph
-                                                .neighbors(v)
-                                                .iter()
-                                                .copied()
-                                                .filter(|&w| active[w as usize]),
-                                        );
-                                    }
-                                    scratch.accept_scratch.shuffle(rng);
-                                    *scratch
-                                        .accept_scratch
-                                        .iter()
-                                        .find(|cand| incoming.contains(cand))
-                                        .expect("every proposer is a neighbor")
-                                }
-                            };
-                            scratch.rejected += (k - 1) as u64;
-                            scratch.accepted.push((u, v));
-                        }
-                    });
-                }
-            });
-        }
-
-        // Glue: merge per-shard accepted matchings in shard order (=
-        // ascending receiver order, the canonical delivery order), then
-        // deliver payloads on the main thread.
-        debug_assert!(self.accepted.is_empty());
-        for scratch in &mut self.shard_scratch {
-            self.metrics.rejected_proposals += scratch.rejected;
-            scratch.rejected = 0;
-            self.accepted.extend_from_slice(&scratch.accepted);
-            scratch.accepted.clear();
-        }
-        self.proposal_pairs.clear();
+        let u = base + i;
+        let tag = match ctx.choices {
+            Choices::Drawn => node.advertise(lr, rng),
+            Choices::Scripted(script) => node.apply_choice(lr, script.advertise[u]),
+        };
         #[cfg(feature = "audit")]
-        self.auditor.check_matching(round, &self.accepted);
-        if self.connection_log.is_some() {
-            self.deliver_accepted::<true>(round);
-        } else {
-            self.deliver_accepted::<false>(round);
-        }
-        self.accepted.clear();
+        ctx.auditor.check_tag(ctx.round, u, tag, tag_bits);
+        #[cfg(not(feature = "audit"))]
+        assert!(
+            tag.fits(tag_bits),
+            "node {u} advertised tag {tag:?} exceeding b = {tag_bits} bits"
+        );
+        *tag_slot = tag;
+    }
+}
 
-        // Phase 5: end of round, sharded.
-        {
-            let active = &self.active;
-            let local_rounds = &self.local_rounds;
-            std::thread::scope(|s| {
-                for (si, (nodes, rngs)) in
-                    self.nodes.chunks_mut(chunk).zip(self.rngs.chunks_mut(chunk)).enumerate()
-                {
-                    let base = si * chunk;
-                    s.spawn(move || {
-                        for (i, (node, rng)) in nodes.iter_mut().zip(rngs).enumerate() {
-                            let u = base + i;
-                            if active[u] {
-                                node.end_round(local_rounds[u], rng);
-                            }
-                        }
-                    });
+/// Phases 2–3 over one shard: every active node scans its visible
+/// neighbors and acts. With everyone active the CSR neighbor row *is* the
+/// scan (zero-copy); during activation ramp-up the visible subset is
+/// filtered into scratch. Both are sorted, which the proposal check relies
+/// on. Proposals that survive their loss coin go to the shard's list.
+pub(super) fn scan_act<P: Protocol>(
+    ctx: &RoundCtx<'_>,
+    tags: &[Tag],
+    base: usize,
+    slots: &mut [Slot],
+    nodes: &mut [P],
+    rngs: &mut [SmallRng],
+    scratch: &mut ShardScratch,
+) {
+    let end = base + slots.len();
+    let (round, tag_bits) = (ctx.round, ctx.params.tag_bits);
+    for (i, (((((slot, &active), &lr), node), rng), nbrs)) in slots
+        .iter_mut()
+        .zip(&ctx.active[base..end])
+        .zip(&ctx.local_rounds[base..end])
+        .zip(nodes)
+        .zip(rngs)
+        .zip(ctx.graph.neighbor_rows_from(base))
+        .enumerate()
+    {
+        if !active {
+            continue;
+        }
+        let u = base + i;
+        let neighbors: &[NodeId] = if ctx.all_active {
+            if tag_bits > 0 {
+                scratch.visible_tags.clear();
+                for &v in nbrs {
+                    scratch.visible_tags.push(tags[v as usize]);
                 }
-            });
-        }
+            }
+            nbrs
+        } else {
+            scratch.visible.clear();
+            scratch.visible_tags.clear();
+            for &v in nbrs {
+                if ctx.active[v as usize] {
+                    scratch.visible.push(v);
+                    if tag_bits > 0 {
+                        scratch.visible_tags.push(tags[v as usize]);
+                    }
+                }
+            }
+            &scratch.visible
+        };
+        let scan = Scan { neighbors, tags: &scratch.visible_tags, round, local_round: lr };
+        let action = match ctx.choices {
+            Choices::Drawn => node.act(&scan, rng),
+            Choices::Scripted(script) => {
+                node.apply_action(&scan, script.actions[u]);
+                script.actions[u]
+            }
+        };
+        *slot = match action {
+            Action::Listen => Slot::Listen,
+            Action::Propose(v) => {
+                #[cfg(feature = "audit")]
+                ctx.auditor.check_proposal(round, u, v, scan.neighbors);
+                #[cfg(not(feature = "audit"))]
+                assert!(
+                    scan.neighbors.binary_search(&v).is_ok(),
+                    "node {u} proposed to {v}, not a visible neighbor"
+                );
+                if ctx.loss_prob > 0.0
+                    && mtm_graph::rng::counter_coin(ctx.loss_seed, round, u as u64) < ctx.loss_prob
+                {
+                    scratch.dropped += 1;
+                } else {
+                    // hot path: u < n <= u32::MAX. mtm-lint: allow(truncating-cast)
+                    scratch.proposed.push((u as NodeId, v));
+                }
+                Slot::Propose(v)
+            }
+        };
+    }
+}
 
-        self.metrics.rounds = round;
-        if let Some(traces) = &mut self.traces {
-            traces.push(RoundTrace {
-                round,
-                active: self.active_count,
-                proposals: self.metrics.proposals - round_proposals_before,
-                connections: self.metrics.connections - round_connections_before,
-            });
+/// Phase 4a over one shard of receivers: each listener with `k` buffered
+/// proposals takes its pick — drawn from its own stream, or read from the
+/// script — and rejects the other `k − 1`; with no pick (a scripted
+/// listener that accepts nothing) all `k` are dropped. Accept-all
+/// receivers take every proposal, in ascending proposer order.
+pub(super) fn accept(
+    ctx: &RoundCtx<'_>,
+    inbox: &Inbox,
+    base: usize,
+    lens: &mut [u32],
+    rngs: &mut [SmallRng],
+    scratch: &mut ShardScratch,
+) {
+    for (i, (len, rng)) in lens.iter_mut().zip(rngs).enumerate() {
+        let k = *len as usize;
+        if k == 0 {
+            continue;
         }
-        if self.stuck.is_some() {
-            self.update_stuck_detector(topo_may_change);
+        *len = 0;
+        let vi = base + i;
+        // receivers are node ids: vi < n <= u32::MAX. mtm-lint: allow(truncating-cast)
+        let v = vi as NodeId;
+        let incoming = inbox.incoming(vi, k);
+        let pick = match (ctx.choices, ctx.params.policy) {
+            (Choices::Scripted(_), _) => inbox.picks[vi],
+            (Choices::Drawn, ConnectionPolicy::AcceptAll) => {
+                // Each proposer sees the receiver's state as of *its*
+                // connection (connections in the classical model are
+                // sequential interactions within the round).
+                scratch.accepted.extend(incoming.iter().map(|&u| (u, v)));
+                continue;
+            }
+            (Choices::Drawn, ConnectionPolicy::SingleUniform) => {
+                Some(match ctx.params.acceptance {
+                    Acceptance::UniformIndex => incoming[uniform_accept_index(rng, k)],
+                    Acceptance::SelectionPermutation => {
+                        // Definition VI.2's device: shuffle the neighbor list,
+                        // accept the proposer ranked first. Inactive neighbors
+                        // can never propose, so only active ones enter the
+                        // shuffle (a subset's relative order within a uniform
+                        // permutation is itself uniform).
+                        let nbrs = ctx.graph.neighbors(v);
+                        scratch.accept_scratch.clear();
+                        if ctx.all_active {
+                            scratch.accept_scratch.extend_from_slice(nbrs);
+                        } else {
+                            scratch
+                                .accept_scratch
+                                .extend(nbrs.iter().copied().filter(|&w| ctx.active[w as usize]));
+                        }
+                        scratch.accept_scratch.shuffle(rng);
+                        *scratch
+                            .accept_scratch
+                            .iter()
+                            .find(|cand| incoming.contains(cand))
+                            .expect("every proposer is a neighbor")
+                    }
+                })
+            }
+        };
+        match pick {
+            Some(u) => {
+                scratch.rejected += (k - 1) as u64;
+                scratch.accepted.push((u, v));
+            }
+            None => scratch.dropped += k as u64,
+        }
+    }
+}
+
+/// Phase 5 over one shard: end-of-round bookkeeping for every active node.
+pub(super) fn end_round<P: Protocol>(
+    active: &[bool],
+    local_rounds: &[u64],
+    base: usize,
+    nodes: &mut [P],
+    rngs: &mut [SmallRng],
+) {
+    let end = base + nodes.len();
+    for (((&active, &lr), node), rng) in
+        active[base..end].iter().zip(&local_rounds[base..end]).zip(nodes).zip(rngs)
+    {
+        if active {
+            node.end_round(lr, rng);
         }
     }
 }

@@ -16,6 +16,8 @@ pub enum ParseError {
     OutOfRange { line_no: usize, node: u64 },
     /// A self loop was declared.
     SelfLoop { line_no: usize, node: NodeId },
+    /// An `n` header declared more nodes than a [`NodeId`] can index.
+    TooManyNodes { line_no: usize, n: u64 },
 }
 
 impl std::fmt::Display for ParseError {
@@ -29,6 +31,9 @@ impl std::fmt::Display for ParseError {
             }
             ParseError::SelfLoop { line_no, node } => {
                 write!(f, "line {line_no}: self loop at node {node}")
+            }
+            ParseError::TooManyNodes { line_no, n } => {
+                write!(f, "line {line_no}: node count {n} exceeds the u32 id space")
             }
         }
     }
@@ -46,52 +51,59 @@ pub fn to_edge_list(g: &Graph) -> String {
     out
 }
 
-/// Parse the edge-list text format.
+/// Parse the edge-list text format. Every edge is checked against the
+/// final node count — the last `n` line wherever it appears, else the
+/// largest id plus one — so malformed input is an error, never a panic.
 pub fn from_edge_list(text: &str) -> Result<Graph, ParseError> {
-    let mut declared_n: Option<usize> = None;
+    let mut declared_n: Option<u64> = None;
     let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-    let mut max_node: u64 = 0;
+    // The largest endpoint so far and the line it first appeared on.
+    let mut max_node: Option<(NodeId, usize)> = None;
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
+        let bad_line = || ParseError::BadLine { line_no, content: raw.to_string() };
         let mut parts = line.split_whitespace();
         let first = parts.next().expect("line is nonempty after the trim/skip above");
+        let second: u64 = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad_line)?;
+        if parts.next().is_some() {
+            return Err(bad_line());
+        }
         if first == "n" {
-            let n = parts
-                .next()
-                .and_then(|s| s.parse::<usize>().ok())
-                .ok_or_else(|| ParseError::BadLine { line_no, content: raw.to_string() })?;
-            declared_n = Some(n);
+            if second > u64::from(NodeId::MAX) {
+                return Err(ParseError::TooManyNodes { line_no, n: second });
+            }
+            declared_n = Some(second);
             continue;
         }
-        let u: u64 =
-            first.parse().map_err(|_| ParseError::BadLine { line_no, content: raw.to_string() })?;
-        let v: u64 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| ParseError::BadLine { line_no, content: raw.to_string() })?;
-        if parts.next().is_some() {
-            return Err(ParseError::BadLine { line_no, content: raw.to_string() });
-        }
-        // Reject ids that do not fit a NodeId before converting — the old
-        // `as` cast would have wrapped huge ids silently.
-        let to_node =
-            |x: u64| NodeId::try_from(x).map_err(|_| ParseError::OutOfRange { line_no, node: x });
+        let u: u64 = first.parse().map_err(|_| bad_line())?;
+        // Ids must stay below the largest node count a NodeId can index.
+        let to_node = |x: u64| {
+            NodeId::try_from(x)
+                .ok()
+                .filter(|&id| id < NodeId::MAX)
+                .ok_or(ParseError::OutOfRange { line_no, node: x })
+        };
+        let (u, v) = (to_node(u)?, to_node(second)?);
         if u == v {
-            return Err(ParseError::SelfLoop { line_no, node: to_node(u)? });
+            return Err(ParseError::SelfLoop { line_no, node: u });
         }
-        if let Some(n) = declared_n {
-            if u >= n as u64 || v >= n as u64 {
-                return Err(ParseError::OutOfRange { line_no, node: u.max(v) });
-            }
+        let hi = u.max(v);
+        if max_node.is_none_or(|(m, _)| hi > m) {
+            max_node = Some((hi, line_no));
         }
-        max_node = max_node.max(u).max(v);
-        edges.push((to_node(u)?, to_node(v)?));
+        edges.push((u, v));
     }
-    let n = declared_n.unwrap_or(if edges.is_empty() { 0 } else { max_node as usize + 1 });
+    let n = match (declared_n, max_node) {
+        (Some(n), Some((m, line_no))) if u64::from(m) >= n => {
+            return Err(ParseError::OutOfRange { line_no, node: u64::from(m) });
+        }
+        (Some(n), _) => n as usize,
+        (None, max) => max.map_or(0, |(m, _)| m as usize + 1),
+    };
     let mut b = GraphBuilder::with_capacity(n, edges.len());
     for (u, v) in edges {
         b.add_edge(u, v);
@@ -286,6 +298,28 @@ mod tests {
         ));
         assert!(matches!(from_edge_list("3 3"), Err(ParseError::SelfLoop { line_no: 1, node: 3 })));
         assert!(matches!(from_edge_list("0 1 2"), Err(ParseError::BadLine { .. })));
+        assert!(matches!(from_edge_list("n 3 4"), Err(ParseError::BadLine { .. })));
+    }
+
+    #[test]
+    fn edges_are_checked_against_the_final_node_count() {
+        // A header after the edges still bounds them.
+        assert_eq!(
+            from_edge_list("0 1\n5 6\nn 3\n"),
+            Err(ParseError::OutOfRange { line_no: 2, node: 6 })
+        );
+        // The last header wins, in either direction.
+        assert!(from_edge_list("n 2\n0 5\nn 6\n").is_ok());
+        assert!(from_edge_list("n 9\n0 5\nn 5\n").is_err());
+        assert_eq!(
+            from_edge_list("n 5000000000\n"),
+            Err(ParseError::TooManyNodes { line_no: 1, n: 5_000_000_000 })
+        );
+        // An id of u32::MAX would need 2^32 nodes.
+        assert_eq!(
+            from_edge_list("0 4294967295\n"),
+            Err(ParseError::OutOfRange { line_no: 1, node: 4_294_967_295 })
+        );
     }
 
     #[test]

@@ -59,12 +59,13 @@ impl Graph {
         self.neighbors(u).len()
     }
 
-    /// Iterator over all neighbor slices `N(0), N(1), …` in node order —
-    /// the bounds-check-free way to walk the CSR in lockstep with other
-    /// per-node arrays (the round executor's scan phase).
+    /// Iterator over the neighbor slices `N(first), N(first + 1), …` in
+    /// node order — the bounds-check-free way to walk one contiguous node
+    /// range of the CSR in lockstep with other per-node arrays (the round
+    /// pipeline's scan phase). Panics if `first > n`.
     #[inline]
-    pub fn neighbor_rows(&self) -> impl Iterator<Item = &[NodeId]> + '_ {
-        self.offsets.windows(2).map(|w| &self.adjacency[w[0] as usize..w[1] as usize])
+    pub fn neighbor_rows_from(&self, first: usize) -> impl Iterator<Item = &[NodeId]> + '_ {
+        self.offsets[first..].windows(2).map(|w| &self.adjacency[w[0] as usize..w[1] as usize])
     }
 
     /// Maximum degree `Δ` over all nodes (0 for an empty or edgeless graph).

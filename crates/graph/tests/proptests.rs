@@ -342,3 +342,49 @@ fn fault_stack_matches_graph_builder_reference() {
         }
     });
 }
+
+/// One random line of edge-list soup: edges and headers mixed with self
+/// loops, ids near `u32::MAX`, extra or missing tokens, non-numbers and
+/// comments. Header values are small or beyond `u32::MAX`, never in
+/// between, so no accepted graph is large.
+fn soup_line(rng: &mut SmallRng) -> String {
+    let id = |rng: &mut SmallRng| match rng.gen_range(0..8u32) {
+        0 => (u64::from(u32::MAX) - rng.gen_range(0..3u64)).to_string(),
+        1 => (u64::from(u32::MAX) + rng.gen_range(1..3u64)).to_string(),
+        2 => "x7".to_string(),
+        3 => "-1".to_string(),
+        _ => rng.gen_range(0..12u32).to_string(),
+    };
+    match rng.gen_range(0..10u32) {
+        0 => format!("n {}", rng.gen_range(0..16u32)),
+        1 => format!("n {}", u64::from(u32::MAX) + rng.gen_range(1..100u64)),
+        2 => "n".to_string(),
+        3 => {
+            let u = id(rng);
+            format!("{u} {u}")
+        }
+        4 => format!("{} {} {}", id(rng), id(rng), id(rng)),
+        5 => id(rng),
+        6 => "# comment".to_string(),
+        7 => String::new(),
+        _ => format!("{} {}", id(rng), id(rng)),
+    }
+}
+
+#[test]
+fn edge_list_parser_never_panics() {
+    run_cases(0x670C, 512, |_case, rng| {
+        let mut lines: Vec<String> =
+            (0..rng.gen_range(0..12usize)).map(|_| soup_line(rng)).collect();
+        // A small header somewhere bounds every accepted graph, so an id
+        // near u32::MAX must be rejected rather than allocate 2^32 nodes.
+        let at = rng.gen_range(0..=lines.len());
+        lines.insert(at, format!("n {}", rng.gen_range(0..16u32)));
+        let text = lines.join("\n");
+        if let Ok(g) = mtm_graph::io::from_edge_list(&text) {
+            if let Err(e) = g.validate() {
+                panic!("parsed graph fails validation ({e}):\n{text}");
+            }
+        }
+    });
+}

@@ -58,9 +58,9 @@ pub mod prelude {
     };
     pub use mtm_engine::{
         rounds_after_activation, ActivationSchedule, ConnectionPolicy, Engine, EpochRecord,
-        EpochView, EventEngine, EventOutcome, EventRecord, ExecutorSet, LatencyModel, LeaderView,
-        ModelParams, Protocol, RoundExecuter, RumorView, RunOutcome, RunStatus, Scan,
-        ServiceConfig, ServiceMetrics, ServiceOutcome, ServiceStatus, StuckReport, Tag,
+        EpochView, EventEngine, EventOutcome, EventRecord, LatencyModel, LeaderView, ModelParams,
+        Protocol, RumorView, RunOutcome, RunStatus, Scan, ServiceConfig, ServiceMetrics,
+        ServiceOutcome, ServiceStatus, StuckReport, Tag,
     };
     pub use mtm_graph::adversary::{CyclingTopologies, IsolatingAdversary};
     pub use mtm_graph::dynamic::{

@@ -3,7 +3,7 @@
 //! Subcommands:
 //!
 //! * `mtm experiment <id|all> [opts]` — run one (or every) reproduced
-//!   experiment (ids: t1 f1 t2 f2 t3 f3 t4 f4 t5 f5 t6 f6 f7 f8 a1 a2 a3).
+//!   experiment (`mtm --help` lists the ids).
 //! * `mtm elect <algo> <family> <n> [opts]` — one leader election run
 //!   (`algo`: blind | bitconv | nonsync; `--detect-stuck` diagnoses
 //!   frozen runs and exits 3).
@@ -31,7 +31,8 @@
 //!
 //! `--graph-file PATH` substitutes a user topology for any `<family> <n>`.
 //!
-//! Common opts: `--seed N`, `--tau N` (relabeling churn; default static),
+//! Common opts: `--seed N`, `--tau N` (relabeling churn every N ≥ 1
+//! rounds; default static),
 //! `--quick/--full`, `--trials N`, `--threads N`, `--csv PATH`.
 
 use mtm_core::{
@@ -228,12 +229,15 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
             }
             "--tau" => {
                 i += 1;
-                tau = Some(
-                    args.get(i)
-                        .ok_or("--tau needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--tau: {e}"))?,
-                );
+                let t: u64 = args
+                    .get(i)
+                    .ok_or("--tau needs a value")?
+                    .parse()
+                    .map_err(|e| format!("--tau: {e}"))?;
+                if t == 0 {
+                    return Err("--tau must be at least 1".into());
+                }
+                tau = Some(t);
             }
             "--max-rounds" => {
                 i += 1;

@@ -11,7 +11,11 @@
 //!   different seed ⇒ different timing; flag validation for the
 //!   lockstep-only options;
 //! * malformed input — `n < 2`, bad graph files — is a usage error (exit
-//!   2) on `elect`, `spread` and `serve`, never a panic (exit 101).
+//!   2) on `elect`, `spread` and `serve`, never a panic (exit 101); so is
+//!   `--tau 0` on `elect`, `spread` and `trace`, and no family size makes
+//!   `mtm graph` panic;
+//! * `mtm experiment` exit codes — 0 on success, 1 when the CSV write
+//!   fails, 2 on a usage error.
 
 use std::process::{Command, Output};
 
@@ -100,12 +104,16 @@ fn elect_event_backend_completes_and_validates_flags() {
 }
 
 #[test]
-fn too_few_nodes_is_a_usage_error() {
+fn out_of_range_numbers_are_usage_errors() {
     for args in [
         &["elect", "blind", "expander8", "1"][..],
         &["elect", "bitconv", "clique", "0"][..],
         &["spread", "push-pull", "expander8", "1"][..],
         &["serve", "expander8", "1"][..],
+        // τ must be at least 1.
+        &["elect", "blind", "cycle", "16", "--tau", "0"][..],
+        &["spread", "push-pull", "cycle", "16", "--tau", "0"][..],
+        &["trace", "blind", "cycle", "16", "--tau", "0"][..],
     ] {
         let out = mtm(args);
         assert_eq!(
@@ -140,4 +148,39 @@ fn malformed_graph_file_is_a_usage_error() {
             );
         }
     }
+}
+
+#[test]
+fn tiny_family_sizes_never_panic() {
+    for fam in mtm_graph::GraphFamily::ALL {
+        for n in ["0", "1", "2", "3", "4"] {
+            let out = mtm(&["graph", fam.name(), n]);
+            assert!(
+                matches!(out.status.code(), Some(0 | 2)),
+                "graph {fam} {n}: exit {:?}: {}",
+                out.status.code(),
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+    }
+}
+
+#[test]
+fn experiment_exit_codes() {
+    let out = mtm(&["experiment", "t5", "--quick", "--trials", "1"]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout(&out).starts_with("== T5: "), "stdout: {}", stdout(&out));
+
+    // Missing id, unknown id, unknown flag.
+    for args in
+        [&["experiment"][..], &["experiment", "t99"][..], &["experiment", "t5", "--frobnicate"][..]]
+    {
+        assert_eq!(mtm(args).status.code(), Some(2), "{args:?}");
+    }
+
+    // The table prints, but the CSV cannot be written.
+    let csv = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("missing-dir").join("t5.csv");
+    let csv = csv.to_str().expect("temp path is UTF-8");
+    let out = mtm(&["experiment", "t5", "--quick", "--trials", "1", "--csv", csv]);
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 }

@@ -1,23 +1,21 @@
-//! Model-conformance audit mode.
+//! Model-conformance audit.
 //!
-//! With the default-on `audit` cargo feature, every round the engine
-//! executes is checked against the mobile telephone model's contract
-//! (Section III of the paper), and any breach panics with a structured
-//! [`Violation`] carrying the round and node where it happened:
+//! Every round the engine executes is checked against the mobile telephone
+//! model's contract (Section III of the paper), in every build profile,
+//! and any breach panics with a structured [`Violation`] carrying the
+//! round and node where it happened:
 //!
 //! - every advertised [`Tag`] fits the model's `b` bits,
 //! - every exchanged payload stays within the budget of
 //!   `max_payload_uids` UIDs plus `max_payload_bits` extra bits,
 //! - a node only proposes to neighbors it actually saw in its scan,
 //! - under [`ConnectionPolicy::SingleUniform`] the accepted proposals
-//!   form a matching: no node participates in two connections per round,
+//!   form a matching: no node participates in two connections per round
+//!   (on the event backend: a response only reaches a node waiting on its
+//!   one outstanding proposal),
 //! - proposals are conserved: every proposal ends as a connection, a
 //!   rejection or a drop (the lockstep engine checks this after every
 //!   round, the event backend up to the proposals still in flight).
-//!
-//! Building with `--no-default-features` strips the audit for maximum
-//! throughput; the engine then falls back to the original spot asserts
-//! (tag width, proposal visibility) and debug-only payload checks.
 //!
 //! The module also hosts [`determinism_self_check`], the executable form
 //! of the repo's determinism contract: run the same `(seed, config)`
@@ -65,6 +63,9 @@ pub enum Violation {
         dropped: u64,
         in_flight_bound: u64,
     },
+    /// An event-backend node received a proposal response while not
+    /// waiting on a proposal of its own: it would be in two connections.
+    UnsolicitedResponse { round: u64, node: usize },
 }
 
 impl fmt::Display for Violation {
@@ -104,13 +105,17 @@ impl fmt::Display for Violation {
                  {connections} connections + {rejected} rejected + {dropped} dropped \
                  (at most {in_flight_bound} may be in flight)"
             ),
+            Violation::UnsolicitedResponse { round, node } => write!(
+                f,
+                "round {round}: node {node} received a response with no proposal outstanding \
+                 (one connection per node)"
+            ),
         }
     }
 }
 
-/// Per-round conformance checker. Owned by the engine when the `audit`
-/// feature is on; all scratch space is reused so steady-state auditing
-/// allocates nothing.
+/// Per-round conformance checker, owned by each engine; all scratch space
+/// is reused so steady-state auditing allocates nothing.
 #[derive(Debug, Default)]
 pub struct Auditor {
     endpoints: Vec<NodeId>,
@@ -178,6 +183,15 @@ impl Auditor {
                 dropped: m.dropped_proposals,
                 in_flight_bound,
             });
+        }
+    }
+
+    /// Check that a node receiving a proposal response was `awaiting` one:
+    /// a node is in at most one connection at a time.
+    #[inline]
+    pub fn check_response(&self, round: u64, node: usize, awaiting: bool) {
+        if !awaiting {
+            fail(Violation::UnsolicitedResponse { round, node });
         }
     }
 
@@ -293,6 +307,14 @@ mod tests {
     #[should_panic(expected = "two accepted connections")]
     fn double_acceptance_caught() {
         Auditor::default().check_matching(3, &[(0, 1), (2, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 2 received a response with no proposal outstanding")]
+    fn unsolicited_response_caught() {
+        let a = Auditor::default();
+        a.check_response(3, 2, true);
+        a.check_response(3, 2, false);
     }
 
     fn counts(proposals: u64, connections: u64, rejected: u64, dropped: u64) -> Metrics {

@@ -122,7 +122,6 @@ struct RoundCtx<'a> {
     all_active: bool,
     loss_prob: f64,
     loss_seed: u64,
-    #[cfg(feature = "audit")]
     auditor: &'a crate::audit::Auditor,
 }
 
@@ -353,7 +352,6 @@ pub struct Engine<P: Protocol, T: DynamicTopology> {
     // Per-node fingerprint cache for the stuck detector (empty until the
     // first detector update; thereafter only active nodes are re-hashed).
     fp_cache: Vec<u64>,
-    #[cfg(feature = "audit")]
     auditor: crate::audit::Auditor,
 }
 
@@ -400,7 +398,6 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
             inbox: Inbox::default(),
             incoming_len: vec![0; n],
             fp_cache: Vec::new(),
-            #[cfg(feature = "audit")]
             auditor: crate::audit::Auditor::default(),
         }
     }
@@ -561,17 +558,9 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
         self.round >= 1 && self.schedule.is_active(u, self.round)
     }
 
-    /// Rounds that passed the full conformance audit so far. Always 0 when
-    /// the `audit` feature is disabled.
+    /// Rounds that passed the full conformance audit so far.
     pub fn rounds_audited(&self) -> u64 {
-        #[cfg(feature = "audit")]
-        {
-            self.auditor.rounds_audited()
-        }
-        #[cfg(not(feature = "audit"))]
-        {
-            0
-        }
+        self.auditor.rounds_audited()
     }
 
     /// Run this engine's configuration twice and demand identical
@@ -649,7 +638,6 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
             all_active: self.all_active,
             loss_prob: if scripted { 0.0 } else { self.loss_prob },
             loss_seed: self.loss_seed,
-            #[cfg(feature = "audit")]
             auditor: &self.auditor,
         };
 
@@ -739,7 +727,6 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
         for shard in &mut shards {
             shard.drain_counts(&mut self.metrics);
         }
-        #[cfg(feature = "audit")]
         if self.params.policy == ConnectionPolicy::SingleUniform {
             // Section III: each node participates in at most one
             // connection per round — the accepted set is a matching.
@@ -762,7 +749,6 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
         self.metrics.rounds = round;
         // On running totals, checked every round from a zero start, this
         // is exactly the per-round law.
-        #[cfg(feature = "audit")]
         self.auditor.check_conservation(round, &self.metrics, 0);
         if let Some(traces) = &mut self.traces {
             traces.push(RoundTrace {
@@ -838,7 +824,6 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
     fn connect(&mut self, u: usize, v: usize) {
         let pu = self.nodes[u].payload();
         let pv = self.nodes[v].payload();
-        #[cfg(feature = "audit")]
         for (node, uids, bits) in
             [(u, pu.uid_count(), pu.extra_bits()), (v, pv.uid_count(), pv.extra_bits())]
         {
@@ -851,18 +836,6 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
                 self.params.max_payload_bits,
             );
         }
-        #[cfg(not(feature = "audit"))]
-        debug_assert!(
-            pu.uid_count() <= self.params.max_payload_uids
-                && pu.extra_bits() <= self.params.max_payload_bits,
-            "node {u} payload exceeds model budget"
-        );
-        #[cfg(not(feature = "audit"))]
-        debug_assert!(
-            pv.uid_count() <= self.params.max_payload_uids
-                && pv.extra_bits() <= self.params.max_payload_bits,
-            "node {v} payload exceeds model budget"
-        );
         self.nodes[u].on_connect(&pv, &mut self.rngs[u]);
         self.nodes[v].on_connect(&pu, &mut self.rngs[v]);
         self.metrics.connections += 1;
@@ -1336,11 +1309,7 @@ mod tests {
     fn audit_counts_rounds() {
         let mut e = engine_on(gen::clique(6), 6, 8);
         e.run_rounds(25);
-        if cfg!(feature = "audit") {
-            assert_eq!(e.rounds_audited(), 25);
-        } else {
-            assert_eq!(e.rounds_audited(), 0);
-        }
+        assert_eq!(e.rounds_audited(), 25);
     }
 
     #[test]

@@ -58,12 +58,13 @@
 //! run. Crash/churn fault layers are a lockstep-only feature for now — the
 //! backend runs on a static [`Graph`].
 //!
-//! Under the `audit` feature the backend runs the lockstep conformance
-//! checks through the same [`Auditor`](crate::audit::Auditor) — tag width,
+//! The backend runs the lockstep conformance checks through the same
+//! [`Auditor`](crate::audit::Auditor), in every build profile — tag width,
 //! proposal visibility, payload budget — plus proposal conservation after
 //! every `ListenEnd` and `Response`: with each proposer holding at most one
 //! outstanding proposal, `proposals − connections − rejected − dropped`
-//! stays within `[0, n]`.
+//! stays within `[0, n]`. The one-connection rule is checked when a
+//! response arrives: its node must be waiting on a proposal.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -299,7 +300,6 @@ pub struct EventEngine<P: Protocol> {
     // Scan scratch, reused across events.
     vis: Vec<NodeId>,
     vis_tags: Vec<Tag>,
-    #[cfg(feature = "audit")]
     auditor: crate::audit::Auditor,
 }
 
@@ -361,7 +361,6 @@ impl<P: Protocol> EventEngine<P> {
             trace: None,
             vis: Vec::new(),
             vis_tags: Vec::new(),
-            #[cfg(feature = "audit")]
             auditor: crate::audit::Auditor::default(),
         };
         for u in 0..n {
@@ -454,12 +453,10 @@ impl<P: Protocol> EventEngine<P> {
         s
     }
 
-    /// The payload-budget check the lockstep `Engine::connect` runs: an
-    /// audit in every build profile under the `audit` feature, a debug
-    /// assertion without it. `node` is the payload's owner.
+    /// The payload-budget audit the lockstep `Engine::connect` runs. `node`
+    /// is the payload's owner.
     #[inline]
     fn check_payload_budget(&self, node: NodeId, pl: &P::Payload) {
-        #[cfg(feature = "audit")]
         self.auditor.check_payload(
             self.local_round[node as usize],
             node as usize,
@@ -468,19 +465,12 @@ impl<P: Protocol> EventEngine<P> {
             pl.extra_bits(),
             self.params.max_payload_bits,
         );
-        #[cfg(not(feature = "audit"))]
-        debug_assert!(
-            pl.uid_count() <= self.params.max_payload_uids
-                && pl.extra_bits() <= self.params.max_payload_bits,
-            "node {node} payload exceeds model budget"
-        );
     }
 
     /// The conservation audit after a proposal was resolved: at most one
     /// proposal per node can still be in flight.
     #[inline]
     fn check_conservation(&self) {
-        #[cfg(feature = "audit")]
         self.auditor.check_conservation(
             self.metrics.rounds,
             &self.metrics,
@@ -499,13 +489,7 @@ impl<P: Protocol> EventEngine<P> {
                 self.metrics.rounds = self.metrics.rounds.max(lr);
                 let tag = self.nodes[ui].advertise(lr, &mut self.rngs[ui]);
                 let tag_bits = self.params.tag_bits;
-                #[cfg(feature = "audit")]
                 self.auditor.check_tag(lr, ui, tag, tag_bits);
-                #[cfg(not(feature = "audit"))]
-                assert!(
-                    tag.fits(tag_bits),
-                    "node {ui} advertised tag {tag:?} exceeding b = {tag_bits} bits"
-                );
                 self.tags[ui] = tag;
                 self.started[ui] = true;
                 self.phase[ui] = Phase::Scanning;
@@ -551,13 +535,7 @@ impl<P: Protocol> EventEngine<P> {
                         self.schedule(self.now + d, node, Ev::ListenEnd);
                     }
                     Action::Propose(v) => {
-                        #[cfg(feature = "audit")]
                         self.auditor.check_proposal(lr, ui, v, &self.vis);
-                        #[cfg(not(feature = "audit"))]
-                        assert!(
-                            self.vis.binary_search(&v).is_ok(),
-                            "node {ui} proposed to {v}, not a visible neighbor"
-                        );
                         self.metrics.proposals += 1;
                         self.phase[ui] = Phase::Waiting;
                         let s = self.next_msg(node);
@@ -637,14 +615,19 @@ impl<P: Protocol> EventEngine<P> {
                 delivered
             }
             Ev::Response { accepted } => {
-                debug_assert_eq!(self.phase[ui], Phase::Waiting, "unsolicited response at {ui}");
+                let lr = self.local_round[ui];
+                self.auditor.check_response(lr, ui, self.phase[ui] == Phase::Waiting);
+                // Leave the waiting phase now, as ListenEnd leaves
+                // Listening: a second response to the same proposal is
+                // then caught even at the same tick.
+                self.phase[ui] = Phase::Scanning;
                 let delivered = if let Some(pv) = accepted {
                     self.nodes[ui].on_connect(&pv, &mut self.rngs[ui]);
                     true
                 } else {
                     false
                 };
-                self.nodes[ui].end_round(self.local_round[ui], &mut self.rngs[ui]);
+                self.nodes[ui].end_round(lr, &mut self.rngs[ui]);
                 self.check_conservation();
                 self.schedule(self.now, node, Ev::RoundStart);
                 delivered
@@ -863,6 +846,17 @@ mod tests {
             LatencyModel::multipeer(0),
         );
         e.run_until(1_000, |_| false);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 0 received a response with no proposal outstanding")]
+    fn second_response_to_one_proposal_caught() {
+        let mut e = engine_on(gen::clique(2), 0, LatencyModel::multipeer(0));
+        // Node 0 has one proposal outstanding, and its response arrives
+        // twice at the same tick.
+        e.phase[0] = Phase::Waiting;
+        e.process(0, Ev::Response { accepted: None });
+        e.process(0, Ev::Response { accepted: None });
     }
 
     #[test]

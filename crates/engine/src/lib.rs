@@ -27,10 +27,10 @@
 //! derived with SplitMix64, so a trial is a pure function of
 //! `(topology, protocol construction, seed)`.
 //!
-//! With the default-on `audit` cargo feature every executed round is
-//! additionally validated against the model contract (tag width, payload
-//! budget, proposal visibility, matching-shaped acceptance, proposal
-//! conservation) — see [`audit`].
+//! Every executed round is additionally validated against the model
+//! contract (tag width, payload budget, proposal visibility,
+//! matching-shaped acceptance, proposal conservation), in every build
+//! profile — see [`audit`].
 
 pub mod activation;
 pub mod audit;

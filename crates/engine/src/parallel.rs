@@ -110,13 +110,7 @@ pub(super) fn advertise<P: Protocol>(
             Choices::Drawn => node.advertise(lr, rng),
             Choices::Scripted(script) => node.apply_choice(lr, script.advertise[u]),
         };
-        #[cfg(feature = "audit")]
         ctx.auditor.check_tag(ctx.round, u, tag, tag_bits);
-        #[cfg(not(feature = "audit"))]
-        assert!(
-            tag.fits(tag_bits),
-            "node {u} advertised tag {tag:?} exceeding b = {tag_bits} bits"
-        );
         *tag_slot = tag;
     }
 }
@@ -182,13 +176,7 @@ pub(super) fn scan_act<P: Protocol>(
         *slot = match action {
             Action::Listen => Slot::Listen,
             Action::Propose(v) => {
-                #[cfg(feature = "audit")]
                 ctx.auditor.check_proposal(round, u, v, scan.neighbors);
-                #[cfg(not(feature = "audit"))]
-                assert!(
-                    scan.neighbors.binary_search(&v).is_ok(),
-                    "node {u} proposed to {v}, not a visible neighbor"
-                );
                 if ctx.loss_prob > 0.0
                     && mtm_graph::rng::counter_coin(ctx.loss_seed, round, u as u64) < ctx.loss_prob
                 {

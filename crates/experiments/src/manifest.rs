@@ -92,10 +92,9 @@ pub fn engine_info() -> Vec<(String, String)> {
     ]
 }
 
-/// The `.txt` and `.csv` bodies emitted for a table, exactly as the
-/// harness binaries print them (`<id>_exp --csv results/<id>.csv >
-/// results/<id>.txt`), so regenerated files are byte-identical to
-/// hand-run ones.
+/// The `.txt` and `.csv` bodies emitted for a table, exactly as
+/// `mtm experiment <id> --csv results/<id>.csv > results/<id>.txt` prints
+/// them, so regenerated files are byte-identical to hand-run ones.
 pub struct Emitted {
     pub txt: String,
     pub csv: String,

@@ -1,9 +1,9 @@
-//! Options shared by every experiment binary.
+//! Options shared by every experiment run (`mtm experiment <id>`, `regen`).
 
 /// Scale of an experiment run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
-    /// CI/bench scale: small sizes, few trials, seconds per experiment.
+    /// CI scale: small sizes, few trials, seconds per experiment.
     Quick,
     /// Paper scale: the sweeps recorded in EXPERIMENTS.md.
     Full,
@@ -31,7 +31,7 @@ impl Default for ExpOpts {
 }
 
 impl ExpOpts {
-    /// Quick-scale options for tests and benches.
+    /// Quick-scale options for tests.
     pub fn quick() -> Self {
         ExpOpts { scale: Scale::Quick, ..Default::default() }
     }
@@ -83,24 +83,9 @@ impl ExpOpts {
         Ok(opts)
     }
 
-    /// Parse from `std::env::args`, exiting with a usage message on error.
-    pub fn from_env() -> ExpOpts {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        match ExpOpts::parse(&args) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!(
-                    "usage: [--quick|--full] [--trials N] [--seed N] [--threads N] [--csv PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
     /// Print the table; write CSV if requested. The `(csv written to …)`
     /// line is only printed when the write actually succeeded; a failed
-    /// write is returned as an error so binaries can exit nonzero instead
+    /// write is returned as an error so callers can exit nonzero instead
     /// of misreporting success.
     pub fn emit(
         &self,

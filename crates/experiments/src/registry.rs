@@ -1,10 +1,10 @@
 //! The experiment registry: one entry per reproduced table/figure.
 //!
-//! Every consumer of "which experiments exist" — the 18 `*_exp` harness
-//! binaries, the CLI's `experiment all` mode, the `regen` provenance
-//! binary, and the benches — resolves ids through this table, so adding an
-//! experiment is one entry here (a missing entry fails the registry
-//! completeness test against `results/`).
+//! Every consumer of "which experiments exist" — the CLI's
+//! `mtm experiment <id|all>` command and the `regen` provenance binary —
+//! resolves ids through this table, so adding an experiment is one entry
+//! here (a missing entry fails the registry completeness test against
+//! `results/`).
 
 use mtm_analysis::table::Table;
 
@@ -153,23 +153,6 @@ pub static REGISTRY: [Experiment; 25] = [
 /// Look up an experiment by id (case-insensitive).
 pub fn find(id: &str) -> Option<&'static Experiment> {
     REGISTRY.iter().find(|e| e.id.eq_ignore_ascii_case(id))
-}
-
-/// The shared `main` of every `*_exp` harness binary: parse options from
-/// the environment, run the experiment, emit the table (and CSV when
-/// requested). Exits nonzero if the CSV write fails, so scripted
-/// regeneration cannot mistake a partial emit for success.
-pub fn run_binary(id: &str) -> ! {
-    let exp = find(id).expect("binary wired to a registered experiment id");
-    let opts = ExpOpts::from_env();
-    let table = (exp.run)(&opts);
-    match opts.emit(&exp.display_id(), exp.title, &table) {
-        Ok(()) => std::process::exit(0),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 #[cfg(test)]

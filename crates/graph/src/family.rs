@@ -128,8 +128,9 @@ impl GraphFamily {
                 gen::torus(side, side)
             }
             GraphFamily::Barbell => {
+                // Below 4 nodes the smallest barbell (two K2 cliques) is built.
                 let k = (n_target / 2).max(2);
-                gen::barbell(k, n_target - 2 * k)
+                gen::barbell(k, n_target.saturating_sub(2 * k))
             }
             GraphFamily::Dumbbell => {
                 let mut half = (n_target / 2).max(4);
@@ -172,17 +173,6 @@ impl GraphFamily {
             GraphFamily::PowerLaw => None,
         }
     }
-
-    /// Whether instances are randomized (affects how experiments seed them).
-    pub fn is_randomized(self) -> bool {
-        matches!(
-            self,
-            GraphFamily::Expander3
-                | GraphFamily::Expander8
-                | GraphFamily::Dumbbell
-                | GraphFamily::PowerLaw
-        )
-    }
 }
 
 impl std::fmt::Display for GraphFamily {
@@ -198,10 +188,16 @@ mod tests {
 
     #[test]
     fn all_families_build_connected() {
+        // Every size from the smallest the CLI accepts, plus a mid-size one.
         for fam in GraphFamily::ALL {
-            let g = fam.build(24, 42);
-            assert!(g.is_connected(), "{fam} disconnected");
-            assert!(g.node_count() >= 2, "{fam} too small");
+            for n in (2..=16).chain([24]) {
+                let g = fam.build(n, 42);
+                if let Err(e) = g.validate() {
+                    panic!("{fam} at n = {n}: {e}");
+                }
+                assert!(g.is_connected(), "{fam} at n = {n} disconnected");
+                assert!(g.node_count() >= 2, "{fam} at n = {n} too small");
+            }
         }
     }
 

@@ -167,25 +167,6 @@ pub fn barbell(k: usize, bridge: usize) -> Graph {
     b.build()
 }
 
-/// Lollipop: a clique of size `k` with a path of `tail` nodes hanging off it.
-pub fn lollipop(k: usize, tail: usize) -> Graph {
-    assert!(k >= 2);
-    let n = k + tail;
-    let mut b = GraphBuilder::new(n);
-    for u in 0..nid(k) {
-        for v in (u + 1)..nid(k) {
-            b.add_edge(u, v);
-        }
-    }
-    let mut prev = nid(k - 1);
-    for i in 0..tail {
-        let x = nid(k + i);
-        b.add_edge(prev, x);
-        prev = x;
-    }
-    b.build()
-}
-
 /// Random `d`-regular graph via the pairing model with retries: sample a
 /// random perfect matching on `n·d` half-edges, reject self loops/multi-edges,
 /// repeat until simple and connected. Requires `n·d` even and `d < n`.
@@ -486,24 +467,6 @@ pub fn preferential_attachment(n: usize, m: usize, seed: u64) -> Graph {
     b.build()
 }
 
-/// Star-of-cliques used in the classical-vs-mobile comparison (F6): a hub
-/// node connected to `k` cliques of size `m` (one edge hub→each clique).
-pub fn star_of_cliques(k: usize, m: usize) -> Graph {
-    assert!(m >= 1);
-    let n = 1 + k * m;
-    let mut b = GraphBuilder::new(n);
-    for c in 0..k {
-        let base = nid(1 + c * m);
-        for i in 0..nid(m) {
-            for j in (i + 1)..nid(m) {
-                b.add_edge(base + i, base + j);
-            }
-        }
-        b.add_edge(0, base);
-    }
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,14 +592,6 @@ mod tests {
     }
 
     #[test]
-    fn lollipop_shape() {
-        let g = lollipop(4, 3);
-        assert_eq!(g.node_count(), 7);
-        assert!(g.is_connected());
-        assert_eq!(g.degree(6), 1);
-    }
-
-    #[test]
     fn random_regular_is_regular_connected() {
         for seed in 0..5 {
             let g = random_regular(24, 3, seed);
@@ -747,13 +702,5 @@ mod tests {
     fn preferential_attachment_deterministic() {
         assert_eq!(preferential_attachment(50, 2, 3), preferential_attachment(50, 2, 3));
         assert_ne!(preferential_attachment(50, 2, 3), preferential_attachment(50, 2, 4));
-    }
-
-    #[test]
-    fn star_of_cliques_shape() {
-        let g = star_of_cliques(3, 4);
-        assert_eq!(g.node_count(), 13);
-        assert!(g.is_connected());
-        assert_eq!(g.degree(0), 3);
     }
 }

@@ -26,7 +26,6 @@
 //! least `τ` rounds pass between changes (Section III of the paper). The
 //! types here mirror those definitions exactly.
 
-pub mod adversary;
 pub mod dynamic;
 pub mod expansion;
 pub mod family;

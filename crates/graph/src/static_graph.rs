@@ -367,11 +367,6 @@ impl GraphBuilder {
         self.edges.push((a, b));
     }
 
-    /// Number of (possibly duplicate) edges added so far.
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalize into a CSR [`Graph`].
     pub fn build(mut self) -> Graph {
         self.edges.sort_unstable();

@@ -9,10 +9,10 @@
 //! | rule | pattern | scope |
 //! |------|---------|-------|
 //! | `nondeterministic-rng` | `thread_rng`, `rand::random`, `from_entropy` | all crates |
-//! | `wall-clock` | `Instant::now`, `SystemTime` | `core`, `engine`, `apps` |
-//! | `unordered-iteration` | `HashMap`, `HashSet` | `core`, `engine`, `apps` |
+//! | `wall-clock` | `Instant::now`, `SystemTime` | `core`, `engine` |
+//! | `unordered-iteration` | `HashMap`, `HashSet` | `core`, `engine` |
 //! | `library-unwrap` | `.unwrap()` | all but `vendor` — including `#[cfg(test)]` blocks |
-//! | `truncating-cast` | `as u8/u16/u32/i8/i16/i32/NodeId` | `core`, `engine`, `apps`, `analysis`, `graph`, `check` |
+//! | `truncating-cast` | `as u8/u16/u32/i8/i16/i32/NodeId` | `core`, `engine`, `analysis`, `graph`, `check` |
 //! | `smallrng-outside-engine` | `SmallRng::seed_from_u64/from_seed/from_rng` | all but `engine`, `vendor` |
 //! | `parallelism-outside-engine` | `thread::spawn/scope/Builder`, `rayon`, `par_iter`, `crossbeam`, `Mutex`, `AtomicU` | all but `engine`, `vendor` |
 //!
@@ -47,11 +47,11 @@ use std::path::{Path, PathBuf};
 
 /// Crates whose sources implement the simulation itself: wall-clock reads
 /// and unordered iteration there corrupt traces.
-const SIM_CRATES: &[&str] = &["core", "engine", "apps"];
+const SIM_CRATES: &[&str] = &["core", "engine"];
 
 /// Crates held to the truncating-cast discipline (the sanctioned
 /// replacement is `try_from(...)` with an invariant message).
-const LIBRARY_CRATES: &[&str] = &["core", "engine", "apps", "analysis", "graph", "check"];
+const LIBRARY_CRATES: &[&str] = &["core", "engine", "analysis", "graph", "check"];
 
 /// Path components that mark test-only sources, exempt from every rule.
 const EXEMPT_DIRS: &[&str] = &["tests", "benches", "examples"];

@@ -43,7 +43,6 @@
 //! ```
 
 pub use mtm_analysis as analysis;
-pub use mtm_apps as apps;
 pub use mtm_core as core;
 pub use mtm_engine as engine;
 pub use mtm_experiments as experiments;
@@ -51,7 +50,6 @@ pub use mtm_graph as graph;
 
 /// The types most programs need, in one import.
 pub mod prelude {
-    pub use mtm_apps::{EventOrdering, LeaderConsensus, MinGossip, SizeEstimator};
     pub use mtm_core::{
         BitConvergence, BlindGossip, Heartbeat, IdPair, MaintainedGossip, MaintenanceConfig,
         NonSyncBitConvergence, Ppush, PullOnly, PushOnly, PushPull, TagConfig, UidPool,
@@ -62,7 +60,6 @@ pub mod prelude {
         Protocol, RumorView, RunOutcome, RunStatus, Scan, ServiceConfig, ServiceMetrics,
         ServiceOutcome, ServiceStatus, StuckReport, Tag,
     };
-    pub use mtm_graph::adversary::{CyclingTopologies, IsolatingAdversary};
     pub use mtm_graph::dynamic::{
         EdgeSwapAdversary, JoinSchedule, LineOfStarsShuffle, RelabelingAdversary, StaticTopology,
         WaypointMobility,

@@ -1,145 +1,131 @@
 //! `mtm` — command line driver for the mobile telephone model workspace.
 //!
-//! Subcommands:
+//! Subcommands and the flags each accepts; any other flag is a usage error
+//! (exit 2):
 //!
-//! * `mtm experiment <id|all> [opts]` — run one (or every) reproduced
-//!   experiment (`mtm --help` lists the ids).
-//! * `mtm elect <algo> <family> <n> [opts]` — one leader election run
-//!   (`algo`: blind | bitconv | nonsync; `--detect-stuck` diagnoses
-//!   frozen runs and exits 3).
-//! * `mtm serve <family> <n> [opts]` — continuous leadership maintenance
-//!   (epochs, heartbeats, re-election) under optional churn: `--rounds N`,
-//!   `--timeout N` (0 = auto), `--churn CRASH,RECOVER`, `--loss P`,
-//!   `--crash-leader R`, `--wedge-window W`. Exits 0 on a completed
-//!   horizon, 3 when wedge diagnosis fires.
+//! * `mtm experiment <id|all>` — run one (or every) reproduced experiment
+//!   (`mtm --help` lists the ids): `--quick|--full`, `--trials N`,
+//!   `--seed N`, `--threads N`, `--csv PATH`.
+//! * `mtm elect <blind|bitconv|nonsync> <family> <n>` — one leader election
+//!   run: `--seed N`, `--tau N`, `--max-rounds N`, `--threads N`,
+//!   `--detect-stuck` (diagnoses a frozen run and exits 3), `--backend
+//!   lockstep|event`, `--latency-spread S`.
+//! * `mtm spread <push-pull|ppush|classical> <family> <n>` — one
+//!   rumor-spreading run: the `elect` flags except `--detect-stuck`.
+//! * `mtm serve <family> <n>` — continuous leadership maintenance (epochs,
+//!   heartbeats, re-election) under optional churn: `--seed N`,
+//!   `--rounds N`, `--timeout N` (0 = auto, else ≥ 2), `--churn
+//!   CRASH,RECOVER`, `--loss P`, `--crash-leader R`, `--wedge-window W`,
+//!   `--threads N`. Exits 0 on a completed horizon, 3 when wedge diagnosis
+//!   fires.
+//! * `mtm trace <blind|bitconv|nonsync> <family> <n>` — one traced lockstep
+//!   election, per-round CSV: `--seed N`, `--tau N`, `--max-rounds N`,
+//!   `--export CSV`.
+//! * `mtm graph <family> <n>` — a topology's statistics: `--seed N`,
+//!   `--export PATH` (edge-list, or JSON for a `.json` path).
+//! * `mtm check` — the exhaustive model checker (`mtm check --help`).
 //!
-//! `elect`, `serve` and `spread` accept `--threads N` to run the round
-//! executor on N worker shards (0 = all cores). Output is bit-identical at
-//! every thread count — the sharded executor is deterministic by
-//! construction.
+//! `--graph-file PATH` substitutes a user topology (edge-list or `.json`)
+//! for any `<family> <n>`. Either way the graph needs at least 2 nodes, and
+//! every command but `graph` needs it connected.
 //!
-//! `elect` and `spread` accept `--backend event` to drive the same
-//! protocols with the discrete-event simulator instead of lockstep rounds:
-//! per-link latencies and per-node clock drift from a seeded
-//! [`LatencyModel`] (`--latency-spread S` scales the distributions;
-//! `--max-rounds` bounds simulation ticks). Deterministic per seed.
-//! * `mtm spread <algo> <family> <n> [opts]` — one rumor-spreading run
-//!   (`algo`: push-pull | ppush | classical).
-//! * `mtm graph <family> <n>` — print a family instance's statistics
-//!   (`--export PATH` writes edge-list or JSON).
-//! * `mtm trace <algo> <family> <n>` — one traced run, per-round CSV.
+//! `--tau N` relabels the topology every N ≥ 1 rounds (default static).
+//! `--threads N` runs the round executor on N worker shards (0 = all
+//! cores); output is bit-identical at every thread count.
 //!
-//! `--graph-file PATH` substitutes a user topology for any `<family> <n>`.
-//!
-//! Common opts: `--seed N`, `--tau N` (relabeling churn every N ≥ 1
-//! rounds; default static),
-//! `--quick/--full`, `--trials N`, `--threads N`, `--csv PATH`.
+//! `--backend event` drives `elect` and `spread` with the discrete-event
+//! simulator instead of lockstep rounds: per-link latencies and per-node
+//! clock drift from a seeded [`LatencyModel`] whose distributions
+//! `--latency-spread S` scales (default 8, at most [`MAX_LATENCY_SPREAD`];
+//! rejected without `--backend event`). `--max-rounds` then bounds
+//! simulation ticks. The lockstep-only `--tau`, `--detect-stuck` and
+//! `--threads` (other than 1) are rejected under it. Deterministic per seed.
 
 use mtm_core::{
     BitConvergence, BlindGossip, MaintainedGossip, MaintenanceConfig, NonSyncBitConvergence, Ppush,
     PushPull, TagConfig, UidPool,
 };
 use mtm_engine::{
-    ActivationSchedule, Engine, EventEngine, LatencyModel, ModelParams, RunStatus, ServiceConfig,
-    ServiceStatus,
+    ActivationSchedule, Engine, EventEngine, LatencyModel, ModelParams, Protocol, RumorView,
+    RunStatus, ServiceConfig, ServiceStatus,
 };
 use mtm_experiments::ExpOpts;
 use mtm_graph::dynamic::{BoxedTopology, RelabelingAdversary, StaticTopology};
-use mtm_graph::{FaultConfig, FaultyTopology, GraphFamily, ScheduledCrashes};
+use mtm_graph::{FaultConfig, FaultyTopology, Graph, GraphFamily, ScheduledCrashes};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("experiment") => cmd_experiment(&args[1..]),
-        Some("elect") => cmd_elect(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("spread") => cmd_spread(&args[1..]),
-        Some("graph") => cmd_graph(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("check") => mtm_check::cli::run(&args[1..]),
+    let rest = args.get(1..).unwrap_or_default();
+    let result = match args.first().map(String::as_str) {
+        Some("experiment") => cmd_experiment(rest),
+        Some("elect") => cmd_elect(rest),
+        Some("serve") => cmd_serve(rest),
+        Some("spread") => cmd_spread(rest),
+        Some("graph") => cmd_graph(rest),
+        Some("trace") => cmd_trace(rest),
+        Some("check") => Ok(mtm_check::cli::run(rest)),
         Some("--help") | Some("-h") | None => {
             usage();
-            0
+            Ok(0)
         }
         Some(other) => {
-            eprintln!("unknown subcommand: {other}");
             usage();
-            2
+            Err(format!("unknown subcommand: {other}"))
         }
     };
-    std::process::exit(code);
+    std::process::exit(result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        2
+    }));
 }
 
 fn usage() {
-    eprintln!("usage:");
-    eprintln!("  mtm experiment <id|all> [--quick|--full] [--trials N] [--seed N] [--threads N] [--csv PATH]");
     eprintln!(
-        "  mtm elect <blind|bitconv|nonsync> <family> <n> [--seed N] [--tau N] [--threads N] [--detect-stuck]"
-    );
-    eprintln!("            [--backend lockstep|event] [--latency-spread S]");
-    eprintln!("  mtm serve <family> <n> [--seed N] [--rounds N] [--timeout N] [--churn C,R]");
-    eprintln!("            [--loss P] [--crash-leader ROUND] [--wedge-window W] [--threads N]");
-    eprintln!("  mtm spread <push-pull|ppush|classical> <family> <n> [--seed N] [--threads N]");
-    eprintln!("            [--backend lockstep|event] [--latency-spread S]");
-    eprintln!("  mtm graph <family> <n> [--seed N] [--export PATH]");
-    eprintln!(
-        "  mtm trace <blind|bitconv|nonsync> <family> <n> [--seed N] [--tau N] [--export CSV]"
-    );
-    eprintln!("  mtm check [--certify] [--protocol NAME] [options]   (see `mtm check --help`)");
-    eprintln!("  (anywhere a <family> <n> pair appears, `--graph-file PATH` loads an");
-    eprintln!("   edge-list or .json topology instead)");
-    eprintln!();
-    eprintln!("experiment ids: {}", mtm_experiments::ALL_IDS.join(" "));
-    eprintln!(
-        "families: {}",
+        "usage:
+  mtm experiment <id|all> [--quick|--full] [--trials N] [--seed N] [--threads N] [--csv PATH]
+  mtm elect <blind|bitconv|nonsync> <family> <n> [--seed N] [--tau N] [--max-rounds N]
+            [--threads N] [--detect-stuck] [--backend lockstep|event] [--latency-spread S]
+  mtm spread <push-pull|ppush|classical> <family> <n> [--seed N] [--tau N] [--max-rounds N]
+            [--threads N] [--backend lockstep|event] [--latency-spread S]
+  mtm serve <family> <n> [--seed N] [--rounds N] [--timeout N] [--churn C,R]
+            [--loss P] [--crash-leader ROUND] [--wedge-window W] [--threads N]
+  mtm trace <blind|bitconv|nonsync> <family> <n> [--seed N] [--tau N] [--max-rounds N]
+            [--export CSV]
+  mtm graph <family> <n> [--seed N] [--export PATH]
+  mtm check [--certify] [--protocol NAME] [options]   (see `mtm check --help`)
+  (anywhere a <family> <n> pair appears, `--graph-file PATH` loads an
+   edge-list or .json topology instead; a flag not listed for a command
+   is an error, and --latency-spread requires --backend event)
+
+experiment ids: {}
+families: {}",
+        mtm_experiments::ALL_IDS.join(" "),
         GraphFamily::ALL.iter().map(|f| f.name()).collect::<Vec<_>>().join(" ")
     );
 }
 
-fn cmd_experiment(args: &[String]) -> i32 {
-    let Some(id) = args.first() else {
-        eprintln!("experiment: missing id");
-        return 2;
+fn cmd_experiment(args: &[String]) -> Result<i32, String> {
+    let (id, rest) = args.split_first().ok_or("experiment: missing id")?;
+    let opts = ExpOpts::parse(rest)?;
+    let exps: Vec<_> = if id == "all" {
+        mtm_experiments::registry::REGISTRY.iter().collect()
+    } else {
+        let exp = mtm_experiments::registry::find(id).ok_or_else(|| {
+            format!("unknown experiment id: {id} (expected one of {:?})", mtm_experiments::ALL_IDS)
+        })?;
+        vec![exp]
     };
-    let opts = match ExpOpts::parse(&args[1..]) {
-        Ok(o) => o,
-        Err(e) => {
+    for exp in exps {
+        // Each table of `all` needs its own CSV path, or every emission
+        // would overwrite the previous one.
+        let opts = if id == "all" { opts.with_csv_for(exp.id) } else { opts.clone() };
+        let table = (exp.run)(&opts);
+        if let Err(e) = opts.emit(&exp.display_id(), exp.title, &table) {
             eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    if id == "all" {
-        for exp in mtm_experiments::registry::REGISTRY.iter() {
-            // Each table needs its own CSV path, or every emission would
-            // overwrite the previous one.
-            let per_table = opts.with_csv_for(exp.id);
-            let table = (exp.run)(&per_table);
-            if let Err(e) = per_table.emit(&exp.display_id(), exp.title, &table) {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        }
-        return 0;
-    }
-    match mtm_experiments::registry::find(id) {
-        Some(exp) => {
-            let table = (exp.run)(&opts);
-            match opts.emit(&exp.display_id(), exp.title, &table) {
-                Ok(()) => 0,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    1
-                }
-            }
-        }
-        None => {
-            eprintln!(
-                "unknown experiment id: {id} (expected one of {:?})",
-                mtm_experiments::ALL_IDS
-            );
-            2
+            return Ok(1);
         }
     }
+    Ok(0)
 }
 
 /// Where the topology comes from: a named family or a file.
@@ -149,18 +135,28 @@ enum GraphSource {
 }
 
 impl GraphSource {
-    fn build(&self, seed: u64) -> Result<mtm_graph::Graph, String> {
-        match self {
-            GraphSource::Family(_, n) if *n < 2 => Err(format!("n must be at least 2, got {n}")),
-            GraphSource::Family(f, n) => Ok(f.build(*n, seed)),
+    fn build(&self, seed: u64) -> Result<Graph, String> {
+        let g = match self {
+            // `GraphFamily::build` asserts n ≥ 2, so this cannot wait for
+            // the node-count check below.
+            GraphSource::Family(_, n) if *n < 2 => {
+                return Err(format!("n must be at least 2, got {n}"));
+            }
+            GraphSource::Family(f, n) => f.build(*n, seed),
             GraphSource::File(path) => {
                 let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
                 if path.ends_with(".json") {
-                    mtm_graph::io::from_json(&text)
+                    mtm_graph::io::from_json(&text)?
                 } else {
-                    mtm_graph::io::from_edge_list(&text).map_err(|e| e.to_string())
+                    mtm_graph::io::from_edge_list(&text).map_err(|e| e.to_string())?
                 }
             }
+        };
+        // Every protocol and graph statistic needs two nodes, which a file
+        // need not have.
+        match g.node_count() {
+            n @ 0..=1 => Err(format!("the graph must have at least 2 nodes, got {n}")),
+            _ => Ok(g),
         }
     }
 
@@ -178,217 +174,275 @@ enum Backend {
     /// Global synchronized rounds (the default; sequential or sharded).
     Lockstep,
     /// Discrete-event simulation with per-link latencies and no global
-    /// round clock ([`EventEngine`]).
-    Event,
+    /// round clock ([`EventEngine`]); `latency_spread` scales
+    /// [`LatencyModel::multipeer`].
+    Event { latency_spread: u64 },
 }
 
-/// Parsed `<family> <n>` (or `--graph-file PATH`) plus
-/// `--seed/--tau/--max-rounds` flags.
+/// Upper bound on `--latency-spread`. [`LatencyModel::multipeer`] draws
+/// start jitter up to `4·S` ticks and event times add such draws, so a
+/// spread near `u64::MAX` would overflow the simulation clock.
+const MAX_LATENCY_SPREAD: u64 = u32::MAX as u64;
+
+/// Parsed `<family> <n>` (or `--graph-file PATH`) plus every run flag, at
+/// its default unless given. Each command reads the fields of the flags it
+/// accepts.
 struct RunArgs {
     source: GraphSource,
     seed: u64,
+    /// Relabeling period; `None` keeps the topology static.
     tau: Option<u64>,
+    /// Round budget (simulation ticks under the event backend).
     max_rounds: u64,
     export: Option<String>,
     detect_stuck: bool,
     threads: usize,
     backend: Backend,
-    /// Latency-distribution spread for the event backend
-    /// ([`LatencyModel::multipeer`]).
-    latency_spread: u64,
+    /// `serve` horizon in rounds.
+    rounds: u64,
+    /// `serve` heartbeat-staleness timeout; 0 = auto (`32·⌈log₂ n⌉`,
+    /// comfortably above the measured steady-state gossip staleness tail).
+    timeout: u64,
+    churn: Option<(f64, f64)>,
+    loss: f64,
+    crash_leader: Option<u64>,
+    wedge_window: u64,
 }
 
-fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
-    let (source, mut i) = if args.first().map(String::as_str) == Some("--graph-file") {
-        let path = args.get(1).ok_or("--graph-file needs a path")?.clone();
-        (GraphSource::File(path), 2)
-    } else {
-        let family = args.first().and_then(|s| GraphFamily::parse(s)).ok_or_else(|| {
-            format!("expected a graph family or --graph-file, got {:?}", args.first())
-        })?;
-        let n: usize = args.get(1).ok_or("missing n")?.parse().map_err(|e| format!("n: {e}"))?;
-        (GraphSource::Family(family, n), 2)
-    };
-    let mut seed = 42u64;
-    let mut tau = None;
-    let mut max_rounds = 500_000_000;
-    let mut export = None;
-    let mut detect_stuck = false;
-    let mut threads = 1usize;
-    let mut backend = Backend::Lockstep;
-    let mut latency_spread = 8u64;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--tau" => {
-                i += 1;
-                let t: u64 = args
-                    .get(i)
-                    .ok_or("--tau needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--tau: {e}"))?;
-                if t == 0 {
-                    return Err("--tau must be at least 1".into());
-                }
-                tau = Some(t);
-            }
-            "--max-rounds" => {
-                i += 1;
-                max_rounds = args
-                    .get(i)
-                    .ok_or("--max-rounds needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--max-rounds: {e}"))?;
-            }
-            "--export" => {
-                i += 1;
-                export = Some(args.get(i).ok_or("--export needs a path")?.clone());
-            }
-            "--detect-stuck" => detect_stuck = true,
-            "--threads" => {
-                i += 1;
-                threads = args
-                    .get(i)
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
-            "--backend" => {
-                i += 1;
-                backend = match args.get(i).map(String::as_str) {
-                    Some("lockstep") => Backend::Lockstep,
-                    Some("event") => Backend::Event,
-                    other => return Err(format!("--backend wants lockstep|event, got {other:?}")),
-                };
-            }
-            "--latency-spread" => {
-                i += 1;
-                latency_spread = args
-                    .get(i)
-                    .ok_or("--latency-spread needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--latency-spread: {e}"))?;
-            }
-            other => return Err(format!("unknown flag: {other}")),
+/// The value following `flag`, parsed.
+fn flag_value<T>(args: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    value.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// Parse `<family> <n> | --graph-file PATH` followed by run flags. A flag
+/// not in the whitespace-separated `accepts` list is an error, so no command
+/// silently ignores one.
+fn parse_run_args(args: &[String], accepts: &str) -> Result<RunArgs, String> {
+    let mut args = args.iter();
+    let source = match args.next().map(String::as_str) {
+        Some("--graph-file") => {
+            GraphSource::File(args.next().ok_or("--graph-file needs a path")?.clone())
         }
-        i += 1;
+        first => {
+            let family = first
+                .and_then(GraphFamily::parse)
+                .ok_or_else(|| format!("expected a graph family or --graph-file, got {first:?}"))?;
+            GraphSource::Family(family, flag_value(&mut args, "n")?)
+        }
+    };
+    let mut a = RunArgs {
+        source,
+        seed: 42,
+        tau: None,
+        max_rounds: 500_000_000,
+        export: None,
+        detect_stuck: false,
+        threads: 1,
+        backend: Backend::Lockstep,
+        rounds: 2000,
+        timeout: 0,
+        churn: None,
+        loss: 0.0,
+        crash_leader: None,
+        wedge_window: 0,
+    };
+    let (mut event, mut latency_spread) = (false, None);
+    while let Some(flag) = args.next() {
+        let args = &mut args;
+        match flag.as_str() {
+            f if !accepts.split_whitespace().any(|accepted| accepted == f) => {
+                return Err(format!("unknown flag: {f}"));
+            }
+            "--seed" => a.seed = flag_value(args, flag)?,
+            "--tau" => match flag_value(args, flag)? {
+                0 => return Err("--tau must be at least 1".into()),
+                t => a.tau = Some(t),
+            },
+            "--max-rounds" => a.max_rounds = flag_value(args, flag)?,
+            "--export" => a.export = Some(flag_value(args, flag)?),
+            "--detect-stuck" => a.detect_stuck = true,
+            "--threads" => a.threads = flag_value(args, flag)?,
+            "--backend" => {
+                event = match flag_value::<String>(args, flag)?.as_str() {
+                    "lockstep" => false,
+                    "event" => true,
+                    other => return Err(format!("--backend wants lockstep|event, got {other:?}")),
+                }
+            }
+            "--latency-spread" => match flag_value(args, flag)? {
+                s if s > MAX_LATENCY_SPREAD => {
+                    return Err(format!("--latency-spread must be at most {MAX_LATENCY_SPREAD}"));
+                }
+                s => latency_spread = Some(s),
+            },
+            "--rounds" => a.rounds = flag_value(args, flag)?,
+            "--timeout" => match flag_value(args, flag)? {
+                1 => return Err("--timeout must be 0 (auto) or at least 2".into()),
+                t => a.timeout = t,
+            },
+            "--churn" => {
+                let v: String = flag_value(args, flag)?;
+                let (c, r) = v
+                    .split_once(',')
+                    .ok_or_else(|| format!("--churn wants CRASH,RECOVER, got {v:?}"))?;
+                let crash: f64 = c.parse().map_err(|e| format!("--churn crash: {e}"))?;
+                let recover: f64 = r.parse().map_err(|e| format!("--churn recover: {e}"))?;
+                if !(0.0..=1.0).contains(&crash) || !(0.0..=1.0).contains(&recover) {
+                    return Err("--churn probabilities must be in [0, 1]".into());
+                }
+                a.churn = Some((crash, recover));
+            }
+            "--loss" => {
+                a.loss = flag_value(args, flag)?;
+                if !(0.0..=1.0).contains(&a.loss) {
+                    return Err("--loss must be in [0, 1]".into());
+                }
+            }
+            // The crash window `[R, u64::MAX)` must be nonempty.
+            "--crash-leader" => match flag_value(args, flag)? {
+                0 | u64::MAX => return Err("--crash-leader round must be in [1, u64::MAX)".into()),
+                r => a.crash_leader = Some(r),
+            },
+            "--wedge-window" => a.wedge_window = flag_value(args, flag)?,
+            f => unreachable!("accepted flag {f} has no parser"),
+        }
     }
-    if backend == Backend::Event {
+    if event {
         // The event backend runs on a static graph with its own timing
         // model; these lockstep-only flags would be silently meaningless.
-        if tau.is_some() {
+        if a.tau.is_some() {
             return Err("--tau is lockstep-only (the event backend runs a static graph)".into());
         }
-        if detect_stuck {
+        if a.detect_stuck {
             return Err("--detect-stuck is lockstep-only".into());
         }
-        if threads != 1 {
+        if a.threads != 1 {
             return Err("--threads is lockstep-only (the event queue is inherently serial)".into());
         }
+        a.backend = Backend::Event { latency_spread: latency_spread.unwrap_or(8) };
+    } else if latency_spread.is_some() {
+        return Err("--latency-spread requires --backend event".into());
     }
-    Ok(RunArgs {
-        source,
-        seed,
-        tau,
-        max_rounds,
-        export,
-        detect_stuck,
-        threads,
-        backend,
-        latency_spread,
-    })
+    Ok(a)
 }
 
-fn build_topology(a: &RunArgs) -> Result<(BoxedTopology, usize, usize), String> {
-    let g = a.source.build(a.seed)?;
-    if !g.is_connected() {
-        return Err("topology must be connected".to_string());
+impl RunArgs {
+    /// The run's topology; every protocol command needs it connected.
+    fn connected_graph(&self) -> Result<Graph, String> {
+        let g = self.source.build(self.seed)?;
+        if !g.is_connected() {
+            return Err("topology must be connected".into());
+        }
+        Ok(g)
     }
-    let n = g.node_count();
-    let delta = g.max_degree();
-    let topo: BoxedTopology = match a.tau {
-        None => Box::new(StaticTopology::new(g)),
-        Some(t) => Box::new(RelabelingAdversary::new(g, t, a.seed ^ 0xAD)),
-    };
-    Ok((topo, n, delta))
+
+    /// `g` for a lockstep run: static, or relabeled every `--tau` rounds.
+    fn topology(&self, g: Graph) -> BoxedTopology {
+        match self.tau {
+            None => Box::new(StaticTopology::new(g)),
+            Some(t) => Box::new(RelabelingAdversary::new(g, t, self.seed ^ 0xAD)),
+        }
+    }
 }
 
-fn cmd_elect(args: &[String]) -> i32 {
-    let Some(algo) = args.first().cloned() else {
-        eprintln!("elect: missing algorithm");
-        return 2;
-    };
-    let a = match parse_run_args(&args[1..]) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    if a.backend == Backend::Event {
-        return cmd_elect_event(&algo, &a);
-    }
-    let (topo, n, delta) = match build_topology(&a) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let uids = UidPool::random(n, a.seed ^ 0x11D);
-    let sched = ActivationSchedule::synchronized(n);
-    println!(
-        "electing a leader: algo={algo} graph={} n={n} Δ={delta} τ={} seed={}",
-        a.source.describe(),
-        a.tau.map_or("∞".to_string(), |t| t.to_string()),
-        a.seed
-    );
-    // With `--detect-stuck`, a frozen run is diagnosed after `window`
-    // unchanged rounds instead of burning the whole --max-rounds budget.
-    // Bit-convergence state changes at most once per phase; blind gossip
-    // has no phase structure, so it gets a flat generous window.
-    macro_rules! run_elect {
-        ($params:expr, $nodes:expr, $window:expr) => {{
-            let mut e = Engine::new(topo, $params, sched, $nodes, a.seed);
-            e.set_threads(a.threads);
-            if a.detect_stuck {
-                e.enable_stuck_detection($window);
+/// Spawn election algorithm `$algo` (`blind|bitconv|nonsync`) on an
+/// `$n`-node network of maximum degree `$delta` and evaluate `$run` with
+/// its model parameters, node protocols and stuck-detection window bound to
+/// the three given patterns. An unknown name returns a usage error from the
+/// enclosing function.
+///
+/// Bit-convergence state changes at most once per phase, so its window is
+/// 8 phases; blind gossip has no phase structure and gets a flat generous
+/// window.
+macro_rules! with_election {
+    ($algo:expr, $n:expr, $delta:expr, $seed:expr,
+     |$params:pat_param, $nodes:pat_param, $window:pat_param| $run:expr) => {{
+        let uids = UidPool::random($n, $seed ^ 0x11D);
+        let config = TagConfig::for_network($n, $delta);
+        let phases = 8 * config.phase_len().max(1);
+        match $algo {
+            "blind" => {
+                let ($params, $nodes, $window) =
+                    (ModelParams::mobile(0), BlindGossip::spawn(&uids), 4096);
+                $run
             }
-            let out = e.run_to_stabilization(a.max_rounds);
-            (out, e.last_progress_round())
-        }};
+            "bitconv" => {
+                let nodes = BitConvergence::spawn(&uids, config, $seed ^ 0x7A6);
+                let ($params, $nodes, $window) = (ModelParams::mobile(1), nodes, phases);
+                $run
+            }
+            "nonsync" => {
+                let nodes = NonSyncBitConvergence::spawn(&uids, config, $seed ^ 0x7A6);
+                let params = ModelParams::mobile(config.nonsync_tag_bits());
+                let ($params, $nodes, $window) = (params, nodes, phases);
+                $run
+            }
+            other => {
+                return Err(format!("unknown algorithm: {other} (expected blind|bitconv|nonsync)"))
+            }
+        }
+    }};
+}
+
+fn cmd_elect(args: &[String]) -> Result<i32, String> {
+    let (algo, rest) = args.split_first().ok_or("elect: missing algorithm")?;
+    let a = parse_run_args(
+        rest,
+        "--seed --tau --max-rounds --threads --detect-stuck --backend --latency-spread",
+    )?;
+    let g = a.connected_graph()?;
+    let (n, delta, graph) = (g.node_count(), g.max_degree(), a.source.describe());
+    if let Backend::Event { latency_spread } = a.backend {
+        let latency = LatencyModel::multipeer(latency_spread);
+        let out = with_election!(algo.as_str(), n, delta, a.seed, |params, nodes, _| {
+            println!(
+                "electing a leader: algo={algo} backend=event graph={graph} n={n} Δ={delta} spread={latency_spread} seed={}",
+                a.seed
+            );
+            EventEngine::new(g, params, nodes, a.seed, latency).run_to_stabilization(a.max_rounds)
+        });
+        return Ok(match (out.completed_at, out.winner) {
+            (Some(t), Some(winner)) => {
+                println!(
+                    "stabilized at tick {t} (mean local round {:.1}); leader UID {winner:#x}; \
+                     {} proposals, {} connections, {} events",
+                    out.mean_local_rounds,
+                    out.metrics.proposals,
+                    out.metrics.connections,
+                    out.events
+                );
+                0
+            }
+            _ => {
+                println!("did not stabilize within {} ticks", a.max_rounds);
+                1
+            }
+        });
     }
-    let (outcome, last_progress) = match algo.as_str() {
-        "blind" => {
-            run_elect!(ModelParams::mobile(0), BlindGossip::spawn(&uids), 4096)
-        }
-        "bitconv" => {
-            let config = TagConfig::for_network(n, delta);
-            let nodes = BitConvergence::spawn(&uids, config, a.seed ^ 0x7A6);
-            run_elect!(ModelParams::mobile(1), nodes, 8 * config.phase_len().max(1))
-        }
-        "nonsync" => {
-            let config = TagConfig::for_network(n, delta);
-            let nodes = NonSyncBitConvergence::spawn(&uids, config, a.seed ^ 0x7A6);
-            run_elect!(
-                ModelParams::mobile(config.nonsync_tag_bits()),
-                nodes,
-                8 * config.phase_len().max(1)
-            )
-        }
-        other => {
-            eprintln!("unknown algorithm: {other} (expected blind|bitconv|nonsync)");
-            return 2;
-        }
-    };
-    match outcome.status {
+    let topo = a.topology(g);
+    let (outcome, last_progress) =
+        with_election!(algo.as_str(), n, delta, a.seed, |params, nodes, window| {
+            println!(
+                "electing a leader: algo={algo} graph={graph} n={n} Δ={delta} τ={} seed={}",
+                a.tau.map_or("∞".to_string(), |t| t.to_string()),
+                a.seed
+            );
+            let mut e =
+                Engine::new(topo, params, ActivationSchedule::synchronized(n), nodes, a.seed);
+            e.set_threads(a.threads);
+            // A frozen run is diagnosed after `window` unchanged rounds instead
+            // of burning the whole --max-rounds budget.
+            if a.detect_stuck {
+                e.enable_stuck_detection(window);
+            }
+            (e.run_to_stabilization(a.max_rounds), e.last_progress_round())
+        });
+    Ok(match outcome.status {
         RunStatus::Stabilized => match (outcome.stabilized_round, outcome.winner) {
             (Some(round), Some(winner)) => {
                 println!(
@@ -435,172 +489,7 @@ fn cmd_elect(args: &[String]) -> i32 {
             }
             1
         }
-    }
-}
-
-/// `mtm elect --backend event`: the same election protocols driven by the
-/// discrete-event simulator — per-link latencies, per-node clock drift, no
-/// global round. `--max-rounds` bounds simulation *ticks* here.
-fn cmd_elect_event(algo: &str, a: &RunArgs) -> i32 {
-    let g = match a.source.build(a.seed) {
-        Ok(g) if g.is_connected() => g,
-        Ok(_) => {
-            eprintln!("error: topology must be connected");
-            return 2;
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let n = g.node_count();
-    let delta = g.max_degree();
-    let uids = UidPool::random(n, a.seed ^ 0x11D);
-    let latency = LatencyModel::multipeer(a.latency_spread);
-    println!(
-        "electing a leader: algo={algo} backend=event graph={} n={n} Δ={delta} spread={} seed={}",
-        a.source.describe(),
-        a.latency_spread,
-        a.seed
-    );
-    macro_rules! run_event {
-        ($params:expr, $nodes:expr) => {{
-            let mut e = EventEngine::new(g, $params, $nodes, a.seed, latency);
-            e.run_to_stabilization(a.max_rounds)
-        }};
-    }
-    let out = match algo {
-        "blind" => run_event!(ModelParams::mobile(0), BlindGossip::spawn(&uids)),
-        "bitconv" => {
-            let config = TagConfig::for_network(n, delta);
-            run_event!(ModelParams::mobile(1), BitConvergence::spawn(&uids, config, a.seed ^ 0x7A6))
-        }
-        "nonsync" => {
-            let config = TagConfig::for_network(n, delta);
-            run_event!(
-                ModelParams::mobile(config.nonsync_tag_bits()),
-                NonSyncBitConvergence::spawn(&uids, config, a.seed ^ 0x7A6)
-            )
-        }
-        other => {
-            eprintln!("unknown algorithm: {other} (expected blind|bitconv|nonsync)");
-            return 2;
-        }
-    };
-    match (out.completed_at, out.winner) {
-        (Some(t), Some(winner)) => {
-            println!(
-                "stabilized at tick {t} (mean local round {:.1}); leader UID {winner:#x}; \
-                 {} proposals, {} connections, {} events",
-                out.mean_local_rounds, out.metrics.proposals, out.metrics.connections, out.events
-            );
-            0
-        }
-        _ => {
-            println!("did not stabilize within {} ticks", a.max_rounds);
-            1
-        }
-    }
-}
-
-/// Parsed arguments for `mtm serve`.
-struct ServeArgs {
-    source: GraphSource,
-    seed: u64,
-    rounds: u64,
-    /// Heartbeat-staleness timeout; 0 = auto (`32·⌈log₂ n⌉`, comfortably
-    /// above the measured steady-state gossip staleness tail).
-    timeout: u64,
-    churn: Option<(f64, f64)>,
-    loss: f64,
-    crash_leader: Option<u64>,
-    wedge_window: u64,
-    threads: usize,
-}
-
-fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
-    let (source, mut i) = if args.first().map(String::as_str) == Some("--graph-file") {
-        let path = args.get(1).ok_or("--graph-file needs a path")?.clone();
-        (GraphSource::File(path), 2)
-    } else {
-        let family = args.first().and_then(|s| GraphFamily::parse(s)).ok_or_else(|| {
-            format!("expected a graph family or --graph-file, got {:?}", args.first())
-        })?;
-        let n: usize = args.get(1).ok_or("missing n")?.parse().map_err(|e| format!("n: {e}"))?;
-        (GraphSource::Family(family, n), 2)
-    };
-    let mut a = ServeArgs {
-        source,
-        seed: 42,
-        rounds: 2000,
-        timeout: 0,
-        churn: None,
-        loss: 0.0,
-        crash_leader: None,
-        wedge_window: 0,
-        threads: 1,
-    };
-    let take = |args: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i).cloned().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                a.seed =
-                    take(args, &mut i, "--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--rounds" => {
-                a.rounds = take(args, &mut i, "--rounds")?
-                    .parse()
-                    .map_err(|e| format!("--rounds: {e}"))?;
-            }
-            "--timeout" => {
-                a.timeout = take(args, &mut i, "--timeout")?
-                    .parse()
-                    .map_err(|e| format!("--timeout: {e}"))?;
-            }
-            "--churn" => {
-                let v = take(args, &mut i, "--churn")?;
-                let (c, r) = v
-                    .split_once(',')
-                    .ok_or_else(|| format!("--churn wants CRASH,RECOVER, got {v:?}"))?;
-                let crash: f64 = c.parse().map_err(|e| format!("--churn crash: {e}"))?;
-                let recover: f64 = r.parse().map_err(|e| format!("--churn recover: {e}"))?;
-                if !(0.0..=1.0).contains(&crash) || !(0.0..=1.0).contains(&recover) {
-                    return Err("--churn probabilities must be in [0, 1]".to_string());
-                }
-                a.churn = Some((crash, recover));
-            }
-            "--loss" => {
-                a.loss =
-                    take(args, &mut i, "--loss")?.parse().map_err(|e| format!("--loss: {e}"))?;
-                if !(0.0..=1.0).contains(&a.loss) {
-                    return Err("--loss must be in [0, 1]".to_string());
-                }
-            }
-            "--crash-leader" => {
-                a.crash_leader = Some(
-                    take(args, &mut i, "--crash-leader")?
-                        .parse()
-                        .map_err(|e| format!("--crash-leader: {e}"))?,
-                );
-            }
-            "--wedge-window" => {
-                a.wedge_window = take(args, &mut i, "--wedge-window")?
-                    .parse()
-                    .map_err(|e| format!("--wedge-window: {e}"))?;
-            }
-            "--threads" => {
-                a.threads = take(args, &mut i, "--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
-            other => return Err(format!("unknown flag: {other}")),
-        }
-        i += 1;
-    }
-    Ok(a)
+    })
 }
 
 /// `mtm serve`: run the maintenance protocol as a long-lived service —
@@ -608,25 +497,12 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
 /// injection, and report the service-quality counters. Exit codes: 0 the
 /// horizon completed, 2 usage error, 3 the wedge detector cut the run
 /// short (frozen disagreeing state that no future round can change).
-fn cmd_serve(args: &[String]) -> i32 {
-    let a = match parse_serve_args(args) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let g = match a.source.build(a.seed) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    if !g.is_connected() {
-        eprintln!("error: topology must be connected");
-        return 2;
-    }
+fn cmd_serve(args: &[String]) -> Result<i32, String> {
+    let a = parse_run_args(
+        args,
+        "--seed --rounds --timeout --churn --loss --crash-leader --wedge-window --threads",
+    )?;
+    let g = a.connected_graph()?;
     let n = g.node_count();
     let uids = UidPool::random(n, a.seed ^ 0x11D);
     // Auto timeout: the detector must out-wait the steady-state heartbeat
@@ -639,11 +515,10 @@ fn cmd_serve(args: &[String]) -> i32 {
         a.timeout
     };
     if a.wedge_window > 0 && a.wedge_window <= timeout {
-        eprintln!(
-            "error: --wedge-window must exceed the timeout ({timeout}): a pending \
+        return Err(format!(
+            "--wedge-window must exceed the timeout ({timeout}): a pending \
              failure detector is a ticking state change the fingerprint cannot see"
-        );
-        return 2;
+        ));
     }
     // Compose the fault layers around the static graph; the leader crash
     // schedule targets the initial min-UID holder (the node that wins the
@@ -658,13 +533,7 @@ fn cmd_serve(args: &[String]) -> i32 {
         None => Box::new(StaticTopology::new(g)),
     };
     let topo: BoxedTopology = match a.crash_leader {
-        Some(round) if round >= 1 => {
-            Box::new(ScheduledCrashes::new(base, vec![(leader_node, round, u64::MAX)]))
-        }
-        Some(_) => {
-            eprintln!("error: --crash-leader round must be ≥ 1");
-            return 2;
-        }
+        Some(round) => Box::new(ScheduledCrashes::new(base, vec![(leader_node, round, u64::MAX)])),
         None => base,
     };
     println!(
@@ -715,7 +584,7 @@ fn cmd_serve(args: &[String]) -> i32 {
         Some(l) => println!("final: epoch {}, leader UID {l:#x}", out.final_epoch),
         None => println!("final: epoch {}, no network-wide agreement", out.final_epoch),
     }
-    match out.status {
+    Ok(match out.status {
         ServiceStatus::Completed => 0,
         ServiceStatus::Wedged(report) => {
             println!(
@@ -732,56 +601,64 @@ fn cmd_serve(args: &[String]) -> i32 {
             }
             3
         }
+    })
+}
+
+fn cmd_spread(args: &[String]) -> Result<i32, String> {
+    let (algo, rest) = args.split_first().ok_or("spread: missing algorithm")?;
+    let a = parse_run_args(rest, "--seed --tau --max-rounds --threads --backend --latency-spread")?;
+    let g = a.connected_graph()?;
+    let n = g.node_count();
+    match algo.as_str() {
+        "push-pull" => run_spread(algo, g, ModelParams::mobile(0), PushPull::spawn(n, 1), &a),
+        "classical" if a.backend != Backend::Lockstep => Err(
+            "the classical baseline (accept-all) has no event-backend model; use --backend lockstep"
+                .into(),
+        ),
+        "classical" => run_spread(algo, g, ModelParams::classical(), PushPull::spawn(n, 1), &a),
+        "ppush" => run_spread(algo, g, ModelParams::mobile(1), Ppush::spawn(n, 1), &a),
+        other => Err(format!("unknown algorithm: {other} (expected push-pull|ppush|classical)")),
     }
 }
 
-fn cmd_spread(args: &[String]) -> i32 {
-    let Some(algo) = args.first().cloned() else {
-        eprintln!("spread: missing algorithm");
-        return 2;
-    };
-    let a = match parse_run_args(&args[1..]) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    if a.backend == Backend::Event {
-        return cmd_spread_event(&algo, &a);
+/// One rumor-spreading run of `nodes` on `a`'s backend. Under the event
+/// backend `--max-rounds` bounds simulation ticks.
+fn run_spread<P: Protocol + RumorView>(
+    algo: &str,
+    g: Graph,
+    params: ModelParams,
+    nodes: Vec<P>,
+    a: &RunArgs,
+) -> Result<i32, String> {
+    let (n, delta, graph) = (g.node_count(), g.max_degree(), a.source.describe());
+    if let Backend::Event { latency_spread } = a.backend {
+        println!(
+            "spreading a rumor: algo={algo} backend=event graph={graph} n={n} Δ={delta} spread={latency_spread} seed={}",
+            a.seed
+        );
+        let latency = LatencyModel::multipeer(latency_spread);
+        let out = EventEngine::new(g, params, nodes, a.seed, latency)
+            .run_to_full_information(a.max_rounds);
+        return Ok(match out.completed_at {
+            Some(t) => {
+                println!(
+                    "all {n} nodes informed at tick {t} (mean local round {:.1}); {} connections, {} events",
+                    out.mean_local_rounds, out.metrics.connections, out.events
+                );
+                0
+            }
+            None => {
+                println!("rumor incomplete after {} ticks", a.max_rounds);
+                1
+            }
+        });
     }
-    let (topo, n, delta) = match build_topology(&a) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let sched = ActivationSchedule::synchronized(n);
-    println!(
-        "spreading a rumor: algo={algo} graph={} n={n} Δ={delta} seed={}",
-        a.source.describe(),
-        a.seed
-    );
-    // Every arm goes through set_threads — `--threads` used to be parsed
-    // and then silently dropped here, unlike elect/serve.
-    macro_rules! run_spread {
-        ($params:expr, $nodes:expr) => {{
-            let mut e = Engine::new(topo, $params, sched, $nodes, a.seed);
-            e.set_threads(a.threads);
-            e.run_to_full_information(a.max_rounds)
-        }};
-    }
-    let outcome = match algo.as_str() {
-        "push-pull" => run_spread!(ModelParams::mobile(0), PushPull::spawn(n, 1)),
-        "classical" => run_spread!(ModelParams::classical(), PushPull::spawn(n, 1)),
-        "ppush" => run_spread!(ModelParams::mobile(1), Ppush::spawn(n, 1)),
-        other => {
-            eprintln!("unknown algorithm: {other} (expected push-pull|ppush|classical)");
-            return 2;
-        }
-    };
-    match outcome.stabilized_round {
+    println!("spreading a rumor: algo={algo} graph={graph} n={n} Δ={delta} seed={}", a.seed);
+    let mut e =
+        Engine::new(a.topology(g), params, ActivationSchedule::synchronized(n), nodes, a.seed);
+    e.set_threads(a.threads);
+    let outcome = e.run_to_full_information(a.max_rounds);
+    Ok(match outcome.stabilized_round {
         Some(r) => {
             println!(
                 "all {n} nodes informed after {r} rounds; {} connections",
@@ -793,86 +670,12 @@ fn cmd_spread(args: &[String]) -> i32 {
             println!("rumor incomplete after {} rounds", a.max_rounds);
             1
         }
-    }
+    })
 }
 
-/// `mtm spread --backend event`: PUSH-PULL / Ppush under the discrete-event
-/// simulator. The classical baseline needs accept-all connections, which
-/// the event backend does not model.
-fn cmd_spread_event(algo: &str, a: &RunArgs) -> i32 {
-    let g = match a.source.build(a.seed) {
-        Ok(g) if g.is_connected() => g,
-        Ok(_) => {
-            eprintln!("error: topology must be connected");
-            return 2;
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let n = g.node_count();
-    let delta = g.max_degree();
-    let latency = LatencyModel::multipeer(a.latency_spread);
-    println!(
-        "spreading a rumor: algo={algo} backend=event graph={} n={n} Δ={delta} spread={} seed={}",
-        a.source.describe(),
-        a.latency_spread,
-        a.seed
-    );
-    let out = match algo {
-        "push-pull" => {
-            let mut e =
-                EventEngine::new(g, ModelParams::mobile(0), PushPull::spawn(n, 1), a.seed, latency);
-            e.run_to_full_information(a.max_rounds)
-        }
-        "ppush" => {
-            let mut e =
-                EventEngine::new(g, ModelParams::mobile(1), Ppush::spawn(n, 1), a.seed, latency);
-            e.run_to_full_information(a.max_rounds)
-        }
-        "classical" => {
-            eprintln!(
-                "error: the classical baseline (accept-all) has no event-backend model; \
-                 use --backend lockstep"
-            );
-            return 2;
-        }
-        other => {
-            eprintln!("unknown algorithm: {other} (expected push-pull|ppush|classical)");
-            return 2;
-        }
-    };
-    match out.completed_at {
-        Some(t) => {
-            println!(
-                "all {n} nodes informed at tick {t} (mean local round {:.1}); {} connections, {} events",
-                out.mean_local_rounds, out.metrics.connections, out.events
-            );
-            0
-        }
-        None => {
-            println!("rumor incomplete after {} ticks", a.max_rounds);
-            1
-        }
-    }
-}
-
-fn cmd_graph(args: &[String]) -> i32 {
-    let a = match parse_run_args(args) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let g = match a.source.build(a.seed) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
+fn cmd_graph(args: &[String]) -> Result<i32, String> {
+    let a = parse_run_args(args, "--seed --export")?;
+    let g = a.source.build(a.seed)?;
     let n = g.node_count();
     if let Some(path) = &a.export {
         let text = if path.ends_with(".json") {
@@ -882,7 +685,7 @@ fn cmd_graph(args: &[String]) -> i32 {
         };
         if let Err(e) = std::fs::write(path, text) {
             eprintln!("error: failed to write {path}: {e}");
-            return 1;
+            return Ok(1);
         }
         println!("exported to {path}");
     }
@@ -908,88 +711,49 @@ fn cmd_graph(args: &[String]) -> i32 {
     if let Some(d) = g.diameter() {
         println!("diameter:    {d}");
     }
-    0
+    Ok(0)
 }
 
-/// `mtm trace`: run one leader election with per-round tracing and dump a
-/// CSV of (round, active, proposals, connections) plus the connection log
-/// summary.
-fn cmd_trace(args: &[String]) -> i32 {
-    let Some(algo) = args.first().cloned() else {
-        eprintln!("trace: missing algorithm");
-        return 2;
-    };
-    let a = match parse_run_args(&args[1..]) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let (topo, n, delta) = match build_topology(&a) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let uids = UidPool::random(n, a.seed ^ 0x11D);
-    let sched = ActivationSchedule::synchronized(n);
-    macro_rules! run_traced {
-        ($params:expr, $nodes:expr) => {{
-            let mut e = Engine::new(topo, $params, sched, $nodes, a.seed);
+/// `mtm trace`: run one lockstep leader election with per-round tracing
+/// and dump a CSV of (round, active, proposals, connections) plus the
+/// connection log summary.
+fn cmd_trace(args: &[String]) -> Result<i32, String> {
+    let (algo, rest) = args.split_first().ok_or("trace: missing algorithm")?;
+    let a = parse_run_args(rest, "--seed --tau --max-rounds --export")?;
+    let g = a.connected_graph()?;
+    let (n, delta) = (g.node_count(), g.max_degree());
+    let topo = a.topology(g);
+    let (outcome, traces, logged) =
+        with_election!(algo.as_str(), n, delta, a.seed, |params, nodes, _| {
+            let mut e =
+                Engine::new(topo, params, ActivationSchedule::synchronized(n), nodes, a.seed);
             e.enable_tracing();
             e.enable_connection_log();
             let out = e.run_to_stabilization(a.max_rounds);
-            let mut csv = String::from("round,active,proposals,connections\n");
-            for t in e.traces() {
-                csv.push_str(&format!(
-                    "{},{},{},{}\n",
-                    t.round, t.active, t.proposals, t.connections
-                ));
-            }
-            (out, csv, e.connection_log().len())
-        }};
+            (out, e.traces().to_vec(), e.connection_log().len())
+        });
+    let mut csv = String::from("round,active,proposals,connections\n");
+    for t in &traces {
+        csv.push_str(&format!("{},{},{},{}\n", t.round, t.active, t.proposals, t.connections));
     }
-    let (outcome, csv, logged) = match algo.as_str() {
-        "blind" => run_traced!(ModelParams::mobile(0), BlindGossip::spawn(&uids)),
-        "bitconv" => {
-            let config = TagConfig::for_network(n, delta);
-            run_traced!(
-                ModelParams::mobile(1),
-                BitConvergence::spawn(&uids, config, a.seed ^ 0x7A6)
-            )
-        }
-        "nonsync" => {
-            let config = TagConfig::for_network(n, delta);
-            run_traced!(
-                ModelParams::mobile(config.nonsync_tag_bits()),
-                NonSyncBitConvergence::spawn(&uids, config, a.seed ^ 0x7A6)
-            )
-        }
-        other => {
-            eprintln!("unknown algorithm: {other} (expected blind|bitconv|nonsync)");
-            return 2;
-        }
-    };
     match &a.export {
         Some(path) => {
             if let Err(e) = std::fs::write(path, &csv) {
                 eprintln!("error: failed to write {path}: {e}");
-                return 1;
+                return Ok(1);
             }
-            println!("trace written to {path} ({} rows)", csv.lines().count() - 1);
+            println!("trace written to {path} ({} rows)", traces.len());
         }
         None => print!("{csv}"),
     }
     match outcome.stabilized_round {
         Some(r) => {
             eprintln!("stabilized in {r} rounds ({logged} connections logged)");
-            0
+            Ok(0)
         }
         None => {
             eprintln!("did not stabilize within {} rounds", a.max_rounds);
-            1
+            Ok(1)
         }
     }
 }

@@ -10,14 +10,20 @@
 //! * `--backend event` determinism: same seed ⇒ byte-identical stdout,
 //!   different seed ⇒ different timing; flag validation for the
 //!   lockstep-only options;
-//! * malformed input — `n < 2`, bad graph files — is a usage error (exit
-//!   2) on `elect`, `spread` and `serve`, never a panic (exit 101); so is
-//!   `--tau 0` on `elect`, `spread` and `trace`, and no family size makes
-//!   `mtm graph` panic;
+//! * malformed input — `n < 2`, bad or sub-2-node graph files — is a usage
+//!   error (exit 2) on every run command, never a panic (exit 101); so are
+//!   `--tau 0`, `serve --timeout 1` and a `--latency-spread` past its bound,
+//!   and no family size makes `mtm graph` panic;
+//! * a flag the command does not use is a usage error, not silently
+//!   ignored;
+//! * fuzzed argv over every run command exits 0, 1, 2 or 3 — never a panic;
 //! * `mtm experiment` exit codes — 0 on success, 1 when the CSV write
 //!   fails, 2 on a usage error.
 
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+use mtm_testkit::{run_cases, Rng, SliceRandom};
 
 fn mtm(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_mtm")).args(args).output().expect("mtm binary runs")
@@ -25,6 +31,45 @@ fn mtm(args: &[&str]) -> Output {
 
 fn stdout(out: &Output) -> String {
     String::from_utf8(out.stdout.clone()).expect("mtm prints UTF-8")
+}
+
+/// Asserts that `mtm args` is a usage error (exit 2), showing its stderr
+/// otherwise.
+fn assert_usage_error(args: &[&str]) {
+    let out = mtm(args);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+}
+
+const U64_MAX: &str = "18446744073709551615";
+
+/// Writes graph files no command can run on — parse errors and graphs
+/// under 2 nodes — into a fresh directory `name` and returns their paths.
+fn malformed_graph_files(name: &str) -> Vec<String> {
+    let dir = tmp_dir(name);
+    [
+        ("edge_before_header.txt", "0 1\n5 6\nn 3\n"),
+        ("huge_header.txt", "n 5000000000\n"),
+        ("max_id.txt", "0 4294967295\n"),
+        ("garbage.txt", "0 one\n"),
+        ("zero_nodes.txt", "n 0\n"),
+        ("one_node.txt", "n 1\n"),
+        ("zero_nodes.json", r#"{"offsets":[0],"adjacency":[]}"#),
+    ]
+    .into_iter()
+    .map(|(file, text)| {
+        let path = dir.join(file);
+        std::fs::write(&path, text).expect("temp graph file is writable");
+        path.to_str().expect("temp path is UTF-8").to_string()
+    })
+    .collect()
+}
+
+/// A fresh, empty directory under the test target's temp dir.
+fn tmp_dir(name: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir is creatable");
+    dir
 }
 
 #[test]
@@ -114,40 +159,157 @@ fn out_of_range_numbers_are_usage_errors() {
         &["elect", "blind", "cycle", "16", "--tau", "0"][..],
         &["spread", "push-pull", "cycle", "16", "--tau", "0"][..],
         &["trace", "blind", "cycle", "16", "--tau", "0"][..],
+        // A staleness timeout of 1 would depose the leader on every missed
+        // heartbeat (0 means auto).
+        &["serve", "expander8", "16", "--timeout", "1"][..],
+        // The leader's outage window [R, u64::MAX) would be empty.
+        &["serve", "expander8", "16", "--crash-leader", U64_MAX][..],
+        // Past the bound, the event backend's tick arithmetic overflows.
+        &["elect", "blind", "clique", "8", "--backend", "event", "--latency-spread", U64_MAX][..],
     ] {
-        let out = mtm(args);
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "{args:?}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
+        assert_usage_error(args);
     }
 }
 
 #[test]
 fn malformed_graph_file_is_a_usage_error() {
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
-    for (name, text) in [
-        ("edge_before_header.txt", "0 1\n5 6\nn 3\n"),
-        ("huge_header.txt", "n 5000000000\n"),
-        ("max_id.txt", "0 4294967295\n"),
-        ("garbage.txt", "0 one\n"),
-    ] {
-        let path = dir.join(name);
-        std::fs::write(&path, text).expect("temp graph file is writable");
-        let path = path.to_str().expect("temp path is UTF-8");
-        for cmd in [&["elect", "blind"][..], &["spread", "push-pull"][..], &["serve"][..]] {
-            let args = [cmd, &["--graph-file", path][..]].concat();
-            let out = mtm(&args);
-            assert_eq!(
-                out.status.code(),
-                Some(2),
-                "{args:?}: {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
+    for path in malformed_graph_files("malformed") {
+        for cmd in [
+            &["elect", "bitconv"][..],
+            &["spread", "push-pull"][..],
+            &["serve"][..],
+            &["trace", "nonsync"][..],
+            &["graph"][..],
+        ] {
+            let args = [cmd, &["--graph-file", &path][..]].concat();
+            assert_usage_error(&args);
         }
     }
+}
+
+#[test]
+fn inapplicable_flags_are_usage_errors() {
+    for args in [
+        &["trace", "blind", "clique", "8", "--backend", "event"][..],
+        &["trace", "blind", "clique", "8", "--threads", "2"][..],
+        &["spread", "push-pull", "clique", "8", "--detect-stuck"][..],
+        &["spread", "push-pull", "clique", "8", "--export", "x"][..],
+        &["elect", "blind", "clique", "8", "--export", "x"][..],
+        &["graph", "clique", "8", "--tau", "3"][..],
+        &["graph", "clique", "8", "--threads", "2"][..],
+        &["elect", "blind", "clique", "8", "--latency-spread", "4"][..],
+    ] {
+        assert_usage_error(args);
+    }
+}
+
+/// Random argv over every run command — valid and invalid algorithms,
+/// tiny families, malformed graph files, and flags with edge-case values,
+/// mostly ones the command accepts but also ones it rejects. Whatever the
+/// input, `mtm` must exit with one of its documented codes, never a panic
+/// (101).
+#[test]
+fn fuzzed_argv_never_panics() {
+    // (command, valid algorithms, accepted flags other than the budget)
+    let commands: [(&str, &[&str], &[&str]); 5] = [
+        (
+            "elect",
+            &["blind", "bitconv", "nonsync"],
+            &["--seed", "--tau", "--threads", "--detect-stuck", "--backend", "--latency-spread"],
+        ),
+        (
+            "spread",
+            &["push-pull", "ppush", "classical"],
+            &["--seed", "--tau", "--threads", "--backend", "--latency-spread"],
+        ),
+        (
+            "serve",
+            &[],
+            &[
+                "--seed",
+                "--timeout",
+                "--churn",
+                "--loss",
+                "--crash-leader",
+                "--wedge-window",
+                "--threads",
+            ],
+        ),
+        ("trace", &["blind", "bitconv", "nonsync"], &["--seed", "--tau", "--export"]),
+        ("graph", &[], &["--seed", "--export"]),
+    ];
+    let mut all_flags: Vec<&str> =
+        commands.iter().flat_map(|(_, _, flags)| flags.iter().copied()).collect();
+    all_flags.sort_unstable();
+    all_flags.dedup();
+    let files = malformed_graph_files("fuzz-graphs");
+    // Exports, including ones to relative paths like `0`, land here.
+    let cwd = tmp_dir("fuzz-cwd");
+    let export = cwd.join("export.csv").to_str().expect("temp path is UTF-8").to_string();
+    run_cases(0xC11F, 1024, |_case, rng| {
+        let &(cmd, algos, accepted) = commands.choose(rng).expect("nonempty");
+        let mut argv = vec![cmd.to_string()];
+        if rng.gen_bool(0.15) {
+            argv.push("flood".into());
+        } else if let Some(algo) = algos.choose(rng) {
+            argv.push(algo.to_string());
+        }
+        if rng.gen_bool(0.25) {
+            argv.push("--graph-file".into());
+            argv.push(files.choose(rng).expect("nonempty").clone());
+        } else {
+            argv.push(mtm_graph::GraphFamily::ALL.choose(rng).expect("nonempty").name().into());
+            argv.push(["0", "1", "2", "3", "4", "8"].choose(rng).expect("nonempty").to_string());
+        }
+        // The round budget is never fuzzed, so every run stays short.
+        let budget = match cmd {
+            "serve" => Some("--rounds"),
+            "graph" => None,
+            _ => Some("--max-rounds"),
+        };
+        if let Some(flag) = budget {
+            argv.push(flag.into());
+            argv.push(rng.gen_range(0..=500u64).to_string());
+        }
+        for _ in 0..rng.gen_range(0..=4) {
+            let pool = if rng.gen_bool(0.75) { accepted } else { &all_flags[..] };
+            let flag = *pool.choose(rng).expect("nonempty");
+            argv.push(flag.into());
+            let valid = match flag {
+                "--export" => Some(export.as_str()),
+                "--detect-stuck" => None,
+                "--backend" => Some("event"),
+                "--churn" => Some("0.01,0.1"),
+                "--loss" => Some("0.1"),
+                "--timeout" => Some("40"),
+                "--wedge-window" => Some("300"),
+                _ => Some("3"),
+            };
+            // Half the draws are valid, so runs get past the parser.
+            let value = match rng.gen_range(0..14) {
+                0 => Some("0"),
+                1 => Some("1"),
+                2 => Some("-1"),
+                3 => Some("1.5"),
+                4 => Some(U64_MAX),
+                5 => Some(""),
+                6 => None,
+                _ => valid,
+            };
+            argv.extend(value.map(String::from));
+        }
+        let out = Command::new(env!("CARGO_BIN_EXE_mtm"))
+            .args(&argv)
+            .current_dir(&cwd)
+            .output()
+            .expect("mtm binary runs");
+        assert!(
+            matches!(out.status.code(), Some(0..=3)),
+            "{argv:?}: exit {:?}: {}",
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr)
+        );
+    });
 }
 
 #[test]

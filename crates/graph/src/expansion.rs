@@ -93,6 +93,10 @@ pub fn alpha_exact(g: &Graph) -> f64 {
 /// * prefixes of the degree-descending node order,
 /// * `samples` uniformly random sets of random sizes, each improved by
 ///   greedy descent (move single nodes across the cut while `α(S)` drops).
+///
+/// Every candidate is priced on a `Cut` that keeps `|∂S|` up to date, so
+/// the ball and prefix sweeps are linear in `n + m` and each descent step
+/// costs `O(n + m)` for all `n` single-node moves together.
 pub fn alpha_upper_bound_sampled(g: &Graph, samples: usize, seed: u64) -> f64 {
     let n = g.node_count();
     assert!(n >= 2);
@@ -100,20 +104,20 @@ pub fn alpha_upper_bound_sampled(g: &Graph, samples: usize, seed: u64) -> f64 {
     // sampling stream from an explicit seed parameter. mtm-lint: allow(smallrng-outside-engine)
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut best = f64::INFINITY;
-    let mut in_s = vec![false; n];
+    let mut cut = Cut::new(g);
 
     // BFS balls: grow from random centers, evaluating after each new node
     // joins in BFS order, which sweeps all ball radii in one pass.
     for _ in 0..samples.max(1) {
         let center = nid(rng.gen_range(0..n));
-        in_s.iter_mut().for_each(|b| *b = false);
+        cut.clear();
         let order = bfs_order(g, center);
         for (taken, &u) in order.iter().enumerate() {
             if taken + 1 > half {
                 break;
             }
-            in_s[u as usize] = true;
-            let a = alpha_of_set(g, &in_s);
+            cut.flip(u);
+            let a = cut.alpha();
             if a < best {
                 best = a;
             }
@@ -123,13 +127,13 @@ pub fn alpha_upper_bound_sampled(g: &Graph, samples: usize, seed: u64) -> f64 {
     // Degree-descending prefixes (captures hub-heavy minima like stars).
     let mut by_deg: Vec<NodeId> = (0..nid(n)).collect();
     by_deg.sort_by_key(|&u| std::cmp::Reverse(g.degree(u)));
-    in_s.iter_mut().for_each(|b| *b = false);
+    cut.clear();
     for (taken, &u) in by_deg.iter().enumerate() {
         if taken + 1 > half {
             break;
         }
-        in_s[u as usize] = true;
-        let a = alpha_of_set(g, &in_s);
+        cut.flip(u);
+        let a = cut.alpha();
         if a < best {
             best = a;
         }
@@ -140,11 +144,11 @@ pub fn alpha_upper_bound_sampled(g: &Graph, samples: usize, seed: u64) -> f64 {
     for _ in 0..samples {
         let size = rng.gen_range(1..=half.max(1));
         ids.shuffle(&mut rng);
-        in_s.iter_mut().for_each(|b| *b = false);
+        cut.clear();
         for &u in &ids[..size] {
-            in_s[u as usize] = true;
+            cut.flip(u);
         }
-        let a = greedy_descend(g, &mut in_s, half);
+        let a = greedy_descend(&mut cut, half);
         if a < best {
             best = a;
         }
@@ -152,33 +156,112 @@ pub fn alpha_upper_bound_sampled(g: &Graph, samples: usize, seed: u64) -> f64 {
     best
 }
 
+/// A cut `S` that keeps its boundary current: for each node the number of
+/// its neighbours in `S`, plus `|S|` and `|∂S|`. Moving node `u` across the
+/// cut, or pricing that move, costs `O(deg u)`, where a fresh
+/// [`alpha_of_set`] costs `O(n + m)`. `α` is still `|∂S| / |S|` over the
+/// same integers, so it equals [`alpha_of_set`] bit for bit.
+struct Cut<'g> {
+    g: &'g Graph,
+    in_s: Vec<bool>,
+    /// Per node, how many of its neighbours lie in `S`.
+    s_neighbors: Vec<u32>,
+    size: usize,
+    boundary: usize,
+}
+
+impl<'g> Cut<'g> {
+    /// The empty cut of `g`.
+    fn new(g: &'g Graph) -> Self {
+        let n = g.node_count();
+        Cut { g, in_s: vec![false; n], s_neighbors: vec![0; n], size: 0, boundary: 0 }
+    }
+
+    /// Empty `S` again.
+    fn clear(&mut self) {
+        self.in_s.fill(false);
+        self.s_neighbors.fill(0);
+        self.size = 0;
+        self.boundary = 0;
+    }
+
+    /// `α(S)`; `S` must be nonempty.
+    fn alpha(&self) -> f64 {
+        self.boundary as f64 / self.size as f64
+    }
+
+    /// `|∂S|` once `u` has moved across the cut.
+    fn boundary_after_flip(&self, u: NodeId) -> usize {
+        // How many neighbours of `u` lie outside S with exactly `k`
+        // neighbours in S.
+        let outside_with = |k: u32| {
+            let nbrs = self.g.neighbors(u).iter();
+            nbrs.filter(|&&w| !self.in_s[w as usize] && self.s_neighbors[w as usize] == k).count()
+        };
+        let touches_s = usize::from(self.s_neighbors[u as usize] > 0);
+        if self.in_s[u as usize] {
+            // `u` joins ∂S if a neighbour stays in S; every outside
+            // neighbour whose only S-neighbour was `u` leaves ∂S.
+            self.boundary + touches_s - outside_with(1)
+        } else {
+            // `u` leaves ∂S; every outside neighbour with no S-neighbour
+            // yet joins it.
+            self.boundary - touches_s + outside_with(0)
+        }
+    }
+
+    /// `α` of the cut with `u` moved across it.
+    fn alpha_after_flip(&self, u: NodeId) -> f64 {
+        let size = if self.in_s[u as usize] { self.size - 1 } else { self.size + 1 };
+        self.boundary_after_flip(u) as f64 / size as f64
+    }
+
+    /// Move `u` across the cut.
+    fn flip(&mut self, u: NodeId) {
+        self.boundary = self.boundary_after_flip(u);
+        let joining = !self.in_s[u as usize];
+        self.in_s[u as usize] = joining;
+        if joining {
+            self.size += 1;
+        } else {
+            self.size -= 1;
+        }
+        for &w in self.g.neighbors(u) {
+            let count = &mut self.s_neighbors[w as usize];
+            if joining {
+                *count += 1;
+            } else {
+                *count -= 1;
+            }
+        }
+    }
+}
+
 /// Greedy local search: repeatedly apply the single-node add/remove move
 /// that most decreases `α(S)`, stopping at a local minimum. Returns the
-/// final `α(S)`. `in_s` is modified in place.
-fn greedy_descend(g: &Graph, in_s: &mut [bool], half: usize) -> f64 {
-    let n = g.node_count();
-    let mut current = alpha_of_set(g, in_s);
+/// final `α(S)`. `cut` is modified in place.
+fn greedy_descend(cut: &mut Cut<'_>, half: usize) -> f64 {
+    let n = cut.g.node_count();
+    let mut current = cut.alpha();
     loop {
-        let size = in_s.iter().filter(|&&b| b).count();
-        let mut best_move: Option<(usize, f64)> = None;
-        for u in 0..n {
-            let adding = !in_s[u];
+        let size = cut.size;
+        let mut best_move: Option<(NodeId, f64)> = None;
+        for u in 0..nid(n) {
+            let adding = !cut.in_s[u as usize];
             if adding && size + 1 > half {
                 continue;
             }
             if !adding && size == 1 {
                 continue;
             }
-            in_s[u] = !in_s[u];
-            let a = alpha_of_set(g, in_s);
-            in_s[u] = !in_s[u];
+            let a = cut.alpha_after_flip(u);
             if a < best_move.map_or(current, |(_, b)| b) {
                 best_move = Some((u, a));
             }
         }
         match best_move {
             Some((u, a)) if a < current => {
-                in_s[u] = !in_s[u];
+                cut.flip(u);
                 current = a;
             }
             _ => return current,
@@ -302,6 +385,49 @@ mod tests {
         let bound = alpha_upper_bound_sampled(&g, 20, 1);
         // True α = 1/32; BFS-ball candidates from an endpoint find it.
         assert!(bound <= 1.0 / 16.0, "path bound too loose: {bound}");
+    }
+
+    #[test]
+    fn incremental_cut_matches_recount_after_random_flips() {
+        for (seed, g) in [
+            gen::erdos_renyi_connected(30, 0.15, 1),
+            gen::random_regular(40, 3, 2),
+            gen::star(17),
+            gen::path(25),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let n = g.node_count();
+            let mut rng = crate::rng::stream_rng(seed as u64, 0);
+            let mut cut = Cut::new(&g);
+            for step in 0..400 {
+                if step % 150 == 149 {
+                    cut.clear();
+                }
+                let u = nid(rng.gen_range(0..n));
+                // Price the move against a recount of the flipped mask.
+                cut.in_s[u as usize] ^= true;
+                let want = boundary_size(&g, &cut.in_s);
+                let nonempty = cut.in_s.contains(&true);
+                let want_alpha = nonempty.then(|| alpha_of_set(&g, &cut.in_s));
+                cut.in_s[u as usize] ^= true;
+                assert_eq!(cut.boundary_after_flip(u), want, "graph {seed} step {step}");
+                if let Some(want_alpha) = want_alpha {
+                    assert_eq!(cut.alpha_after_flip(u).to_bits(), want_alpha.to_bits());
+                }
+                cut.flip(u);
+                assert_eq!(cut.boundary, want, "graph {seed} step {step}");
+                assert_eq!(cut.size, cut.in_s.iter().filter(|&&b| b).count());
+                if nonempty {
+                    assert_eq!(cut.alpha().to_bits(), alpha_of_set(&g, &cut.in_s).to_bits());
+                }
+                for v in 0..nid(n) {
+                    let inside = g.neighbors(v).iter().filter(|&&w| cut.in_s[w as usize]).count();
+                    assert_eq!(cut.s_neighbors[v as usize] as usize, inside);
+                }
+            }
+        }
     }
 
     #[test]

@@ -107,11 +107,12 @@ impl GraphFamily {
             }
             GraphFamily::Expander8 => {
                 let n = n_target.max(10);
-                // The pairing model's edge list + repair index cost ~40
-                // bytes/edge; past the threshold only the direct-to-CSR
-                // cycle-union builder fits in memory. Every table recorded
-                // before the threshold existed sits below it, so those
-                // instance bytes are unchanged.
+                // The pairing model peaks at 27 bytes/edge (measured: its
+                // pair list, then `GraphBuilder`'s edge list and CSR);
+                // past the threshold only the direct-to-CSR cycle-union
+                // builder fits in memory. Every table recorded before the
+                // threshold existed sits below it, so those instance bytes
+                // are unchanged.
                 if n > DIRECT_CSR_THRESHOLD {
                     gen::random_regular_cycles(n, 8, seed)
                 } else {

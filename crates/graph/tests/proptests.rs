@@ -15,9 +15,10 @@ use mtm_graph::matching::{brute_force_matching, cut_matching, gamma_exact, hopcr
 use mtm_graph::rng::stream_rng;
 use mtm_graph::static_graph::from_edges;
 use mtm_graph::{
-    gen, FaultConfig, FaultyTopology, Graph, GraphBuilder, NodeId, ScheduledCrashes, StaticTopology,
+    gen, nid, FaultConfig, FaultyTopology, Graph, GraphBuilder, NodeId, ScheduledCrashes,
+    StaticTopology,
 };
-use mtm_testkit::{run_cases, Rng, SmallRng};
+use mtm_testkit::{run_cases, Rng, SeedableRng, SliceRandom, SmallRng};
 
 /// An arbitrary connected graph on 2..=n_max nodes, built by a random
 /// spanning tree plus random extra edges.
@@ -387,4 +388,155 @@ fn edge_list_parser_never_panics() {
             }
         }
     });
+}
+
+/// Reference for [`gen::random_regular`]: the pairing-model generator as it
+/// was before its pair multiplicities moved from a `BTreeMap` to a flat
+/// table and its bad-pair scan began resuming, copied verbatim. Any change
+/// to the generator's RNG order or repair rule shows up as a diff here.
+fn reference_random_regular(n: usize, d: usize, seed: u64) -> Graph {
+    assert!((n * d).is_multiple_of(2), "n·d must be even");
+    assert!(d < n, "degree must be < n");
+    if d == 0 {
+        assert!(n <= 1, "0-regular graph on >1 nodes is disconnected");
+        return GraphBuilder::new(n).build();
+    }
+    // generator stream from an explicit seed parameter. mtm-lint: allow(smallrng-outside-engine)
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for _ in 0..1_000 {
+        // Pairing (configuration) model with local swap repair: full
+        // rejection has acceptance probability ≈ e^{-(d²-1)/4}, hopeless for
+        // d ≥ 6, so invalid pairs are fixed by swapping endpoints with
+        // random other pairs instead.
+        let mut stubs: Vec<NodeId> = Vec::with_capacity(n * d);
+        for u in 0..nid(n) {
+            for _ in 0..d {
+                stubs.push(u);
+            }
+        }
+        stubs.shuffle(&mut rng);
+        let mut pairs: Vec<(NodeId, NodeId)> =
+            stubs.chunks_exact(2).map(|p| (p[0], p[1])).collect();
+        let key = |u: NodeId, v: NodeId| if u < v { (u, v) } else { (v, u) };
+        let mut seen: std::collections::BTreeMap<(NodeId, NodeId), usize> =
+            std::collections::BTreeMap::new();
+        for &(u, v) in &pairs {
+            if u != v {
+                *seen.entry(key(u, v)).or_insert(0) += 1;
+            }
+        }
+        let is_bad =
+            |p: (NodeId, NodeId), seen: &std::collections::BTreeMap<(NodeId, NodeId), usize>| {
+                p.0 == p.1 || seen.get(&key(p.0, p.1)).copied().unwrap_or(0) > 1
+            };
+        let mut repaired = true;
+        for _ in 0..pairs.len() * 50 {
+            let Some(i) = pairs.iter().position(|&p| is_bad(p, &seen)) else {
+                break;
+            };
+            let j = rng.gen_range(0..pairs.len());
+            if i == j {
+                continue;
+            }
+            let (a, b) = pairs[i];
+            let (c, e) = pairs[j];
+            // Propose (a, e), (c, b).
+            if a == e || c == b {
+                continue;
+            }
+            let k1 = key(a, e);
+            let k2 = key(c, b);
+            if seen.get(&k1).copied().unwrap_or(0) > 0 || seen.get(&k2).copied().unwrap_or(0) > 0 {
+                continue;
+            }
+            if a != b {
+                if let Some(c0) = seen.get_mut(&key(a, b)) {
+                    *c0 -= 1;
+                }
+            }
+            if c != e {
+                if let Some(c0) = seen.get_mut(&key(c, e)) {
+                    *c0 -= 1;
+                }
+            }
+            *seen.entry(k1).or_insert(0) += 1;
+            *seen.entry(k2).or_insert(0) += 1;
+            pairs[i] = (a, e);
+            pairs[j] = (c, b);
+        }
+        if pairs.iter().any(|&p| is_bad(p, &seen)) {
+            repaired = false;
+        }
+        if !repaired {
+            continue;
+        }
+        let mut b = GraphBuilder::with_capacity(n, pairs.len());
+        for &(u, v) in &pairs {
+            b.add_edge(u, v);
+        }
+        let g = b.build();
+        if g.is_connected() && g.degree_sum() == n * d {
+            return g;
+        }
+    }
+    panic!("random_regular({n}, {d}) failed to produce a simple connected graph");
+}
+
+#[test]
+fn random_regular_matches_pairing_model_reference() {
+    // Dense instances first: at n = 10, d = 8 (the `expander8` minimum)
+    // self-loops and multi-edges are common, so every repair branch runs.
+    // d ≤ 2 is left out: a 2-regular pairing is rarely one cycle, so the
+    // retry loop gives up and panics.
+    for seed in 0..20 {
+        assert_eq!(gen::random_regular(10, 8, seed), reference_random_regular(10, 8, seed));
+    }
+    run_cases(0x670D, 300, |_case, rng| {
+        let d = rng.gen_range(3..=8usize);
+        let n_max = if rng.gen_bool(0.3) { d + 8 } else { 400 };
+        let mut n = rng.gen_range(d + 1..=n_max);
+        if (n * d) % 2 == 1 {
+            n += 1;
+        }
+        let seed = rng.gen::<u64>();
+        let got = gen::random_regular(n, d, seed);
+        assert_eq!(got, reference_random_regular(n, d, seed), "n={n} d={d} seed={seed}");
+    });
+}
+
+/// FNV-1a over every CSR row in node order: the row's length, then its
+/// neighbours, each as a little-endian `u32`.
+fn csr_row_hash(g: &Graph) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |w: u32| {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for u in 0..g.node_count() as NodeId {
+        let row = g.neighbors(u);
+        feed(row.len() as u32);
+        for &v in row {
+            feed(v);
+        }
+    }
+    h
+}
+
+#[test]
+fn random_regular_golden_csr_hashes() {
+    // Recorded from the reference above, which is too slow at these sizes
+    // to run as an oracle in a unit test. They pin the generator where
+    // the reference's bookkeeping grew super-linearly: 2^16 nodes (the
+    // size of the `elect-blind-2e16` benchmark workload) and 2^18.
+    for (n, d, seed, want) in [
+        (65_536, 8, 1, 0x92fa_811d_5da5_d7c1_u64),
+        (65_536, 8, 2, 0x3dbf_4783_cb6d_ed81),
+        (65_536, 8, 3, 0xc296_9dc5_2432_2269),
+        (262_144, 3, 1, 0x856b_1532_9b92_5aa9),
+    ] {
+        let got = csr_row_hash(&gen::random_regular(n, d, seed));
+        assert_eq!(got, want, "random_regular({n}, {d}, {seed}) hash {got:#018x}");
+    }
 }

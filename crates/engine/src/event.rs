@@ -41,16 +41,36 @@
 //!   `(sender, receiver)` and the sender's message counter; per-node start
 //!   jitter on the node id. Stream seeds are derived from the trial seed
 //!   far outside the per-node range, so node randomness is never perturbed.
-//! * **Event order is total**: the queue pops by `(time, node id,
-//!   scheduling sequence)` — ties at one instant resolve by node id, and
-//!   a node's same-instant events by the (deterministic) order they were
-//!   scheduled in.
+//! * **Event order is total**: events are served by `(time, node id,
+//!   scheduling order)` — ties at one instant resolve by the node the
+//!   event runs at, and one node's same-instant events by the
+//!   (deterministic) order they were scheduled in.
 //! * **Node randomness** flows only through each node's own stream
 //!   (`stream_rng(seed, u)`, bound by the same helper as the lockstep
 //!   backend); only the interleaving differs.
 //!
 //! Same seed ⇒ same event trace, byte for byte (pinned by tests here and
-//! by `tests/event_backend.rs`).
+//! by `tests/event_backend.rs`, whose trace hashes were recorded from the
+//! binary heap this queue replaced).
+//!
+//! # The event queue
+//!
+//! Each node owns at most one queued event at any moment: its own next
+//! phase (`RoundStart`, `Act`, `ListenEnd` or its `Response`), or its
+//! proposal in flight. A proposal buffered at a listener owns none. Event
+//! bodies therefore live in one slot per node, indexed by owner, and
+//! scheduling into an occupied slot panics as an engine bug.
+//!
+//! The queue is a tick calendar: an ordered map from each future tick to a
+//! list threaded through those slots, appended in scheduling order. When a
+//! tick becomes current its list is sorted by `(node, arrival index)`,
+//! which is the `(node id, scheduling order)` tie-break exactly. Every
+//! delay is at least one tick, except the `RoundStart` a node queues right
+//! after its own `ListenEnd` or `Response`; that one is served after the
+//! node's remaining events at the tick and before any larger node's. Memory
+//! is O(n) whatever the latency spread. [`EventEngine::run_until`] stops
+//! before an event past its budget, leaving it queued, so a later call
+//! resumes the same execution.
 //!
 //! Proposal loss (`set_proposal_loss`) drops the proposal message itself;
 //! the proposer is unblocked by a timeout scheduled at the instant the
@@ -66,8 +86,8 @@
 //! stays within `[0, n]`. The one-connection rule is checked when a
 //! response arrives: its node must be waiting on a proposal.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 use mtm_graph::rng::{counter_coin, derive_seed};
 use mtm_graph::{Graph, NodeId};
@@ -113,7 +133,7 @@ impl LatencyModel {
             link_spread: spread / 2,
             listen_min: 6,
             listen_spread: spread,
-            start_spread: 4 * spread,
+            start_spread: spread.checked_mul(4).expect("start spread 4 × spread overflows u64"),
         }
     }
 
@@ -132,6 +152,18 @@ impl LatencyModel {
             self.scan_min >= 1 && self.link_min >= 1 && self.listen_min >= 1,
             "phase minimums must be ≥ 1 tick so local time always advances"
         );
+        for (phase, min, spread) in [
+            ("scan", self.scan_min, self.scan_spread),
+            ("link", self.link_min, self.link_spread),
+            ("listen", self.listen_min, self.listen_spread),
+            ("start", 0, self.start_spread),
+        ] {
+            // `draw` computes `spread + 1` and returns at most `min + spread`.
+            assert!(
+                spread < u64::MAX && min.checked_add(spread).is_some(),
+                "{phase} latency spread {spread} with minimum {min} is too large for u64 ticks"
+            );
+        }
     }
 }
 
@@ -198,6 +230,16 @@ enum Ev<PL> {
 }
 
 impl<PL> Ev<PL> {
+    /// The node whose one pending event this is, for an event processed at
+    /// `at`: a proposal in flight belongs to its sender, every other event
+    /// to the node it runs at.
+    fn owner(&self, at: NodeId) -> NodeId {
+        match self {
+            Ev::Proposal { from, .. } => *from,
+            _ => at,
+        }
+    }
+
     fn kind(&self) -> EventKind {
         match self {
             Ev::RoundStart => EventKind::RoundStart,
@@ -209,38 +251,21 @@ impl<PL> Ev<PL> {
     }
 }
 
-/// Heap entry. Ordered by `(time, node, seq)` — `seq` is the global
-/// scheduling counter, unique per event, so the order is total and
-/// deterministic.
-struct QueuedEvent<PL> {
-    time: u64,
-    node: NodeId,
-    seq: u64,
-    ev: Ev<PL>,
-}
+/// Sentinel for "no next event" in a tick's list.
+const NIL: NodeId = NodeId::MAX;
 
-impl<PL> QueuedEvent<PL> {
-    fn key(&self) -> (u64, NodeId, u64) {
-        (self.time, self.node, self.seq)
-    }
-}
+/// The panic message for an event scheduled past `u64::MAX` ticks.
+const TIME_OVERFLOW: &str = "event time overflows u64 ticks: latency durations too large";
 
-impl<PL> PartialEq for QueuedEvent<PL> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<PL> Eq for QueuedEvent<PL> {}
-impl<PL> PartialOrd for QueuedEvent<PL> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<PL> Ord for QueuedEvent<PL> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest event.
-        other.key().cmp(&self.key())
-    }
+/// The one event a node owns (see [`EventEngine`]'s `slots`).
+struct Slot<PL> {
+    /// The pending event, or `None` while the node owns none.
+    ev: Option<Ev<PL>>,
+    /// The node the event is processed at: a proposal's receiver, otherwise
+    /// the owner itself.
+    at: NodeId,
+    /// The owner of the next event in the same tick's list, or [`NIL`].
+    next: NodeId,
 }
 
 /// Where a node is inside its local round.
@@ -259,6 +284,21 @@ enum Phase {
 #[inline]
 fn draw(seed: u64, a: u64, b: u64, min: u64, spread: u64) -> u64 {
     min + (counter_coin(seed, a, b) * (spread + 1) as f64) as u64
+}
+
+/// True iff `ok` holds for every node. The scan starts at `*holdout`, the
+/// node that failed the previous call, and wraps; a failure leaves
+/// `*holdout` at the failing node. A stopping check that keeps failing on
+/// one node then costs O(1) instead of a rescan from node 0.
+fn all_from<P>(holdout: &mut usize, nodes: &[P], ok: impl Fn(&P) -> bool) -> bool {
+    let (before, from) = nodes.split_at(*holdout);
+    match from.iter().chain(before).position(|p| !ok(p)) {
+        Some(i) => {
+            *holdout = (*holdout + i) % nodes.len();
+            false
+        }
+        None => true,
+    }
 }
 
 /// Directed-link key for latency/loss coins.
@@ -283,8 +323,19 @@ pub struct EventEngine<P: Protocol> {
     link_seed: u64,
     loss_seed: u64,
     now: u64,
-    seq: u64,
-    heap: BinaryHeap<QueuedEvent<P::Payload>>,
+    /// Each node's one pending event, indexed by owner.
+    slots: Vec<Slot<P::Payload>>,
+    /// Every tick with events that has not yet become current, mapped to
+    /// the `(head, tail)` owners of its list, threaded through `slots` in
+    /// scheduling order.
+    calendar: BTreeMap<u64, (NodeId, NodeId)>,
+    /// The current tick's events as `(at, arrival index, owner)`, sorted;
+    /// `cursor` is the next one to serve.
+    tick: Vec<(NodeId, u32, NodeId)>,
+    cursor: usize,
+    /// A `RoundStart` queued at the current tick by its node's `ListenEnd`
+    /// or `Response`.
+    same_tick: Option<NodeId>,
     phase: Vec<Phase>,
     local_round: Vec<u64>,
     /// A node is visible to scans once it has advertised at least once.
@@ -348,8 +399,11 @@ impl<P: Protocol> EventEngine<P> {
             link_seed: derive_seed(base, 3),
             loss_seed: derive_seed(base, 4),
             now: 0,
-            seq: 0,
-            heap: BinaryHeap::new(),
+            slots: (0..n).map(|_| Slot { ev: None, at: NIL, next: NIL }).collect(),
+            calendar: BTreeMap::new(),
+            tick: Vec::new(),
+            cursor: 0,
+            same_tick: None,
             phase: vec![Phase::Scanning; n],
             local_round: vec![0; n],
             started: vec![false; n],
@@ -428,10 +482,84 @@ impl<P: Protocol> EventEngine<P> {
         self.local_round.iter().sum::<u64>() as f64 / self.local_round.len() as f64
     }
 
-    fn schedule(&mut self, time: u64, node: NodeId, ev: Ev<P::Payload>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(QueuedEvent { time, node, seq, ev });
+    /// Store `ev`, processed at node `at`, in its owner's slot and return
+    /// the owner.
+    fn occupy(&mut self, at: NodeId, ev: Ev<P::Payload>) -> NodeId {
+        let owner = ev.owner(at);
+        let slot = &mut self.slots[owner as usize];
+        // A node owns at most one queued event: its next phase, or its
+        // proposal in flight.
+        assert!(slot.ev.is_none(), "engine bug: node {owner} already has an event queued");
+        *slot = Slot { ev: Some(ev), at, next: NIL };
+        owner
+    }
+
+    /// Queue `ev` at node `at`, `delay` ticks from now. Once the run has
+    /// started, every delay is at least one tick (the phase minimums).
+    fn schedule(&mut self, delay: u64, at: NodeId, ev: Ev<P::Payload>) {
+        let time = self.now.checked_add(delay).expect(TIME_OVERFLOW);
+        let owner = self.occupy(at, ev);
+        match self.calendar.entry(time) {
+            Entry::Vacant(list) => {
+                list.insert((owner, owner));
+            }
+            Entry::Occupied(mut list) => {
+                let (_, tail) = list.get_mut();
+                self.slots[*tail as usize].next = owner;
+                *tail = owner;
+            }
+        }
+    }
+
+    /// Queue `node`'s next `RoundStart` at the current tick, the one
+    /// zero-delay event. In the `(time, node, scheduling order)` order it
+    /// comes after `node`'s remaining events at this tick and before any
+    /// larger node's, so [`Self::next_due`] serves it exactly there.
+    fn start_next_round(&mut self, node: NodeId) {
+        self.occupy(node, Ev::RoundStart);
+        let earlier = self.same_tick.replace(node);
+        assert!(
+            earlier.is_none(),
+            "engine bug: a same-tick round start was still pending when node {node} queued one"
+        );
+    }
+
+    /// The owner of the next event due at or before `max_time`, or `None`
+    /// when there is none; an event past `max_time` stays queued.
+    ///
+    /// Events are served by `(time, node, scheduling order)`. A tick's
+    /// list holds its events in scheduling order, so sorting it by
+    /// `(at, arrival index)` when it becomes current gives that order. The
+    /// only event scheduled during its own tick is a `RoundStart`, served
+    /// from `same_tick` ahead of the first listed event at a larger node.
+    fn next_due(&mut self, max_time: u64) -> Option<NodeId> {
+        if self.cursor == self.tick.len() && self.same_tick.is_none() {
+            let first = self.calendar.first_entry()?;
+            if *first.key() > max_time {
+                return None;
+            }
+            let (time, (head, _)) = first.remove_entry();
+            self.now = time;
+            self.tick.clear();
+            self.cursor = 0;
+            let (mut owner, mut arrival) = (head, 0);
+            while owner != NIL {
+                let slot = &self.slots[owner as usize];
+                self.tick.push((slot.at, arrival, owner));
+                arrival += 1;
+                owner = slot.next;
+            }
+            self.tick.sort_unstable();
+        } else if self.now > max_time {
+            return None;
+        }
+        let listed = self.tick.get(self.cursor).map(|&(at, _, owner)| (at, owner));
+        if let Some(node) = self.same_tick.filter(|&u| listed.is_none_or(|(at, _)| u < at)) {
+            self.same_tick = None;
+            return Some(node);
+        }
+        self.cursor += 1;
+        listed.map(|(_, owner)| owner)
     }
 
     #[inline]
@@ -500,7 +628,7 @@ impl<P: Protocol> EventEngine<P> {
                     self.latency.scan_min,
                     self.latency.scan_spread,
                 );
-                self.schedule(self.now + d, node, Ev::Act);
+                self.schedule(d, node, Ev::Act);
                 false
             }
             Ev::Act => {
@@ -532,7 +660,7 @@ impl<P: Protocol> EventEngine<P> {
                             self.latency.listen_min,
                             self.latency.listen_spread,
                         );
-                        self.schedule(self.now + d, node, Ev::ListenEnd);
+                        self.schedule(d, node, Ev::ListenEnd);
                     }
                     Action::Propose(v) => {
                         self.auditor.check_proposal(lr, ui, v, &self.vis);
@@ -548,19 +676,12 @@ impl<P: Protocol> EventEngine<P> {
                             // arrived (one full round trip).
                             self.metrics.dropped_proposals += 1;
                             let back = self.link_delay(v, node, s);
-                            self.schedule(
-                                self.now + d + back,
-                                node,
-                                Ev::Response { accepted: None },
-                            );
+                            let round_trip = d.checked_add(back).expect(TIME_OVERFLOW);
+                            self.schedule(round_trip, node, Ev::Response { accepted: None });
                         } else {
                             let pl = self.nodes[ui].payload();
                             self.check_payload_budget(node, &pl);
-                            self.schedule(
-                                self.now + d,
-                                v,
-                                Ev::Proposal { from: node, payload: pl },
-                            );
+                            self.schedule(d, v, Ev::Proposal { from: node, payload: pl });
                         }
                     }
                 }
@@ -574,7 +695,7 @@ impl<P: Protocol> EventEngine<P> {
                     self.metrics.rejected_proposals += 1;
                     let s = self.next_msg(node);
                     let d = self.link_delay(node, from, s);
-                    self.schedule(self.now + d, from, Ev::Response { accepted: None });
+                    self.schedule(d, from, Ev::Response { accepted: None });
                 }
                 false
             }
@@ -596,10 +717,10 @@ impl<P: Protocol> EventEngine<P> {
                             self.nodes[ui].on_connect(&pu, &mut self.rngs[ui]);
                             self.metrics.connections += 1;
                             delivered = true;
-                            self.schedule(self.now + d, from, Ev::Response { accepted: Some(pv) });
+                            self.schedule(d, from, Ev::Response { accepted: Some(pv) });
                         } else {
                             self.metrics.rejected_proposals += 1;
-                            self.schedule(self.now + d, from, Ev::Response { accepted: None });
+                            self.schedule(d, from, Ev::Response { accepted: None });
                         }
                     }
                 }
@@ -611,7 +732,7 @@ impl<P: Protocol> EventEngine<P> {
                 self.phase[ui] = Phase::Scanning;
                 self.nodes[ui].end_round(lr, &mut self.rngs[ui]);
                 self.check_conservation();
-                self.schedule(self.now, node, Ev::RoundStart);
+                self.start_next_round(node);
                 delivered
             }
             Ev::Response { accepted } => {
@@ -629,33 +750,29 @@ impl<P: Protocol> EventEngine<P> {
                 };
                 self.nodes[ui].end_round(lr, &mut self.rngs[ui]);
                 self.check_conservation();
-                self.schedule(self.now, node, Ev::RoundStart);
+                self.start_next_round(node);
                 delivered
             }
         }
     }
 
-    /// Drive events until `pred` holds or simulation time exceeds
+    /// Drive events until `pred` holds or the next event lies past
     /// `max_time`. The predicate is evaluated before the first event and
     /// after every payload delivery (the only points protocol state can
-    /// change). Returns the completion time.
+    /// change). Returns the completion time. Nothing past `max_time` is
+    /// consumed, so a later call resumes exactly where this one stopped.
     pub fn run_until(&mut self, max_time: u64, mut pred: impl FnMut(&Self) -> bool) -> Option<u64> {
         if pred(self) {
             return Some(self.now);
         }
-        while let Some(qe) = self.heap.pop() {
-            if qe.time > max_time {
-                // Budget exhausted; the event is intentionally consumed —
-                // run helpers are one-shot.
-                return None;
-            }
-            debug_assert!(qe.time >= self.now, "event time went backwards");
-            self.now = qe.time;
+        while let Some(owner) = self.next_due(max_time) {
+            let slot = &mut self.slots[owner as usize];
+            let (node, ev) = (slot.at, slot.ev.take().expect("a listed owner holds its event"));
             self.events += 1;
             if let Some(trace) = &mut self.trace {
-                trace.push(EventRecord { time: qe.time, node: qe.node, kind: qe.ev.kind() });
+                trace.push(EventRecord { time: self.now, node, kind: ev.kind() });
             }
-            let delivered = self.process(qe.node, qe.ev);
+            let delivered = self.process(node, ev);
             if delivered && pred(self) {
                 return Some(self.now);
             }
@@ -688,7 +805,13 @@ impl<P: Protocol + LeaderView> EventEngine<P> {
     /// Run until every node agrees on one leader (at most `max_time`
     /// ticks).
     pub fn run_to_stabilization(&mut self, max_time: u64) -> EventOutcome {
-        let done = self.run_until(max_time, |e| e.leaders_agree().is_some());
+        let mut holdout = 0;
+        let done = self.run_until(max_time, |e| {
+            e.nodes.first().is_some_and(|p0| {
+                let first = p0.leader();
+                all_from(&mut holdout, &e.nodes, |p| p.leader() == first)
+            })
+        });
         let winner = done.and_then(|_| self.leaders_agree());
         self.outcome(done, winner)
     }
@@ -702,7 +825,8 @@ impl<P: Protocol + RumorView> EventEngine<P> {
 
     /// Run until every node knows the rumor (at most `max_time` ticks).
     pub fn run_to_full_information(&mut self, max_time: u64) -> EventOutcome {
-        let done = self.run_until(max_time, |e| e.informed_count() == e.node_count());
+        let mut holdout = 0;
+        let done = self.run_until(max_time, |e| all_from(&mut holdout, &e.nodes, P::informed));
         self.outcome(done, None)
     }
 }
@@ -852,11 +976,92 @@ mod tests {
     #[should_panic(expected = "node 0 received a response with no proposal outstanding")]
     fn second_response_to_one_proposal_caught() {
         let mut e = engine_on(gen::clique(2), 0, LatencyModel::multipeer(0));
-        // Node 0 has one proposal outstanding, and its response arrives
-        // twice at the same tick.
+        // Node 0 has one proposal outstanding, so it owns no queued event,
+        // and its response arrives twice at the same tick.
         e.phase[0] = Phase::Waiting;
+        e.slots[0].ev = None;
         e.process(0, Ev::Response { accepted: None });
         e.process(0, Ev::Response { accepted: None });
+    }
+
+    #[test]
+    #[should_panic(expected = "node 0 already has an event queued")]
+    fn second_pending_event_per_node_caught() {
+        // Node 0 still holds its first RoundStart.
+        let mut e = engine_on(gen::clique(2), 0, LatencyModel::multipeer(0));
+        e.schedule(1, 0, Ev::Act);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "scan latency spread 18446744073709551615 with minimum 4 is too large"
+    )]
+    fn overflowing_spread_rejected() {
+        let latency = LatencyModel { scan_spread: u64::MAX, ..LatencyModel::multipeer(0) };
+        engine_on(gen::clique(4), 0, latency);
+    }
+
+    #[test]
+    #[should_panic(expected = "start spread 4 × spread overflows u64")]
+    fn overflowing_multipeer_spread_rejected() {
+        LatencyModel::multipeer(u64::MAX / 4 + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "event time overflows u64 ticks")]
+    fn event_time_overflow_caught() {
+        // Valid per phase, but the first listen window ends at
+        // u64::MAX - 1, so the next scan would end past u64::MAX.
+        let latency = LatencyModel { listen_min: u64::MAX - 5, ..LatencyModel::multipeer(0) };
+        engine_on(gen::clique(2), 0, latency).run_until(u64::MAX, |_| false);
+    }
+
+    #[test]
+    fn all_from_matches_a_full_scan() {
+        let mut rng = crate::engine::node_streams(5, 1).remove(0);
+        for _ in 0..500 {
+            let n = rng.gen_range(1..12);
+            let ok: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.8)).collect();
+            let mut holdout = rng.gen_range(0..n);
+            let all = all_from(&mut holdout, &ok, |&b| b);
+            assert_eq!(all, ok.iter().all(|&b| b), "{ok:?}");
+            assert!(all || !ok[holdout], "holdout {holdout} must fail in {ok:?}");
+        }
+    }
+
+    #[test]
+    fn run_until_resumes_where_it_stopped() {
+        const HORIZON: u64 = 400;
+        for spread in [0, 8] {
+            let fresh = || {
+                let mut e = engine_on(gen::clique(12), 6, LatencyModel::multipeer(spread));
+                e.enable_event_trace();
+                e
+            };
+            let mut whole = fresh();
+            assert_eq!(whole.run_until(HORIZON, |_| false), None);
+            let same = |e: &EventEngine<MinSpread>, how: &str| {
+                assert_eq!(e.event_trace(), whole.event_trace(), "spread {spread}, {how}");
+                assert_eq!(e.metrics(), whole.metrics(), "spread {spread}, {how}");
+                assert_eq!(e.events_processed(), whole.events_processed());
+            };
+            // Cut by the time budget, then resumed.
+            for cut in [0, 1, 37, 150] {
+                let mut e = fresh();
+                assert_eq!(e.run_until(cut, |_| false), None);
+                assert!(e.now() <= cut);
+                assert_eq!(e.run_until(HORIZON, |_| false), None);
+                same(&e, &format!("cut at {cut}"));
+            }
+            // Stopped by the predicate, often in the middle of a tick with
+            // a same-tick round start still queued, then resumed.
+            let mut e = fresh();
+            for k in 1..=6 {
+                assert!(e.run_until(HORIZON, |e| e.metrics().connections >= k).is_some());
+            }
+            assert_eq!(e.run_until(HORIZON, |_| false), None);
+            same(&e, "stopped by the predicate");
+        }
     }
 
     #[test]

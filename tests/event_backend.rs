@@ -4,9 +4,10 @@
 //!
 //! The determinism contract (DESIGN.md): every latency draw is a pure
 //! counter-based function of the seed, ties resolve by `(time, node id,
-//! sequence number)`, so the full event trace — not just the outcome — is
+//! scheduling order)`, so the full event trace — not just the outcome — is
 //! a function of `(graph, params, protocols, seed, latency model)`.
 
+use mobile_telephone::engine::EventKind;
 use mobile_telephone::graph::rng::derive_seed;
 use mobile_telephone::prelude::*;
 
@@ -82,6 +83,22 @@ fn latency_spread_changes_timing_but_not_the_winner() {
     );
 }
 
+/// Bit convergence (b = 1) on `expander8` at spread 8, with its UID pool.
+fn bitconv_engine(n: usize, seed: u64) -> (EventEngine<BitConvergence>, UidPool) {
+    let g = GraphFamily::Expander8.build(n, derive_seed(seed, 0));
+    let n = g.node_count();
+    let uids = UidPool::random(n, derive_seed(seed, 1));
+    let config = TagConfig::for_network(n, g.max_degree());
+    let e = EventEngine::new(
+        g,
+        ModelParams::mobile(1),
+        BitConvergence::spawn(&uids, config, derive_seed(seed, 7)),
+        derive_seed(seed, 11),
+        LatencyModel::multipeer(8),
+    );
+    (e, uids)
+}
+
 #[test]
 fn bit_convergence_stabilizes_under_the_event_backend() {
     // b = 1 exercises tag advertisement through the async scan path. Note
@@ -91,19 +108,116 @@ fn bit_convergence_stabilizes_under_the_event_backend() {
     // the paper's non-synchronized variant). Under drifting local rounds
     // the network still converges to *a* single leader; which one depends
     // on how the groups happened to interleave.
-    let g = GraphFamily::Expander8.build(32, derive_seed(2, 0));
-    let n = g.node_count();
-    let uids = UidPool::random(n, derive_seed(2, 1));
-    let config = TagConfig::for_network(n, g.max_degree());
-    let mut e = EventEngine::new(
-        g,
-        ModelParams::mobile(1),
-        BitConvergence::spawn(&uids, config, derive_seed(2, 7)),
-        derive_seed(2, 11),
-        LatencyModel::multipeer(8),
-    );
+    let (mut e, uids) = bitconv_engine(32, 2);
     let out = e.run_to_stabilization(50_000_000);
     assert!(out.completed_at.is_some(), "bit convergence must still reach agreement");
     assert!(out.winner.is_some(), "stabilization means a single agreed leader");
     assert!(uids.as_slice().contains(&out.winner.expect("checked above")));
+}
+
+/// FNV-1a over the recorded trace, each `EventRecord` as its time, node
+/// and kind, then the final `Metrics` and `events_processed()`, every
+/// field little-endian.
+fn trace_hash<P: Protocol>(e: &EventEngine<P>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for r in e.event_trace() {
+        let kind: u8 = match r.kind {
+            EventKind::RoundStart => 0,
+            EventKind::Act => 1,
+            EventKind::Proposal => 2,
+            EventKind::ListenEnd => 3,
+            EventKind::Response => 4,
+        };
+        feed(&r.time.to_le_bytes());
+        feed(&r.node.to_le_bytes());
+        feed(&[kind]);
+    }
+    let m = e.metrics();
+    for x in [
+        m.rounds,
+        m.proposals,
+        m.connections,
+        m.rejected_proposals,
+        m.dropped_proposals,
+        e.events_processed(),
+    ] {
+        feed(&x.to_le_bytes());
+    }
+    h
+}
+
+/// The budget that cuts a blind-gossip run short: every run stabilizes
+/// later than this tick.
+const CUT_AT: u64 = 300;
+
+/// Blind gossip on `expander8` 256 at seed 1, traced, run to
+/// stabilization within `max_time` ticks.
+fn blind_hash(spread: u64, loss: f64, max_time: u64) -> u64 {
+    let mut e = election_engine(256, 1, spread);
+    e.set_proposal_loss(loss);
+    e.enable_event_trace();
+    let done = e.run_to_stabilization(max_time).completed_at;
+    assert_eq!(done.is_some(), max_time > CUT_AT, "spread {spread}, loss {loss}: {done:?}");
+    trace_hash(&e)
+}
+
+fn bitconv_hash() -> u64 {
+    let (mut e, _) = bitconv_engine(256, 1);
+    e.enable_event_trace();
+    assert!(e.run_to_stabilization(50_000_000).completed_at.is_some());
+    trace_hash(&e)
+}
+
+/// A rumor protocol with `tag_bits` of advertisement, one source, run to
+/// full information.
+fn rumor_hash<P: Protocol + RumorView>(tag_bits: u32, spawn: fn(usize, usize) -> Vec<P>) -> u64 {
+    let g = GraphFamily::Expander8.build(256, derive_seed(1, 0));
+    let n = g.node_count();
+    let mut e = EventEngine::new(
+        g,
+        ModelParams::mobile(tag_bits),
+        spawn(n, 1),
+        derive_seed(1, 11),
+        LatencyModel::multipeer(8),
+    );
+    e.enable_event_trace();
+    assert!(e.run_to_full_information(10_000_000).completed_at.is_some());
+    trace_hash(&e)
+}
+
+/// A pinned run: its name, the run (returning its trace hash) and the hash
+/// recorded for it.
+type Pin = (&'static str, fn() -> u64, u64);
+
+#[test]
+fn event_traces_match_recorded_hashes() {
+    // Recorded from the binary-heap event queue that the tick calendar
+    // replaced, so a change to the pop order `(time, node id, scheduling
+    // order)` fails here even when two runs of one build still agree.
+    // Spread 0 makes many same-tick ties; loss covers the drop path; the
+    // last case ends on the time budget, not the predicate.
+    let cases: [Pin; 8] = [
+        ("blind spread 0", || blind_hash(0, 0.0, 10_000_000), 0x7eb0_dbc4_36b0_acb2),
+        ("blind spread 8", || blind_hash(8, 0.0, 10_000_000), 0xcf1e_e6c7_31a0_e062),
+        ("blind spread 64", || blind_hash(64, 0.0, 10_000_000), 0x9371_642a_1765_6650),
+        ("blind spread 8 loss 0.3", || blind_hash(8, 0.3, 10_000_000), 0x06d4_f27e_351c_a630),
+        ("bit convergence b = 1", bitconv_hash, 0x6f47_812f_1937_2391),
+        ("push-pull", || rumor_hash(0, PushPull::spawn), 0x1c23_f39b_9e3f_0e4b),
+        ("ppush", || rumor_hash(1, Ppush::spawn), 0x010f_b493_934c_7c3c),
+        ("blind spread 8 cut at tick 300", || blind_hash(8, 0.0, CUT_AT), 0x0f5e_168d_803e_f9e2),
+    ];
+    let moved: Vec<String> = cases
+        .iter()
+        .filter_map(|&(name, run, want)| {
+            let got = run();
+            (got != want).then(|| format!("{name}: {got:#018x}"))
+        })
+        .collect();
+    assert!(moved.is_empty(), "event traces moved: {moved:#?}");
 }

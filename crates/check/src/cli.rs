@@ -10,8 +10,7 @@ use crate::explore::{analyze, explore, CheckConfig, RoundSchedule, Truncation};
 use crate::matrix::{a1_beta1_instance, certification_matrix};
 use crate::replay::replay_state;
 use crate::spec::{
-    BitConvergenceSpec, BlindGossipSpec, CheckSpec, MaintainedGossipSpec, NonSyncSpec, PpushSpec,
-    PullOnlySpec, PushOnlySpec, PushPullSpec,
+    BitConvergenceSpec, BlindGossipSpec, CheckSpec, MaintainedGossipSpec, NonSyncSpec, RumorSpec,
 };
 
 const USAGE: &str = "\
@@ -71,7 +70,10 @@ fn parse_list(s: &str) -> Option<Vec<u64>> {
 
 fn parse_topology(spec: &str) -> Option<Graph> {
     if let Some((family, count)) = spec.split_once(':') {
-        let n: usize = count.parse().ok()?;
+        let Ok(n) = count.parse::<usize>() else {
+            eprintln!("error: malformed node count in topology '{spec}'");
+            return None;
+        };
         if !(2..=6).contains(&n) {
             eprintln!("error: exhaustive checking needs 2 <= n <= 6 (got {n})");
             return None;
@@ -91,9 +93,15 @@ fn parse_topology(spec: &str) -> Option<Graph> {
     let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
     let mut max = 0;
     for part in spec.split(',') {
-        let (a, b) = part.trim().split_once('-')?;
-        let a: NodeId = a.parse().ok()?;
-        let b: NodeId = b.parse().ok()?;
+        let edge = part.trim().split_once('-').map(|(a, b)| (a.parse(), b.parse()));
+        let Some((Ok(a), Ok(b))) = edge else {
+            eprintln!("error: malformed edge '{part}' in topology '{spec}'");
+            return None;
+        };
+        if a == b {
+            eprintln!("error: self loop {a}-{b} in the topology");
+            return None;
+        }
         max = max.max(a).max(b);
         edges.push((a, b));
     }
@@ -392,12 +400,23 @@ pub fn run(args: &[String]) -> i32 {
         protocol = "bit-convergence".to_string();
     }
 
+    let rumor = matches!(protocol.as_str(), "push-pull" | "ppush" | "push-only" | "pull-only");
+    if rumor && !(1..=n).contains(&opts.sources) {
+        eprintln!("error: --sources must be between 1 and {n} (got {})", opts.sources);
+        return 2;
+    }
+
     match protocol.as_str() {
         "blind-gossip" | "blind" => run_spec(&BlindGossipSpec { uids }, &graph, &opts.cfg),
         "bit-convergence" | "nonsync" => {
+            let beta = opts.beta.unwrap_or(3.0);
+            if beta.is_nan() || beta < 1.0 {
+                eprintln!("error: --beta must be at least 1 (got {beta})");
+                return 2;
+            }
             let max_deg =
                 (0..n).map(|u| graph.neighbors(crate::explore::nid(u)).len()).max().unwrap_or(1);
-            let mut config = TagConfig::new(n.max(2), opts.beta.unwrap_or(3.0), max_deg.max(2));
+            let mut config = TagConfig::new(n.max(2), beta, max_deg.max(2));
             if let Some(k) = opts.k {
                 config.k = k.clamp(1, 63);
             }
@@ -438,10 +457,10 @@ pub fn run(args: &[String]) -> i32 {
                 run_spec(&BitConvergenceSpec { uids, tags, config }, &graph, &opts.cfg)
             }
         }
-        "push-pull" => run_spec(&PushPullSpec { n, sources: opts.sources }, &graph, &opts.cfg),
-        "ppush" => run_spec(&PpushSpec { n, sources: opts.sources }, &graph, &opts.cfg),
-        "push-only" => run_spec(&PushOnlySpec { n, sources: opts.sources }, &graph, &opts.cfg),
-        "pull-only" => run_spec(&PullOnlySpec { n, sources: opts.sources }, &graph, &opts.cfg),
+        "push-pull" => run_spec(&RumorSpec::push_pull(n, opts.sources), &graph, &opts.cfg),
+        "ppush" => run_spec(&RumorSpec::ppush(n, opts.sources), &graph, &opts.cfg),
+        "push-only" => run_spec(&RumorSpec::push_only(n, opts.sources), &graph, &opts.cfg),
+        "pull-only" => run_spec(&RumorSpec::pull_only(n, opts.sources), &graph, &opts.cfg),
         "maintained-gossip" | "maintained" => {
             if opts.timeout < 2 {
                 eprintln!("error: --timeout must be >= 2");

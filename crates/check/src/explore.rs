@@ -577,7 +577,7 @@ pub fn analyze<S: CheckSpec>(spec: &S, ex: &Exploration<S::P>) -> Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{BlindGossipSpec, MaintainedGossipSpec, PushPullSpec};
+    use crate::spec::{BlindGossipSpec, MaintainedGossipSpec, RumorSpec};
     use mtm_graph::gen;
 
     #[test]
@@ -626,7 +626,7 @@ mod tests {
 
     #[test]
     fn proposal_loss_does_not_break_push_pull_liveness() {
-        let spec = PushPullSpec { n: 3, sources: 1 };
+        let spec = RumorSpec::push_pull(3, 1);
         let cfg = CheckConfig { loss: true, ..CheckConfig::default() };
         let ex = explore(&spec, &gen::path(3), &cfg);
         assert!(ex.closed);

@@ -43,6 +43,5 @@ pub use explore::{
 pub use matrix::{a1_beta1_instance, certification_matrix, connected_graphs_4, MatrixRow};
 pub use replay::{network_fingerprint_of, replay, replay_state, ReplayOutcome};
 pub use spec::{
-    BitConvergenceSpec, BlindGossipSpec, CheckSpec, MaintainedGossipSpec, NonSyncSpec, PpushSpec,
-    PullOnlySpec, PushOnlySpec, PushPullSpec,
+    BitConvergenceSpec, BlindGossipSpec, CheckSpec, MaintainedGossipSpec, NonSyncSpec, RumorSpec,
 };

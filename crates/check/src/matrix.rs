@@ -18,7 +18,7 @@ use mtm_graph::{Graph, NodeId};
 use crate::explore::{analyze, explore, Analysis, CheckConfig, Exploration};
 use crate::replay::replay_state;
 use crate::spec::{
-    BitConvergenceSpec, BlindGossipSpec, CheckSpec, MaintainedGossipSpec, PushPullSpec,
+    BitConvergenceSpec, BlindGossipSpec, CheckSpec, MaintainedGossipSpec, RumorSpec,
 };
 
 /// All 38 connected labeled 4-node graphs (the 2⁶ subsets of K₄'s edges,
@@ -165,7 +165,7 @@ pub fn certification_matrix() -> Vec<MatrixRow> {
 
     // PUSH-PULL: one source; informed sets grow monotonically, closes fast.
     {
-        let spec = PushPullSpec { n: 4, sources: 1 };
+        let spec = RumorSpec::push_pull(4, 1);
         let cfg = CheckConfig { horizon: 32, ..CheckConfig::default() };
         let mut row = empty_row(spec.name());
         for g in &graphs {

@@ -149,133 +149,66 @@ impl CheckSpec for BitConvergenceSpec {
     }
 }
 
-/// PUSH-PULL rumor spreading: agreement is every up node informed.
-pub struct PushPullSpec {
-    /// Network size.
-    pub n: usize,
-    /// Nodes `0..sources` start informed.
-    pub sources: usize,
+/// Rumor spreading — PUSH-PULL, PPUSH and the PUSH-only / PULL-only
+/// ablations: agreement is every up node informed.
+pub struct RumorSpec<P> {
+    name: &'static str,
+    /// Tag bits the protocol advertises.
+    b: u32,
+    /// `spawn(n, sources)`: `n` nodes, nodes `0..sources` informed.
+    spawn: fn(usize, usize) -> Vec<P>,
+    n: usize,
+    sources: usize,
 }
 
-impl CheckSpec for PushPullSpec {
-    type P = PushPull;
+impl RumorSpec<PushPull> {
+    /// PUSH-PULL (`b = 0`).
+    pub fn push_pull(n: usize, sources: usize) -> Self {
+        RumorSpec { name: "push-pull", b: 0, spawn: PushPull::spawn, n, sources }
+    }
+}
+
+impl RumorSpec<Ppush> {
+    /// PPUSH (`b = 1`, advertisement-driven).
+    pub fn ppush(n: usize, sources: usize) -> Self {
+        RumorSpec { name: "ppush", b: 1, spawn: Ppush::spawn, n, sources }
+    }
+}
+
+impl RumorSpec<PushOnly> {
+    /// The PUSH-only ablation (`b = 0`).
+    pub fn push_only(n: usize, sources: usize) -> Self {
+        RumorSpec { name: "push-only", b: 0, spawn: PushOnly::spawn, n, sources }
+    }
+}
+
+impl RumorSpec<PullOnly> {
+    /// The PULL-only ablation (`b = 0`).
+    pub fn pull_only(n: usize, sources: usize) -> Self {
+        RumorSpec { name: "pull-only", b: 0, spawn: PullOnly::spawn, n, sources }
+    }
+}
+
+impl<P: Protocol + RumorView + Clone + std::fmt::Debug> CheckSpec for RumorSpec<P> {
+    type P = P;
 
     fn name(&self) -> &'static str {
-        "push-pull"
+        self.name
     }
 
     fn params(&self) -> ModelParams {
-        ModelParams::mobile(0)
+        ModelParams::mobile(self.b)
     }
 
-    fn initial(&self) -> Vec<PushPull> {
-        PushPull::spawn(self.n, self.sources)
+    fn initial(&self) -> Vec<P> {
+        (self.spawn)(self.n, self.sources)
     }
 
-    fn agreed(&self, nodes: &[PushPull], crashed: u64) -> bool {
+    fn agreed(&self, nodes: &[P], crashed: u64) -> bool {
         up_nodes(nodes.len(), crashed).all(|u| nodes[u].informed())
     }
 
-    fn summarize(&self, nodes: &[PushPull]) -> String {
-        let informed: Vec<u8> = nodes.iter().map(|p| u8::from(p.informed())).collect();
-        format!("informed={informed:?}")
-    }
-}
-
-/// PPUSH rumor spreading (`b = 1`, advertisement-driven).
-pub struct PpushSpec {
-    /// Network size.
-    pub n: usize,
-    /// Nodes `0..sources` start informed.
-    pub sources: usize,
-}
-
-impl CheckSpec for PpushSpec {
-    type P = Ppush;
-
-    fn name(&self) -> &'static str {
-        "ppush"
-    }
-
-    fn params(&self) -> ModelParams {
-        ModelParams::mobile(1)
-    }
-
-    fn initial(&self) -> Vec<Ppush> {
-        Ppush::spawn(self.n, self.sources)
-    }
-
-    fn agreed(&self, nodes: &[Ppush], crashed: u64) -> bool {
-        up_nodes(nodes.len(), crashed).all(|u| nodes[u].informed())
-    }
-
-    fn summarize(&self, nodes: &[Ppush]) -> String {
-        let informed: Vec<u8> = nodes.iter().map(|p| u8::from(p.informed())).collect();
-        format!("informed={informed:?}")
-    }
-}
-
-/// PUSH-only ablation.
-pub struct PushOnlySpec {
-    /// Network size.
-    pub n: usize,
-    /// Nodes `0..sources` start informed.
-    pub sources: usize,
-}
-
-impl CheckSpec for PushOnlySpec {
-    type P = PushOnly;
-
-    fn name(&self) -> &'static str {
-        "push-only"
-    }
-
-    fn params(&self) -> ModelParams {
-        ModelParams::mobile(0)
-    }
-
-    fn initial(&self) -> Vec<PushOnly> {
-        PushOnly::spawn(self.n, self.sources)
-    }
-
-    fn agreed(&self, nodes: &[PushOnly], crashed: u64) -> bool {
-        up_nodes(nodes.len(), crashed).all(|u| nodes[u].informed())
-    }
-
-    fn summarize(&self, nodes: &[PushOnly]) -> String {
-        let informed: Vec<u8> = nodes.iter().map(|p| u8::from(p.informed())).collect();
-        format!("informed={informed:?}")
-    }
-}
-
-/// PULL-only ablation.
-pub struct PullOnlySpec {
-    /// Network size.
-    pub n: usize,
-    /// Nodes `0..sources` start informed.
-    pub sources: usize,
-}
-
-impl CheckSpec for PullOnlySpec {
-    type P = PullOnly;
-
-    fn name(&self) -> &'static str {
-        "pull-only"
-    }
-
-    fn params(&self) -> ModelParams {
-        ModelParams::mobile(0)
-    }
-
-    fn initial(&self) -> Vec<PullOnly> {
-        PullOnly::spawn(self.n, self.sources)
-    }
-
-    fn agreed(&self, nodes: &[PullOnly], crashed: u64) -> bool {
-        up_nodes(nodes.len(), crashed).all(|u| nodes[u].informed())
-    }
-
-    fn summarize(&self, nodes: &[PullOnly]) -> String {
+    fn summarize(&self, nodes: &[P]) -> String {
         let informed: Vec<u8> = nodes.iter().map(|p| u8::from(p.informed())).collect();
         format!("informed={informed:?}")
     }

@@ -17,6 +17,9 @@
 //! * a flag the command does not use is a usage error, not silently
 //!   ignored;
 //! * fuzzed argv over every run command exits 0, 1, 2 or 3 — never a panic;
+//! * malformed `mtm check` input (a self-loop or unparsable topology,
+//!   `--sources` outside `1..=n`, `--beta` below 1 or NaN) is a usage
+//!   error, and fuzzed `check` argv never panics either;
 //! * `mtm experiment` exit codes — 0 on success, 1 when the CSV write
 //!   fails, 2 on a usage error.
 
@@ -303,6 +306,129 @@ fn fuzzed_argv_never_panics() {
             .current_dir(&cwd)
             .output()
             .expect("mtm binary runs");
+        assert!(
+            matches!(out.status.code(), Some(0..=3)),
+            "{argv:?}: exit {:?}: {}",
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr)
+        );
+    });
+}
+
+#[test]
+fn malformed_check_input_is_a_usage_error() {
+    for args in [
+        &["check", "--protocol", "blind", "--topology", "0-0"][..],
+        &["check", "--protocol", "blind", "--topology", "0-1,,1-2"][..],
+        &["check", "--protocol", "blind", "--topology", "clique:x"][..],
+        &["check", "--protocol", "push-pull", "--sources", "0"][..],
+        // The default topology is clique:4.
+        &["check", "--protocol", "push-pull", "--sources", "9"][..],
+        &["check", "--protocol", "ppush", "--sources", U64_MAX][..],
+        &["check", "--protocol", "bit-convergence", "--beta", "0.5"][..],
+        &["check", "--protocol", "bit-convergence", "--beta", "-1"][..],
+        &["check", "--protocol", "bit-convergence", "--beta", "nan"][..],
+    ] {
+        let out = mtm(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+    }
+}
+
+/// Random `mtm check` argv: every protocol (and an unknown one), valid and
+/// invalid topologies, and every option with edge-case values. Whatever the
+/// input, the checker must exit with one of its documented codes, never a
+/// panic (101). The horizon is at most 8 rounds and the state cap at most
+/// 2000, so each case stays short. `--beta` never takes a huge value: it
+/// would widen the non-synchronized protocol's tag to 63 bits, and the
+/// explorer enumerates all `k^n` bit-position choices of a state whatever
+/// the state cap (minutes on 5 or 6 nodes).
+#[test]
+fn fuzzed_check_argv_never_panics() {
+    let protocols = [
+        "blind-gossip",
+        "bit-convergence",
+        "nonsync",
+        "push-pull",
+        "ppush",
+        "push-only",
+        "pull-only",
+        "maintained-gossip",
+        "flood",
+    ];
+    // (topology, node count); the node count sizes valid `--uids`/`--tags`.
+    let topologies = [
+        ("clique:2", 2),
+        ("clique:4", 4),
+        ("path:3", 3),
+        ("cycle:5", 5),
+        ("star:6", 6),
+        ("0-1,1-2", 3),
+    ];
+    let bad_topologies =
+        ["clique:1", "ring:7", "0-0", "0-1,1-1", "0-5", "0-1,,1-2", "0-6", "x", ""];
+    let options = [
+        "--uids",
+        "--tags",
+        "--tag-seed",
+        "--beta",
+        "--k",
+        "--timeout",
+        "--sources",
+        "--loss",
+        "--max-crashes",
+    ];
+    run_cases(0xC4EC, 256, |_case, rng| {
+        let mut argv = vec!["check".to_string()];
+        if rng.gen_bool(0.9) {
+            argv.push("--protocol".into());
+            argv.push(protocols.choose(rng).expect("nonempty").to_string());
+        }
+        // clique:4 is the default topology.
+        let mut n = 4;
+        if rng.gen_bool(0.8) {
+            argv.push("--topology".into());
+            if rng.gen_bool(0.85) {
+                let &(topology, size) = topologies.choose(rng).expect("nonempty");
+                argv.push(topology.into());
+                n = size;
+            } else {
+                argv.push(bad_topologies.choose(rng).expect("nonempty").to_string());
+            }
+        }
+        argv.push("--rounds".into());
+        argv.push(rng.gen_range(0..=8u64).to_string());
+        argv.push("--max-states".into());
+        argv.push(rng.gen_range(0..=2000u64).to_string());
+        for _ in 0..rng.gen_range(0..=3) {
+            let option = *options.choose(rng).expect("nonempty");
+            argv.push(option.into());
+            if option == "--loss" {
+                continue;
+            }
+            let edge: &[&str] = if option == "--beta" {
+                &["0", "1", "-1", "0.5", "", "nan"]
+            } else {
+                &["0", "1", "-1", "0.5", U64_MAX, "", "nan"]
+            };
+            let list = |rng: &mut mtm_testkit::SmallRng, hi: u64| {
+                (0..n).map(|_| rng.gen_range(0..hi).to_string()).collect::<Vec<_>>().join(",")
+            };
+            let value = if rng.gen_bool(0.1) {
+                None
+            } else if rng.gen_bool(0.3) {
+                edge.choose(rng).map(|v| v.to_string())
+            } else {
+                Some(match option {
+                    "--uids" => list(rng, 10),
+                    "--tags" => list(rng, 4),
+                    _ => rng.gen_range(1..=3u32).to_string(),
+                })
+            };
+            argv.extend(value);
+        }
+        let out = mtm(&argv.iter().map(String::as_str).collect::<Vec<_>>());
         assert!(
             matches!(out.status.code(), Some(0..=3)),
             "{argv:?}: exit {:?}: {}",

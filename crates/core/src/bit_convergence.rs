@@ -22,7 +22,7 @@
 //! and local round counters coincide). Use
 //! [`crate::NonSyncBitConvergence`] when activations are staggered.
 
-use mtm_engine::{Action, LeaderView, Protocol, Scan, Tag};
+use mtm_engine::{ActRule, LeaderView, Protocol, Tag};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -95,28 +95,14 @@ impl Protocol for BitConvergence {
         Tag(self.current_bit)
     }
 
-    fn act(&mut self, scan: &Scan<'_>, rng: &mut SmallRng) -> Action {
+    fn act_rule(&self) -> ActRule {
         if self.current_bit == 1 {
             // Potentially larger tag: receive only this group.
-            return Action::Listen;
+            ActRule::Listen
+        } else {
+            // Bit 0: propose to a uniformly random neighbor advertising 1.
+            ActRule::PushTo(Tag(1))
         }
-        // Bit 0: propose to a uniformly random neighbor advertising 1.
-        let ones = u32::try_from((0..scan.len()).filter(|&i| scan.tag_of(i) == Tag(1)).count())
-            .expect("scan size fits u32");
-        if ones == 0 {
-            return Action::Listen;
-        }
-        let pick = rng.gen_range(0..ones);
-        let mut seen = 0u32;
-        for i in 0..scan.len() {
-            if scan.tag_of(i) == Tag(1) {
-                if seen == pick {
-                    return Action::Propose(scan.neighbors[i]);
-                }
-                seen += 1;
-            }
-        }
-        unreachable!("counted 1-advertisers not found");
     }
 
     fn payload(&self) -> IdPair {
@@ -148,23 +134,6 @@ impl Protocol for BitConvergence {
         true
     }
 
-    fn enumerate_actions(&self, scan: &Scan<'_>) -> Vec<Action> {
-        // Forced-propose shape: a 0-bit advertiser with 1-advertising
-        // neighbors MUST propose to one of them.
-        if self.current_bit == 1 {
-            return vec![Action::Listen];
-        }
-        let eligible: Vec<Action> = (0..scan.len())
-            .filter(|&i| scan.tag_of(i) == Tag(1))
-            .map(|i| Action::Propose(scan.neighbors[i]))
-            .collect();
-        if eligible.is_empty() {
-            vec![Action::Listen]
-        } else {
-            eligible
-        }
-    }
-
     fn state_words(&self, out: &mut Vec<u64>) {
         // Same words as the fingerprint, unhashed: `current_bit` is scratch
         // recomputed from `active` by every advertise.
@@ -190,7 +159,7 @@ impl LeaderView for BitConvergence {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtm_engine::{ActivationSchedule, Engine, ModelParams};
+    use mtm_engine::{Action, ActivationSchedule, Engine, ModelParams, Scan};
     use mtm_graph::{gen, StaticTopology};
 
     fn winner_pair(nodes: &[BitConvergence]) -> IdPair {

@@ -11,9 +11,8 @@
 //! of `n`, `Δ`, `α` or `τ`, so its analysis carries over unchanged to the
 //! asynchronous-activation setting (footnote 2 of the paper).
 
-use mtm_engine::{Action, LeaderView, PayloadCost, Protocol, Scan, Tag};
+use mtm_engine::{ActRule, LeaderView, PayloadCost, Protocol, Tag};
 use rand::rngs::SmallRng;
-use rand::Rng;
 
 use crate::id::UidPool;
 
@@ -62,14 +61,9 @@ impl Protocol for BlindGossip {
         Tag::EMPTY
     }
 
-    fn act(&mut self, scan: &Scan<'_>, rng: &mut SmallRng) -> Action {
-        // Fair coin: heads = send, tails = receive. A node with no visible
-        // neighbors can only listen.
-        if scan.is_empty() || !rng.gen_bool(0.5) {
-            return Action::Listen;
-        }
-        let i = rng.gen_range(0..scan.len());
-        Action::Propose(scan.neighbors[i])
+    fn act_rule(&self) -> ActRule {
+        // Fair coin: heads = send, tails = receive.
+        ActRule::CoinFlip
     }
 
     fn payload(&self) -> MinUid {
@@ -86,15 +80,6 @@ impl Protocol for BlindGossip {
 
     fn supports_check(&self) -> bool {
         true
-    }
-
-    fn enumerate_actions(&self, scan: &Scan<'_>) -> Vec<Action> {
-        // The coin and the neighbor pick together allow Listen or a
-        // proposal to any visible neighbor.
-        let mut actions = Vec::with_capacity(scan.len() + 1);
-        actions.push(Action::Listen);
-        actions.extend(scan.neighbors.iter().map(|&v| Action::Propose(v)));
-        actions
     }
 
     fn state_words(&self, out: &mut Vec<u64>) {

@@ -60,9 +60,8 @@
 //! are the engine-supplied per-node streams, in the same draw pattern as
 //! [`BlindGossip`](crate::BlindGossip).
 
-use mtm_engine::{Action, EpochView, LeaderView, PayloadCost, Protocol, Scan, Tag};
+use mtm_engine::{ActRule, Action, EpochView, LeaderView, PayloadCost, Protocol, Scan, Tag};
 use rand::rngs::SmallRng;
-use rand::Rng;
 
 use crate::id::UidPool;
 
@@ -190,15 +189,14 @@ impl Protocol for MaintainedGossip {
         Tag::EMPTY
     }
 
-    fn act(&mut self, scan: &Scan<'_>, rng: &mut SmallRng) -> Action {
+    fn act_rule(&self) -> ActRule {
+        // Blind-gossip skeleton: fair coin to send or receive.
+        ActRule::CoinFlip
+    }
+
+    fn apply_action(&mut self, scan: &Scan<'_>, _action: Action) {
+        // Latch visibility for `end_round`'s isolation gate.
         self.saw_neighbors = !scan.is_empty();
-        // Blind-gossip skeleton: fair coin to send or receive; a node with
-        // no visible neighbors can only listen.
-        if scan.is_empty() || !rng.gen_bool(0.5) {
-            return Action::Listen;
-        }
-        let i = rng.gen_range(0..scan.len());
-        Action::Propose(scan.neighbors[i])
     }
 
     fn payload(&self) -> Heartbeat {
@@ -251,19 +249,6 @@ impl Protocol for MaintainedGossip {
 
     fn supports_check(&self) -> bool {
         true
-    }
-
-    fn enumerate_actions(&self, scan: &Scan<'_>) -> Vec<Action> {
-        let mut actions = Vec::with_capacity(scan.len() + 1);
-        actions.push(Action::Listen);
-        actions.extend(scan.neighbors.iter().map(|&v| Action::Propose(v)));
-        actions
-    }
-
-    fn apply_action(&mut self, scan: &Scan<'_>, _action: Action) {
-        // Mirror `act`'s side effect: latch visibility for `end_round`'s
-        // isolation gate.
-        self.saw_neighbors = !scan.is_empty();
     }
 
     fn state_words(&self, out: &mut Vec<u64>) {

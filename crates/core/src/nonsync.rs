@@ -18,7 +18,7 @@
 //! the last activation — a `log³n` factor slower than the synchronized
 //! algorithm.
 
-use mtm_engine::{Action, LeaderView, Protocol, Scan, Tag};
+use mtm_engine::{ActRule, LeaderView, Protocol, Tag};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -97,29 +97,14 @@ impl Protocol for NonSyncBitConvergence {
         Self::encode(self.position, self.current_bit)
     }
 
-    fn act(&mut self, scan: &Scan<'_>, rng: &mut SmallRng) -> Action {
+    fn act_rule(&self) -> ActRule {
         if self.current_bit == 1 {
-            return Action::Listen;
+            ActRule::Listen
+        } else {
+            // Advertising (i, 0): propose to a uniformly random neighbor
+            // advertising (i, 1).
+            ActRule::PushTo(Self::encode(self.position, 1))
         }
-        // Advertising (i, 0): propose to a uniformly random neighbor
-        // advertising (i, 1).
-        let target = Self::encode(self.position, 1);
-        let count = u32::try_from((0..scan.len()).filter(|&i| scan.tag_of(i) == target).count())
-            .expect("scan size fits u32");
-        if count == 0 {
-            return Action::Listen;
-        }
-        let pick = rng.gen_range(0..count);
-        let mut seen = 0u32;
-        for i in 0..scan.len() {
-            if scan.tag_of(i) == target {
-                if seen == pick {
-                    return Action::Propose(scan.neighbors[i]);
-                }
-                seen += 1;
-            }
-        }
-        unreachable!("counted (i,1)-advertisers not found");
     }
 
     fn payload(&self) -> IdPair {
@@ -164,24 +149,6 @@ impl Protocol for NonSyncBitConvergence {
         Self::encode(self.position, self.current_bit)
     }
 
-    fn enumerate_actions(&self, scan: &Scan<'_>) -> Vec<Action> {
-        // Forced-propose shape on (position, 0): any (position, 1)
-        // advertiser is an eligible target.
-        if self.current_bit == 1 {
-            return vec![Action::Listen];
-        }
-        let target = Self::encode(self.position, 1);
-        let eligible: Vec<Action> = (0..scan.len())
-            .filter(|&i| scan.tag_of(i) == target)
-            .map(|i| Action::Propose(scan.neighbors[i]))
-            .collect();
-        if eligible.is_empty() {
-            vec![Action::Listen]
-        } else {
-            eligible
-        }
-    }
-
     fn state_words(&self, out: &mut Vec<u64>) {
         // Unlike the fingerprint, the exact-state key must include
         // `position`: it is durable across the rounds of a group and
@@ -202,7 +169,7 @@ impl LeaderView for NonSyncBitConvergence {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtm_engine::{ActivationSchedule, Engine, ModelParams};
+    use mtm_engine::{Action, ActivationSchedule, Engine, ModelParams, Scan};
     use mtm_graph::{gen, StaticTopology};
 
     fn run_with_schedule(

@@ -11,9 +11,8 @@
 //!   node proposes to a uniformly random neighbor advertising `1` (if any),
 //!   an uninformed node listens. The bit makes every connection productive.
 
-use mtm_engine::{Action, PayloadCost, Protocol, RumorView, Scan, Tag};
+use mtm_engine::{ActRule, PayloadCost, Protocol, RumorView, Tag};
 use rand::rngs::SmallRng;
-use rand::Rng;
 
 /// One-bit payload: whether the sender knows the rumor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,12 +53,8 @@ impl Protocol for PushPull {
         Tag::EMPTY
     }
 
-    fn act(&mut self, scan: &Scan<'_>, rng: &mut SmallRng) -> Action {
-        if scan.is_empty() || !rng.gen_bool(0.5) {
-            return Action::Listen;
-        }
-        let i = rng.gen_range(0..scan.len());
-        Action::Propose(scan.neighbors[i])
+    fn act_rule(&self) -> ActRule {
+        ActRule::CoinFlip
     }
 
     fn payload(&self) -> RumorBit {
@@ -76,13 +71,6 @@ impl Protocol for PushPull {
 
     fn supports_check(&self) -> bool {
         true
-    }
-
-    fn enumerate_actions(&self, scan: &Scan<'_>) -> Vec<Action> {
-        let mut actions = Vec::with_capacity(scan.len() + 1);
-        actions.push(Action::Listen);
-        actions.extend(scan.neighbors.iter().map(|&v| Action::Propose(v)));
-        actions
     }
 
     fn state_words(&self, out: &mut Vec<u64>) {
@@ -131,29 +119,14 @@ impl Protocol for Ppush {
         self.my_tag()
     }
 
-    fn act(&mut self, scan: &Scan<'_>, rng: &mut SmallRng) -> Action {
-        if !self.informed {
+    fn act_rule(&self) -> ActRule {
+        if self.informed {
+            // Propose to a uniformly random neighbor advertising 1.
+            ActRule::PushTo(Tag(1))
+        } else {
             // Advertising 1: receive only.
-            return Action::Listen;
+            ActRule::Listen
         }
-        // Informed: propose to a uniformly random neighbor advertising 1.
-        let uninformed =
-            u32::try_from((0..scan.len()).filter(|&i| scan.tag_of(i) == Tag(1)).count())
-                .expect("scan size fits u32");
-        if uninformed == 0 {
-            return Action::Listen;
-        }
-        let pick = rng.gen_range(0..uninformed);
-        let mut seen = 0u32;
-        for i in 0..scan.len() {
-            if scan.tag_of(i) == Tag(1) {
-                if seen == pick {
-                    return Action::Propose(scan.neighbors[i]);
-                }
-                seen += 1;
-            }
-        }
-        unreachable!("uninformed count matched no neighbor");
     }
 
     fn payload(&self) -> RumorBit {
@@ -172,24 +145,6 @@ impl Protocol for Ppush {
         true
     }
 
-    fn enumerate_actions(&self, scan: &Scan<'_>) -> Vec<Action> {
-        // Forced-propose shape: an informed node with uninformed (tag 1)
-        // neighbors MUST propose to one of them; Listen is only available
-        // when no neighbor is eligible.
-        if !self.informed {
-            return vec![Action::Listen];
-        }
-        let eligible: Vec<Action> = (0..scan.len())
-            .filter(|&i| scan.tag_of(i) == Tag(1))
-            .map(|i| Action::Propose(scan.neighbors[i]))
-            .collect();
-        if eligible.is_empty() {
-            vec![Action::Listen]
-        } else {
-            eligible
-        }
-    }
-
     fn state_words(&self, out: &mut Vec<u64>) {
         out.push(self.informed as u64);
     }
@@ -204,7 +159,7 @@ impl RumorView for Ppush {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtm_engine::{ActivationSchedule, Engine, ModelParams};
+    use mtm_engine::{Action, ActivationSchedule, Engine, ModelParams, Scan};
     use mtm_graph::{gen, StaticTopology};
 
     fn spread_push_pull(g: mtm_graph::Graph, seed: u64, max: u64) -> Option<u64> {

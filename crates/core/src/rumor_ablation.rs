@@ -14,9 +14,8 @@
 //! Both are strictly weaker than PUSH-PULL on general graphs and serve as
 //! ablation arms in the rumor-spreading benchmarks.
 
-use mtm_engine::{Action, Protocol, RumorView, Scan, Tag};
+use mtm_engine::{ActRule, Action, Protocol, RumorView, Scan, Tag};
 use rand::rngs::SmallRng;
-use rand::Rng;
 
 use crate::rumor::RumorBit;
 
@@ -50,15 +49,19 @@ impl Protocol for PushOnly {
         Tag::EMPTY
     }
 
-    fn act(&mut self, scan: &Scan<'_>, rng: &mut SmallRng) -> Action {
+    fn act_rule(&self) -> ActRule {
         // Uninformed nodes only listen; informed nodes flip a coin (the
         // standard lazy variant keeps rounds comparable to PUSH-PULL).
-        self.absorbing = !self.informed;
-        if !self.informed || scan.is_empty() || !rng.gen_bool(0.5) {
-            return Action::Listen;
+        if self.informed {
+            ActRule::CoinFlip
+        } else {
+            ActRule::Listen
         }
-        let i = rng.gen_range(0..scan.len());
-        Action::Propose(scan.neighbors[i])
+    }
+
+    fn apply_action(&mut self, _scan: &Scan<'_>, _action: Action) {
+        // Only a listener absorbs this round.
+        self.absorbing = !self.informed;
     }
 
     fn payload(&self) -> RumorBit {
@@ -74,21 +77,6 @@ impl Protocol for PushOnly {
 
     fn supports_check(&self) -> bool {
         true
-    }
-
-    fn enumerate_actions(&self, scan: &Scan<'_>) -> Vec<Action> {
-        if !self.informed || scan.is_empty() {
-            return vec![Action::Listen];
-        }
-        let mut actions = Vec::with_capacity(scan.len() + 1);
-        actions.push(Action::Listen);
-        actions.extend(scan.neighbors.iter().map(|&v| Action::Propose(v)));
-        actions
-    }
-
-    fn apply_action(&mut self, _scan: &Scan<'_>, _action: Action) {
-        // Mirror `act`'s side effect: only a listener absorbs this round.
-        self.absorbing = !self.informed;
     }
 
     fn state_words(&self, out: &mut Vec<u64>) {
@@ -133,14 +121,17 @@ impl Protocol for PullOnly {
         Tag::EMPTY
     }
 
-    fn act(&mut self, scan: &Scan<'_>, rng: &mut SmallRng) -> Action {
-        self.pulling = false;
-        if self.informed || scan.is_empty() || !rng.gen_bool(0.5) {
-            return Action::Listen;
+    fn act_rule(&self) -> ActRule {
+        if self.informed {
+            ActRule::Listen
+        } else {
+            ActRule::CoinFlip
         }
-        self.pulling = true;
-        let i = rng.gen_range(0..scan.len());
-        Action::Propose(scan.neighbors[i])
+    }
+
+    fn apply_action(&mut self, _scan: &Scan<'_>, action: Action) {
+        // Absorb only while pulling.
+        self.pulling = matches!(action, Action::Propose(_));
     }
 
     fn payload(&self) -> RumorBit {
@@ -155,21 +146,6 @@ impl Protocol for PullOnly {
 
     fn supports_check(&self) -> bool {
         true
-    }
-
-    fn enumerate_actions(&self, scan: &Scan<'_>) -> Vec<Action> {
-        if self.informed || scan.is_empty() {
-            return vec![Action::Listen];
-        }
-        let mut actions = Vec::with_capacity(scan.len() + 1);
-        actions.push(Action::Listen);
-        actions.extend(scan.neighbors.iter().map(|&v| Action::Propose(v)));
-        actions
-    }
-
-    fn apply_action(&mut self, _scan: &Scan<'_>, action: Action) {
-        // Mirror `act`'s side effect: absorb only while pulling.
-        self.pulling = matches!(action, Action::Propose(_));
     }
 
     fn state_words(&self, out: &mut Vec<u64>) {

@@ -52,5 +52,7 @@ pub use engine::{
 pub use event::{EventEngine, EventKind, EventOutcome, EventRecord, LatencyModel};
 pub use metrics::{Metrics, RoundTrace, ServiceMetrics};
 pub use model::{uniform_accept_index, ConnectionPolicy, ModelParams, Tag};
-pub use protocol::{Action, EpochView, LeaderView, PayloadCost, Protocol, RumorView, Scan};
+pub use protocol::{
+    ActRule, Action, EpochView, LeaderView, PayloadCost, Protocol, RumorView, Scan,
+};
 pub use service::{EpochRecord, ServiceConfig, ServiceOutcome, ServiceStatus};

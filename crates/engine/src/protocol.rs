@@ -9,7 +9,7 @@
 
 use mtm_graph::NodeId;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use crate::model::Tag;
 
@@ -65,6 +65,79 @@ pub enum Action {
     Listen,
 }
 
+/// How a node's act phase (phase 3) turns its scan into an [`Action`]. The
+/// act phase's random draws are written only in [`ActRule::draw`], and the
+/// model checker branches on [`ActRule::actions`] of the same rule, so a
+/// drawn action is always an enumerated one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ActRule {
+    /// Listen, whatever the scan shows.
+    Listen,
+    /// Blind gossip's fair coin (§VI): heads proposes to a uniformly random
+    /// visible neighbor, tails listens. A node that sees no neighbor
+    /// listens.
+    CoinFlip,
+    /// Productive push (PPUSH, §V): propose to a uniformly random visible
+    /// neighbor advertising this tag, or listen when none does.
+    PushTo(Tag),
+}
+
+impl ActRule {
+    /// This round's action, drawn from the node's stream. `CoinFlip` draws
+    /// nothing on an empty scan, else one `gen_bool(0.5)` and, on heads, one
+    /// `usize` `gen_range` over the scan. `PushTo` draws one `u32`
+    /// `gen_range` over the eligible neighbors (in scan order) when there
+    /// are any. `Listen` draws nothing.
+    #[inline]
+    pub fn draw(self, scan: &Scan<'_>, rng: &mut SmallRng) -> Action {
+        match self {
+            ActRule::Listen => Action::Listen,
+            ActRule::CoinFlip => {
+                if scan.is_empty() || !rng.gen_bool(0.5) {
+                    return Action::Listen;
+                }
+                Action::Propose(scan.neighbors[rng.gen_range(0..scan.len())])
+            }
+            ActRule::PushTo(tag) => {
+                let eligible =
+                    u32::try_from(advertising(scan, tag).count()).expect("scan size fits u32");
+                if eligible == 0 {
+                    return Action::Listen;
+                }
+                let pick = rng.gen_range(0..eligible) as usize;
+                Action::Propose(advertising(scan, tag).nth(pick).expect("pick < eligible count"))
+            }
+        }
+    }
+
+    /// Every action [`ActRule::draw`] can return on this scan, in the
+    /// checker's branch order: `Listen` then every neighbor for `CoinFlip`;
+    /// the eligible neighbors for `PushTo`, or only `Listen` when there are
+    /// none; only `Listen` for `Listen`.
+    pub fn actions(self, scan: &Scan<'_>) -> Vec<Action> {
+        match self {
+            ActRule::Listen => vec![Action::Listen],
+            ActRule::CoinFlip => std::iter::once(Action::Listen)
+                .chain(scan.neighbors.iter().map(|&v| Action::Propose(v)))
+                .collect(),
+            ActRule::PushTo(tag) => {
+                let eligible: Vec<Action> = advertising(scan, tag).map(Action::Propose).collect();
+                if eligible.is_empty() {
+                    vec![Action::Listen]
+                } else {
+                    eligible
+                }
+            }
+        }
+    }
+}
+
+/// The visible neighbors advertising `tag`, in scan order.
+#[inline]
+fn advertising<'s>(scan: &'s Scan<'_>, tag: Tag) -> impl Iterator<Item = NodeId> + 's {
+    (0..scan.len()).filter(move |&i| scan.tag_of(i) == tag).map(move |i| scan.neighbors[i])
+}
+
 /// Budget accounting for connection payloads. The engine debug-asserts each
 /// exchanged payload against [`crate::model::ModelParams`]'s budget,
 /// enforcing the problem statement's "O(1) UIDs and O(polylog N) additional
@@ -85,9 +158,21 @@ pub trait Protocol: Send {
     /// `b` bits (engine-enforced). `local_round` is 1-based.
     fn advertise(&mut self, local_round: u64, rng: &mut SmallRng) -> Tag;
 
+    /// Phase 3's rule: how this node turns this round's scan into an
+    /// action. Read after `advertise`, so it may depend on what the node
+    /// advertised. Default: listen.
+    fn act_rule(&self) -> ActRule {
+        ActRule::Listen
+    }
+
     /// Phase 3: act on the scan — propose to one visible neighbor or
-    /// listen.
-    fn act(&mut self, scan: &Scan<'_>, rng: &mut SmallRng) -> Action;
+    /// listen. Draws the action by [`Protocol::act_rule`], then records it
+    /// with [`Protocol::apply_action`].
+    fn act(&mut self, scan: &Scan<'_>, rng: &mut SmallRng) -> Action {
+        let action = self.act_rule().draw(scan, rng);
+        self.apply_action(scan, action);
+        action
+    }
 
     /// Phase 4a: produce the payload to send if a connection forms this
     /// round. Called at most once per round, before any `on_connect`.
@@ -127,20 +212,19 @@ pub trait Protocol: Send {
     // The checker (crates/check) explores the protocol × topology product
     // automaton exhaustively: instead of letting `advertise`/`act` draw
     // from the per-node RNG, it enumerates every alternative the protocol
-    // could randomize over and branches on each. A protocol that opts in
-    // must satisfy two structural requirements the checker relies on:
-    //
-    // * `on_connect` and `end_round` are *deterministic* — they may not
-    //   read their RNG argument (true of every protocol in `crates/core`);
-    // * all `advertise`/`act` randomness is captured by the enumerations
-    //   below, i.e. replaying an enumerated (choice, action) pair with
-    //   `apply_choice`/`apply_action` reaches exactly the state the random
-    //   implementation could have reached.
+    // could randomize over and branches on each. The act phase keeps no
+    // promise by hand: `act` and `enumerate_actions` both derive from
+    // `act_rule`, and `act` runs `apply_action` after its draw, so a drawn
+    // action is an enumerated one and replaying it reaches the same state.
+    // The one requirement a protocol that opts in must keep by hand is that
+    // `on_connect` and `end_round` read no RNG (true of every protocol in
+    // `crates/core`): the checker has no branch for their draws. (An
+    // `advertise` that draws must also override `enumerate_choices` and
+    // `apply_choice`; only `NonSyncBitConvergence` does.)
 
     /// True iff this protocol implements the model-checking interface
-    /// (`enumerate_choices` / `apply_choice` / `enumerate_actions` /
-    /// `apply_action` / `state_words`) and meets its determinism
-    /// requirements. Default: not checkable.
+    /// (`enumerate_choices` / `apply_choice` / `state_words`) and meets its
+    /// determinism requirements. Default: not checkable.
     fn supports_check(&self) -> bool {
         false
     }
@@ -165,23 +249,17 @@ pub trait Protocol: Send {
         self.advertise(local_round, &mut rng)
     }
 
-    /// Every action the act phase (phase 3) can randomize over, given this
-    /// scan. Coin-flip protocols return `Listen` plus one `Propose` per
-    /// visible neighbor; forced-propose protocols (PPUSH, bit convergence
-    /// on a 0-bit) return only their eligible proposals, with `Listen`
-    /// offered *only* when no neighbor is eligible — the checker must not
-    /// be able to schedule an action the protocol cannot take. The default
-    /// returns an empty set (unsupported; see
-    /// [`Protocol::supports_check`]).
-    fn enumerate_actions(&self, _scan: &Scan<'_>) -> Vec<Action> {
-        Vec::new()
+    /// Every action the act phase (phase 3) can take on this scan:
+    /// [`ActRule::actions`] of [`Protocol::act_rule`].
+    fn enumerate_actions(&self, scan: &Scan<'_>) -> Vec<Action> {
+        self.act_rule().actions(scan)
     }
 
-    /// Deterministic act: record that this node takes `action` (an element
-    /// of [`Protocol::enumerate_actions`]) this round, performing exactly
-    /// the side effects `act` would — e.g. `MaintainedGossip` latches
-    /// whether it saw neighbors, the rumor ablations set their per-round
-    /// receptivity flags. Default: no side effects.
+    /// Record that this node takes `action` this round: the act phase's
+    /// side effects, run by `act` after its draw and by the checker on an
+    /// element of [`Protocol::enumerate_actions`] — e.g. `MaintainedGossip`
+    /// latches whether it saw neighbors, the rumor ablations set their
+    /// per-round receptivity flags. Default: no side effects.
     fn apply_action(&mut self, _scan: &Scan<'_>, _action: Action) {}
 
     /// Push this node's *exact* durable state onto `out`, as words. Unlike

@@ -4,9 +4,11 @@
 //! replacement for proptest).
 
 use mtm_engine::runner::run_trials;
-use mtm_engine::{ActivationSchedule, Engine, ModelParams, PayloadCost, Protocol, Scan, Tag};
+use mtm_engine::{
+    ActRule, Action, ActivationSchedule, Engine, ModelParams, PayloadCost, Protocol, Scan, Tag,
+};
 use mtm_graph::{gen, StaticTopology};
-use mtm_testkit::{run_cases, Rng, SmallRng};
+use mtm_testkit::{run_cases, Rng, SeedableRng, SliceRandom, SmallRng};
 
 /// A minimal min-spreading protocol used to exercise engine mechanics.
 #[derive(Clone)]
@@ -30,11 +32,11 @@ impl Protocol for Spread {
     fn advertise(&mut self, _l: u64, _r: &mut SmallRng) -> Tag {
         Tag::EMPTY
     }
-    fn act(&mut self, scan: &Scan<'_>, rng: &mut SmallRng) -> mtm_engine::Action {
+    fn act(&mut self, scan: &Scan<'_>, rng: &mut SmallRng) -> Action {
         if scan.is_empty() || !rng.gen_bool(0.5) {
-            return mtm_engine::Action::Listen;
+            return Action::Listen;
         }
-        mtm_engine::Action::Propose(scan.neighbors[rng.gen_range(0..scan.len())])
+        Action::Propose(scan.neighbors[rng.gen_range(0..scan.len())])
     }
     fn payload(&self) -> Val {
         Val(self.best)
@@ -225,6 +227,93 @@ fn same_seed_traces_identical_across_topologies() {
             let (mb, tb) = build(params, seed);
             assert_eq!(ma, mb, "metrics must be a pure function of (seed, config)");
             assert_eq!(ta, tb, "round traces must be a pure function of (seed, config)");
+        }
+    });
+}
+
+/// Longhand reference for `ActRule::draw`: the coin flip and the
+/// productive push with the stream use every recorded output depends on.
+fn reference_draw(rule: ActRule, scan: &Scan<'_>, rng: &mut SmallRng) -> Action {
+    match rule {
+        ActRule::Listen => Action::Listen,
+        ActRule::CoinFlip => {
+            if scan.is_empty() || !rng.gen_bool(0.5) {
+                return Action::Listen;
+            }
+            let i = rng.gen_range(0..scan.len());
+            Action::Propose(scan.neighbors[i])
+        }
+        ActRule::PushTo(tag) => {
+            let eligible = (0..scan.len()).filter(|&i| scan.tag_of(i) == tag).count();
+            if eligible == 0 {
+                return Action::Listen;
+            }
+            let pick = rng.gen_range(0..u32::try_from(eligible).expect("small scan"));
+            let mut seen = 0u32;
+            for i in 0..scan.len() {
+                if scan.tag_of(i) == tag {
+                    if seen == pick {
+                        return Action::Propose(scan.neighbors[i]);
+                    }
+                    seen += 1;
+                }
+            }
+            unreachable!("pick is below the eligible count")
+        }
+    }
+}
+
+/// On random scans (0–12 visible neighbors, tags of b = 0, 1 or 2 bits),
+/// every action `ActRule::draw` returns is one `ActRule::actions`
+/// enumerates, the enumeration has its documented shape, and the draw
+/// matches `reference_draw` in value and in stream use.
+#[test]
+fn act_rule_draws_lie_in_its_enumeration() {
+    run_cases(0xE708, 512, |_case, rng| {
+        let len = rng.gen_range(0..=12usize);
+        let b = rng.gen_range(0..=2u32);
+        let mut neighbors: Vec<u32> = (0..32).collect();
+        neighbors.shuffle(rng);
+        neighbors.truncate(len);
+        neighbors.sort_unstable();
+        let tags: Vec<Tag> = if b == 0 {
+            Vec::new()
+        } else {
+            (0..len).map(|_| Tag(rng.gen_range(0..1 << b))).collect()
+        };
+        let scan = Scan { neighbors: &neighbors, tags: &tags, round: 1, local_round: 1 };
+        let target = Tag(rng.gen_range(0..1 << b));
+        for rule in [ActRule::Listen, ActRule::CoinFlip, ActRule::PushTo(target)] {
+            let actions = rule.actions(&scan);
+            match rule {
+                ActRule::Listen => assert_eq!(actions, [Action::Listen]),
+                ActRule::CoinFlip => {
+                    let proposals: Vec<Action> =
+                        neighbors.iter().map(|&v| Action::Propose(v)).collect();
+                    assert_eq!(actions[0], Action::Listen);
+                    assert_eq!(actions[1..], proposals[..]);
+                }
+                ActRule::PushTo(tag) => {
+                    let eligible: Vec<Action> = (0..len)
+                        .filter(|&i| scan.tag_of(i) == tag)
+                        .map(|i| Action::Propose(neighbors[i]))
+                        .collect();
+                    if eligible.is_empty() {
+                        assert_eq!(actions, [Action::Listen]);
+                    } else {
+                        assert_eq!(actions, eligible);
+                    }
+                }
+            }
+            for _ in 0..16 {
+                let seed = rng.gen::<u64>();
+                let mut drawn = SmallRng::seed_from_u64(seed);
+                let mut reference = SmallRng::seed_from_u64(seed);
+                let action = rule.draw(&scan, &mut drawn);
+                assert!(actions.contains(&action), "{rule:?} drew {action:?}, not in {actions:?}");
+                assert_eq!(action, reference_draw(rule, &scan, &mut reference), "{rule:?}");
+                assert_eq!(drawn.gen::<u64>(), reference.gen::<u64>(), "{rule:?} stream use");
+            }
         }
     });
 }

@@ -14,9 +14,6 @@
 //!   *exactly* (the graph stays isomorphic) while scrambling who neighbors
 //!   whom — the harshest structure-preserving adversary, used for `τ`
 //!   sweeps.
-//! * [`EdgeSwapAdversary`] — every `τ` rounds applies degree-preserving
-//!   double edge swaps (keeps the degree sequence, approximately preserves
-//!   expansion, guarantees connectivity by rejection).
 //! * [`LineOfStarsShuffle`] — the §VI lower-bound graph with leaves
 //!   re-dealt among spine stars at every change (isomorphic each time).
 //! * [`WaypointMobility`] — smartphone-like proximity graphs: nodes move on
@@ -176,94 +173,6 @@ impl DynamicTopology for RelabelingAdversary {
     fn graph_at(&mut self, round: u64) -> &Graph {
         if let Some(epoch) = self.clock.tick(round) {
             self.current = self.relabel(epoch);
-        }
-        &self.current
-    }
-}
-
-/// Degree-preserving churn: every `τ` rounds, attempt `swaps` random double
-/// edge swaps (`{a,b},{c,d} → {a,d},{c,b}`), rejecting any batch that
-/// disconnects the graph (bounded retries, falling back to the previous
-/// graph). The degree sequence is invariant.
-pub struct EdgeSwapAdversary {
-    clock: EpochClock,
-    swaps: usize,
-    seed: u64,
-    current: Graph,
-}
-
-impl EdgeSwapAdversary {
-    pub fn new(base: Graph, tau: u64, swaps: usize, seed: u64) -> Self {
-        assert!(base.is_connected(), "EdgeSwapAdversary requires a connected base");
-        EdgeSwapAdversary { clock: EpochClock::new(tau), swaps, seed, current: base }
-    }
-
-    fn swapped(&self, epoch: u64) -> Graph {
-        // per-epoch stream derived from the topology seed. mtm-lint: allow(smallrng-outside-engine)
-        let mut rng = SmallRng::seed_from_u64(crate::rng::derive_seed(self.seed, epoch));
-        for _attempt in 0..8 {
-            let mut edges: Vec<(NodeId, NodeId)> = self.current.edges().collect();
-            let mut edge_set: std::collections::BTreeSet<(NodeId, NodeId)> =
-                edges.iter().copied().collect();
-            let mut done = 0usize;
-            let mut tries = 0usize;
-            while done < self.swaps && tries < self.swaps * 20 {
-                tries += 1;
-                if edges.len() < 2 {
-                    break;
-                }
-                let i = rng.gen_range(0..edges.len());
-                let j = rng.gen_range(0..edges.len());
-                if i == j {
-                    continue;
-                }
-                let (a, b) = edges[i];
-                let (c, d) = edges[j];
-                // Orientation choice: swap to (a,d),(c,b) or (a,c),(b,d).
-                let (x1, y1, x2, y2) = if rng.gen_bool(0.5) { (a, d, c, b) } else { (a, c, b, d) };
-                if x1 == y1 || x2 == y2 {
-                    continue;
-                }
-                let e1 = if x1 < y1 { (x1, y1) } else { (y1, x1) };
-                let e2 = if x2 < y2 { (x2, y2) } else { (y2, x2) };
-                if edge_set.contains(&e1) || edge_set.contains(&e2) || e1 == e2 {
-                    continue;
-                }
-                edge_set.remove(&edges[i]);
-                edge_set.remove(&edges[j]);
-                edge_set.insert(e1);
-                edge_set.insert(e2);
-                // Replace the higher index first so the lower stays valid.
-                let (hi, lo) = if i > j { (i, j) } else { (j, i) };
-                edges[hi] = e1;
-                edges[lo] = e2;
-                done += 1;
-            }
-            let mut builder = GraphBuilder::with_capacity(self.current.node_count(), edges.len());
-            for (u, v) in edge_set {
-                builder.add_edge(u, v);
-            }
-            let g = builder.build();
-            if g.is_connected() {
-                return g;
-            }
-        }
-        self.current.clone()
-    }
-}
-
-impl DynamicTopology for EdgeSwapAdversary {
-    fn node_count(&self) -> usize {
-        self.current.node_count()
-    }
-    fn tau(&self) -> Option<u64> {
-        Some(self.clock.tau)
-    }
-    fn graph_at(&mut self, round: u64) -> &Graph {
-        if let Some(epoch) = self.clock.tick(round) {
-            if epoch > 0 {
-                self.current = self.swapped(epoch);
-            }
         }
         &self.current
     }
@@ -561,32 +470,6 @@ mod tests {
         let g2 = adv.graph_at(6).clone();
         // New epoch may (with overwhelming probability does) differ.
         let _ = g2;
-    }
-
-    #[test]
-    fn edge_swap_preserves_degree_sequence() {
-        let base = gen::random_regular(20, 4, 1);
-        let deg_seq = base.degree_sequence();
-        let mut adv = EdgeSwapAdversary::new(base, 1, 10, 99);
-        for round in 1..=15 {
-            let g = adv.graph_at(round);
-            assert_eq!(g.degree_sequence(), deg_seq, "round {round}");
-            assert!(g.is_connected(), "round {round} disconnected");
-        }
-    }
-
-    #[test]
-    fn edge_swap_actually_changes_graph() {
-        let base = gen::random_regular(24, 3, 2);
-        let g0 = base.clone();
-        let mut adv = EdgeSwapAdversary::new(base, 1, 8, 5);
-        let mut changed = false;
-        for round in 1..=10 {
-            if adv.graph_at(round) != &g0 {
-                changed = true;
-            }
-        }
-        assert!(changed);
     }
 
     #[test]

@@ -452,7 +452,10 @@ pub fn sanitize(content: &str) -> String {
             }
             State::Str => match c {
                 '\\' => {
-                    out.push_str("  ");
+                    // Blank the escape, but keep the newline of a
+                    // `\`-continued literal so later lines keep their numbers.
+                    out.push(' ');
+                    out.push(if next == Some('\n') { '\n' } else { ' ' });
                     i += 2;
                 }
                 '"' => {
@@ -658,6 +661,16 @@ mod tests {
         let san = sanitize(src);
         assert_eq!(san.lines().count(), src.lines().count());
         assert!(!san.contains('{') && !san.contains('}'));
+    }
+
+    #[test]
+    fn sanitize_keeps_continued_string_newlines() {
+        // A `\`-continued literal spans two lines; dropping its newline
+        // would check every later line one line early, so the annotated
+        // cast below would be reported on the annotation's line.
+        let src = "let s = \"x \\\n    y\";\n// checked. mtm-lint: allow(truncating-cast)\nlet c = u as u32;\n";
+        assert_eq!(sanitize(src).lines().count(), src.lines().count());
+        assert_eq!(scan("crates/engine/src/x.rs", src), []);
     }
 
     #[test]

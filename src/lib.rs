@@ -61,8 +61,7 @@ pub mod prelude {
         ServiceOutcome, ServiceStatus, StuckReport, Tag,
     };
     pub use mtm_graph::dynamic::{
-        EdgeSwapAdversary, JoinSchedule, LineOfStarsShuffle, RelabelingAdversary, StaticTopology,
-        WaypointMobility,
+        JoinSchedule, LineOfStarsShuffle, RelabelingAdversary, StaticTopology, WaypointMobility,
     };
     pub use mtm_graph::faults::{FaultConfig, FaultyTopology, ScheduledCrashes};
     pub use mtm_graph::{gen, DynamicTopology, Graph, GraphBuilder, GraphFamily, NodeId};

@@ -15,7 +15,7 @@
 
 use mtm_check::{
     analyze, explore, BitConvergenceSpec, BlindGossipSpec, CheckConfig, CheckSpec,
-    MaintainedGossipSpec, PushPullSpec,
+    MaintainedGossipSpec, RumorSpec,
 };
 use mtm_core::TagConfig;
 use mtm_graph::{gen, Graph};
@@ -62,7 +62,7 @@ fn push_pull_schedules_replay_exactly_with_loss() {
     run_cases(0xC0F0_0002, 10, |_case, rng| {
         let g = arb_graph(rng);
         let n = g.node_count();
-        let spec = PushPullSpec { n, sources: rng.gen_range(1..=n) };
+        let spec = RumorSpec::push_pull(n, rng.gen_range(1..=n));
         let cfg =
             CheckConfig { horizon: 6, max_states: 30_000, loss: true, ..CheckConfig::default() };
         assert_conformant(&spec, &g, &cfg, 5);

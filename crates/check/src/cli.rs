@@ -415,7 +415,7 @@ pub fn run(args: &[String]) -> i32 {
                 return 2;
             }
             let max_deg =
-                (0..n).map(|u| graph.neighbors(crate::explore::nid(u)).len()).max().unwrap_or(1);
+                (0..n).map(|u| graph.neighbors(mtm_graph::nid(u)).len()).max().unwrap_or(1);
             let mut config = TagConfig::new(n.max(2), beta, max_deg.max(2));
             if let Some(k) = opts.k {
                 config.k = k.clamp(1, 63);

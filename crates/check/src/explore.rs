@@ -5,8 +5,7 @@
 //!
 //! 1. **Crashes** (behind [`CheckConfig::max_crashes`]): any subset of still-up
 //!    nodes within the remaining crash budget goes down permanently (edges to
-//!    a crashed node vanish; the node keeps running over an empty scan, which
-//!    is exactly what [`mtm_graph::faults::ScheduledCrashes`] produces).
+//!    a crashed node vanish; the node keeps running over an empty scan).
 //! 2. **Advertise randomness**: every combination of
 //!    [`Protocol::enumerate_choices`] across nodes (nontrivial only for the
 //!    non-synchronized bit-position choice).
@@ -19,30 +18,37 @@
 //!    acceptance makes every enumerated accept set a matching by
 //!    construction, mirroring `SingleUniform` resolution.
 //!
+//! The explorer only enumerates choices. Each successor is one production
+//! round: an [`Engine`] restored to the parent state ([`Engine::restore`]),
+//! on a [`ScheduledCrashes`] topology with the crashed nodes down from round
+//! 1, steps the resolved [`RoundScript`] ([`Engine::step_scripted`]). The
+//! action enumeration reads its scans from the same topology. The engine's
+//! audits thus run on every explored transition, and a breach panics.
+//!
 //! States are deduplicated on `(round offset mod period, canonicalized state
 //! words, crash mask)`; the stored representative keeps the *raw* first
 //! reached configuration plus a predecessor edge carrying the exact
-//! [`RoundSchedule`], so any state's shortest schedule is replayable through
-//! the real [`mtm_engine::Engine`] via [`crate::replay`].
+//! [`RoundSchedule`], so any state's shortest schedule replays as one
+//! continuous engine run via [`crate::replay`].
 
 use std::collections::BTreeMap;
 
-use mtm_engine::{Action, Protocol, RoundScript, Scan, Tag};
-use mtm_graph::{Graph, NodeId};
+use mtm_engine::{Action, ActivationSchedule, Engine, Protocol, RoundScript, Scan, Tag};
+use mtm_graph::faults::ScheduledCrashes;
+use mtm_graph::{nid, DynamicTopology, Graph, NodeId, StaticTopology};
 
 use crate::spec::CheckSpec;
-
-/// Convert a node index to a [`NodeId`] (node counts here are ≤ 6).
-pub(crate) fn nid(u: usize) -> NodeId {
-    NodeId::try_from(u).expect("node index fits NodeId")
-}
 
 /// Exploration bounds and adversary powers.
 #[derive(Clone, Copy, Debug)]
 pub struct CheckConfig {
     /// Maximum schedule depth (rounds) to explore.
     pub horizon: u64,
-    /// Maximum number of distinct states to store before truncating.
+    /// Maximum number of distinct states to store. Exploration stops at the
+    /// first new successor the cap would discard, so the cap also bounds the
+    /// work. A run that never reaches it still enumerates every transition
+    /// of every expanded state: `k^n` advertise choices per group start for
+    /// the non-synchronized protocol.
     pub max_states: usize,
     /// Allow the adversary to drop any accepted proposal (a listener may
     /// accept none of its incoming proposals even when some arrived).
@@ -73,7 +79,10 @@ pub struct RoundSchedule {
 pub enum Truncation {
     /// The round horizon was reached with frontier states left.
     Horizon,
-    /// The state cap was hit; some successors were discarded.
+    /// The state cap was hit: exploration stopped at the first successor
+    /// it would discard, leaving the rest of the frontier unexpanded and
+    /// the rest of that state's transitions (and their invariant checks)
+    /// unenumerated.
     StateCap,
 }
 
@@ -153,59 +162,37 @@ impl<P> Exploration<P> {
     }
 }
 
-/// Mixed-radix odometer over `sizes`: yields every index vector `v` with
-/// `v[i] < sizes[i]`. Yields a single empty vector for empty `sizes`, and
-/// nothing if any size is zero.
-struct Combos {
-    sizes: Vec<usize>,
-    idx: Vec<usize>,
-    done: bool,
-}
-
-impl Combos {
-    fn new(sizes: Vec<usize>) -> Combos {
-        let done = sizes.contains(&0);
-        Combos { idx: vec![0; sizes.len()], sizes, done }
-    }
-}
-
-impl Iterator for Combos {
-    type Item = Vec<usize>;
-
-    fn next(&mut self) -> Option<Vec<usize>> {
-        if self.done {
-            return None;
+/// Step the mixed-radix odometer `idx` (digit `i` runs below `sizes[i]`,
+/// least significant first) to the next index vector. Returns `false`, with
+/// `idx` back at all zeros, once every vector has been visited; starting
+/// from all zeros the loop visits each exactly once. Every size must be at
+/// least 1.
+fn next_combo(idx: &mut [usize], sizes: &[usize]) -> bool {
+    for (digit, &size) in idx.iter_mut().zip(sizes) {
+        *digit += 1;
+        if *digit < size {
+            return true;
         }
-        let out = self.idx.clone();
-        let mut i = 0;
-        loop {
-            if i == self.sizes.len() {
-                self.done = true;
-                break;
-            }
-            self.idx[i] += 1;
-            if self.idx[i] < self.sizes[i] {
-                break;
-            }
-            self.idx[i] = 0;
-            i += 1;
-        }
-        Some(out)
+        *digit = 0;
     }
+    false
 }
 
+/// Write the dedup key of a configuration into `key`: the round offset, the
+/// crash mask, then the canonicalized state words.
 fn state_key<S: CheckSpec>(
     spec: &S,
     nodes: &[S::P],
     offset: u64,
     crashed: u64,
-) -> (u64, u64, Vec<u64>) {
-    let mut words = Vec::with_capacity(nodes.len() * 4);
+    key: &mut Vec<u64>,
+) {
+    key.clear();
+    key.extend([offset, crashed]);
     for p in nodes {
-        p.state_words(&mut words);
+        p.state_words(key);
     }
-    spec.canonicalize(&mut words);
-    (offset, crashed, words)
+    spec.canonicalize(&mut key[2..]);
 }
 
 /// Raw (uncanonicalized) state words of a configuration — the quantity the
@@ -218,7 +205,20 @@ pub fn raw_words<P: Protocol>(nodes: &[P]) -> Vec<u64> {
     words
 }
 
+/// The base graph with every node in `crashed` down from round 1 on: its
+/// edges vanish and its scan is empty.
+fn crash_topology(graph: &Graph, crashed: u64) -> ScheduledCrashes<StaticTopology> {
+    let outages = (0..graph.node_count())
+        .filter(|&u| crashed & (1u64 << u) != 0)
+        .map(|u| (nid(u), 1, u64::MAX))
+        .collect();
+    ScheduledCrashes::new(StaticTopology::new(graph.clone()), outages)
+}
+
 /// Breadth-first exhaustive exploration of `spec` on `graph` under `cfg`.
+///
+/// Panics, as the engine does, on a transition that breaks the model
+/// contract (e.g. a tag wider than `spec.params()` allows).
 pub fn explore<S: CheckSpec>(spec: &S, graph: &Graph, cfg: &CheckConfig) -> Exploration<S::P> {
     let n = graph.node_count();
     assert!(n >= 1, "empty graph");
@@ -233,22 +233,32 @@ pub fn explore<S: CheckSpec>(spec: &S, graph: &Graph, cfg: &CheckConfig) -> Expl
 
     let mut states: Vec<StateNode<S::P>> = Vec::new();
     let mut succs: Vec<Vec<u32>> = Vec::new();
-    let mut index: BTreeMap<(u64, u64, Vec<u64>), u32> = BTreeMap::new();
+    let mut index: BTreeMap<Vec<u64>, u32> = BTreeMap::new();
+    let mut key: Vec<u64> = Vec::new();
     let mut violations: Vec<Violation> = Vec::new();
     let mut transitions = 0u64;
     let mut truncation: Option<Truncation> = None;
 
-    index.insert(state_key(spec, &init, 0, 0), 0);
+    let mut engine = Engine::new(
+        crash_topology(graph, 0),
+        spec.params(),
+        ActivationSchedule::synchronized(n),
+        init.clone(),
+        0,
+    );
+    let mut script = RoundScript { advertise: Vec::new(), actions: Vec::new(), accept: Vec::new() };
+    // Per-round scratch, reused across transitions.
+    let mut incoming: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+    let (mut accept_sizes, mut acc_idx) = (Vec::new(), Vec::new());
+
+    state_key(spec, &init, 0, 0, &mut key);
+    index.insert(key.clone(), 0);
     states.push(StateNode { nodes: init, offset: 0, crashed: 0, depth: 0, pred: None });
     succs.push(Vec::new());
 
-    // Protocols draw nothing from the RNG along the check interface; this
-    // stream exists only to satisfy `on_connect`/`end_round` signatures.
-    let mut dummy_rng = mtm_graph::rng::stream_rng(0, 0);
-
     // `states` is appended in BFS order, so the vec doubles as the queue.
     let mut cursor = 0usize;
-    while cursor < states.len() {
+    'bfs: while cursor < states.len() {
         let sid = u32::try_from(cursor).expect("state index fits u32");
         cursor += 1;
 
@@ -261,159 +271,133 @@ pub fn explore<S: CheckSpec>(spec: &S, graph: &Graph, cfg: &CheckConfig) -> Expl
         let p_offset = parent.offset;
         let p_crashed = parent.crashed;
         let p_depth = parent.depth;
-        // Canonical local round handed to the protocol: valid because the
-        // check interface only keys on `local_round` modulo the period.
+        // The restored engine runs round `p_offset + 1`: protocols key only
+        // on the round modulo the period, so this stands for every round
+        // congruent to it.
         let lr = p_offset + 1;
-        let round = u64::from(p_depth) + 1;
 
-        // 1. Crash choices.
-        let up: Vec<usize> = (0..n).filter(|&u| p_crashed & (1u64 << u) == 0).collect();
+        // 1. Crash choices: every superset of the crashed set within the
+        // remaining budget, in ascending mask order.
         let budget = cfg.max_crashes.saturating_sub(p_crashed.count_ones());
-        let mut crash_choices: Vec<u64> = Vec::new();
-        for mask in 0u64..(1u64 << up.len()) {
-            if mask.count_ones() <= budget {
-                let mut crashed = p_crashed;
-                for (i, &u) in up.iter().enumerate() {
-                    if mask & (1u64 << i) != 0 {
-                        crashed |= 1u64 << u;
-                    }
-                }
-                crash_choices.push(crashed);
-            }
-        }
-
+        let crash_choices = (0..1u64 << n)
+            .filter(|&c| c & p_crashed == p_crashed && (c ^ p_crashed).count_ones() <= budget);
         for crashed in crash_choices {
-            let new_crashes: Vec<NodeId> = (0..n)
-                .filter(|&u| crashed & (1u64 << u) != 0 && p_crashed & (1u64 << u) == 0)
-                .map(nid)
-                .collect();
-            // Neighbor lists with crashed nodes removed (a crashed node sees
-            // an empty scan and keeps stepping, matching ScheduledCrashes).
-            let nbrs: Vec<Vec<NodeId>> = (0..n)
-                .map(|u| {
-                    if crashed & (1u64 << u) != 0 {
-                        Vec::new()
-                    } else {
-                        graph
-                            .neighbors(nid(u))
-                            .iter()
-                            .copied()
-                            .filter(|&v| crashed & (1u64 << v) == 0)
-                            .collect()
-                    }
-                })
-                .collect();
+            let new_crashes: Vec<NodeId> =
+                (0..n).filter(|&u| (crashed ^ p_crashed) & (1u64 << u) != 0).map(nid).collect();
+            *engine.topology_mut() = crash_topology(graph, crashed);
 
             // 2. Advertise choices.
             let choice_sets: Vec<Vec<u32>> =
                 p_nodes.iter().map(|p| p.enumerate_choices(lr)).collect();
             let choice_sizes: Vec<usize> = choice_sets.iter().map(Vec::len).collect();
-            for adv_idx in Combos::new(choice_sizes) {
-                let advertise: Vec<u32> =
-                    adv_idx.iter().enumerate().map(|(u, &i)| choice_sets[u][i]).collect();
+            let mut adv_idx = vec![0; n];
+            loop {
+                script.advertise.clear();
+                script.advertise.extend(adv_idx.iter().zip(&choice_sets).map(|(&i, c)| c[i]));
                 let mut adv_nodes = p_nodes.clone();
                 let tags: Vec<Tag> = adv_nodes
                     .iter_mut()
-                    .zip(&advertise)
+                    .zip(&script.advertise)
                     .map(|(p, &c)| p.apply_choice(lr, c))
                     .collect();
-                let scan_tags: Vec<Vec<Tag>> = nbrs
-                    .iter()
-                    .map(|row| row.iter().map(|&v| tags[v as usize]).collect())
-                    .collect();
-                let scan = |u: usize| Scan {
-                    neighbors: &nbrs[u],
-                    tags: &scan_tags[u],
-                    round,
-                    local_round: lr,
-                };
 
-                // 3. Action choices.
-                let action_sets: Vec<Vec<Action>> =
-                    (0..n).map(|u| adv_nodes[u].enumerate_actions(&scan(u))).collect();
+                // 3. Action choices, over the scans the engine will build.
+                let round_graph = engine.topology_mut().graph_at(lr);
+                let action_sets: Vec<Vec<Action>> = adv_nodes
+                    .iter()
+                    .zip(round_graph.neighbor_rows_from(0))
+                    .map(|(p, nbrs)| {
+                        let scan_tags: Vec<Tag> = nbrs.iter().map(|&v| tags[v as usize]).collect();
+                        p.enumerate_actions(&Scan {
+                            neighbors: nbrs,
+                            tags: &scan_tags,
+                            round: lr,
+                            local_round: lr,
+                        })
+                    })
+                    .collect();
                 let action_sizes: Vec<usize> = action_sets.iter().map(Vec::len).collect();
-                for act_idx in Combos::new(action_sizes) {
-                    let actions: Vec<Action> =
-                        act_idx.iter().enumerate().map(|(u, &i)| action_sets[u][i]).collect();
+                let mut act_idx = vec![0; n];
+                loop {
+                    script.actions.clear();
+                    script.actions.extend(act_idx.iter().zip(&action_sets).map(|(&i, a)| a[i]));
 
                     // 4. Acceptance choices: per listener with incoming
                     // proposals, one proposer (+ "accept none" under loss).
-                    let mut incoming: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-                    for u in 0..n {
-                        if let Action::Propose(v) = actions[u] {
-                            if matches!(actions[v as usize], Action::Listen) {
+                    // A node with none has the single choice "none".
+                    for list in &mut incoming {
+                        list.clear();
+                    }
+                    for (u, &action) in script.actions.iter().enumerate() {
+                        if let Action::Propose(v) = action {
+                            if script.actions[v as usize] == Action::Listen {
                                 incoming[v as usize].push(nid(u));
                             }
                         }
                     }
-                    let receivers: Vec<usize> =
-                        (0..n).filter(|&v| !incoming[v].is_empty()).collect();
-                    let accept_sizes: Vec<usize> = receivers
-                        .iter()
-                        .map(|&v| incoming[v].len() + usize::from(cfg.loss))
-                        .collect();
-                    for acc_idx in Combos::new(accept_sizes) {
-                        let mut accept: Vec<(NodeId, NodeId)> = Vec::new();
-                        for (ri, &v) in receivers.iter().enumerate() {
-                            if acc_idx[ri] < incoming[v].len() {
-                                accept.push((incoming[v][acc_idx[ri]], nid(v)));
+                    accept_sizes.clear();
+                    accept_sizes
+                        .extend(incoming.iter().map(|l| (l.len() + usize::from(cfg.loss)).max(1)));
+                    acc_idx.clear();
+                    acc_idx.resize(n, 0);
+                    loop {
+                        script.accept.clear();
+                        for (v, (&i, list)) in acc_idx.iter().zip(&incoming).enumerate() {
+                            if let Some(&u) = list.get(i) {
+                                script.accept.push((u, nid(v)));
                             }
                         }
 
-                        // Apply the resolved round.
-                        let mut next = adv_nodes.clone();
-                        for (u, node) in next.iter_mut().enumerate() {
-                            node.apply_action(&scan(u), actions[u]);
-                        }
-                        for &(a, b) in &accept {
-                            let pa = next[a as usize].payload();
-                            let pb = next[b as usize].payload();
-                            next[a as usize].on_connect(&pb, &mut dummy_rng);
-                            next[b as usize].on_connect(&pa, &mut dummy_rng);
-                        }
-                        for node in &mut next {
-                            node.end_round(lr, &mut dummy_rng);
-                        }
+                        engine.restore(&p_nodes, p_offset);
+                        engine.step_scripted(&script);
                         transitions += 1;
+                        let next = engine.nodes();
 
-                        let schedule = RoundSchedule {
+                        let schedule = || RoundSchedule {
                             crashes: new_crashes.clone(),
-                            script: RoundScript {
-                                advertise: advertise.clone(),
-                                actions: actions.clone(),
-                                accept: accept.clone(),
-                            },
+                            script: script.clone(),
                         };
-                        if let Err(message) = spec.invariant(&p_nodes, &next) {
+                        if let Err(message) = spec.invariant(&p_nodes, next) {
                             violations.push(Violation {
                                 parent: sid,
-                                schedule: schedule.clone(),
+                                schedule: schedule(),
                                 message,
                             });
                         }
 
-                        let offset2 = (p_offset + 1) % period;
-                        let key = state_key(spec, &next, offset2, crashed);
-                        let tid = if let Some(&t) = index.get(&key) {
+                        let offset2 = lr % period;
+                        state_key(spec, next, offset2, crashed, &mut key);
+                        let tid = if let Some(&t) = index.get(key.as_slice()) {
                             t
                         } else if states.len() >= cfg.max_states {
+                            // Every later successor would be discarded too:
+                            // the stored states are final.
                             truncation = Some(Truncation::StateCap);
-                            continue;
+                            break 'bfs;
                         } else {
                             let t = u32::try_from(states.len()).expect("state index fits u32");
-                            index.insert(key, t);
+                            index.insert(key.clone(), t);
                             states.push(StateNode {
-                                nodes: next,
+                                nodes: next.to_vec(),
                                 offset: offset2,
                                 crashed,
                                 depth: p_depth + 1,
-                                pred: Some((sid, schedule)),
+                                pred: Some((sid, schedule())),
                             });
                             succs.push(Vec::new());
                             t
                         };
                         succs[sid as usize].push(tid);
+                        if !next_combo(&mut acc_idx, &accept_sizes) {
+                            break;
+                        }
                     }
+                    if !next_combo(&mut act_idx, &action_sizes) {
+                        break;
+                    }
+                }
+                if !next_combo(&mut adv_idx, &choice_sizes) {
+                    break;
                 }
             }
         }
@@ -577,19 +561,25 @@ pub fn analyze<S: CheckSpec>(spec: &S, ex: &Exploration<S::P>) -> Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{BlindGossipSpec, MaintainedGossipSpec, RumorSpec};
+    use crate::spec::{BlindGossipSpec, MaintainedGossipSpec, NonSyncSpec, RumorSpec};
+    use mtm_core::{Ppush, TagConfig};
+    use mtm_engine::{ModelParams, RumorView};
     use mtm_graph::gen;
 
     #[test]
-    fn combos_enumerates_mixed_radix() {
-        let all: Vec<Vec<usize>> = Combos::new(vec![2, 3]).collect();
+    fn next_combo_enumerates_mixed_radix() {
+        let sizes = [2, 3];
+        let mut idx = [0; 2];
+        let mut all = vec![idx];
+        while next_combo(&mut idx, &sizes) {
+            all.push(idx);
+        }
         assert_eq!(all.len(), 6);
-        assert_eq!(all[0], vec![0, 0]);
-        assert_eq!(all[5], vec![1, 2]);
-        // Empty sizes yield exactly one empty combination.
-        assert_eq!(Combos::new(Vec::new()).count(), 1);
-        // A zero radix yields nothing.
-        assert_eq!(Combos::new(vec![2, 0]).count(), 0);
+        assert_eq!(all[1], [1, 0]);
+        assert_eq!(all[5], [1, 2]);
+        assert_eq!(idx, [0, 0], "the odometer wraps back to zero");
+        // No digits: the empty vector is the only combination.
+        assert!(!next_combo(&mut [], &[]));
     }
 
     #[test]
@@ -646,5 +636,56 @@ mod tests {
         assert!(ex.violations.is_empty());
         let an = analyze(&spec, &ex);
         assert!(an.first_agreed.is_some());
+    }
+
+    /// PPUSH declared with `b = 0`, although its uninformed nodes advertise
+    /// tag 1.
+    struct NarrowPpush;
+
+    impl CheckSpec for NarrowPpush {
+        type P = Ppush;
+
+        fn name(&self) -> &'static str {
+            "ppush-b0"
+        }
+
+        fn params(&self) -> ModelParams {
+            ModelParams::mobile(0)
+        }
+
+        fn initial(&self) -> Vec<Ppush> {
+            Ppush::spawn(3, 1)
+        }
+
+        fn agreed(&self, nodes: &[Ppush], _crashed: u64) -> bool {
+            nodes.iter().all(RumorView::informed)
+        }
+
+        fn summarize(&self, _nodes: &[Ppush]) -> String {
+            String::new()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeding b = 0 bits")]
+    fn explored_transitions_run_the_engine_audits() {
+        // The first transition advertises a 1-bit tag under b = 0: the
+        // engine's tag audit must reject it.
+        explore(&NarrowPpush, &gen::path(3), &CheckConfig::default());
+    }
+
+    #[test]
+    fn state_cap_bounds_the_work() {
+        // At the first group start every node picks one of 63 bit
+        // positions: 63^4 advertise combinations, each reaching a new
+        // state. The run stops at the first successor the cap discards.
+        let mut config = TagConfig::new(4, 3.0, 3);
+        config.k = 63;
+        let spec = NonSyncSpec { uids: vec![1, 2, 3, 4], tags: vec![0, 0, 1, 2], config };
+        let cfg = CheckConfig { max_states: 500, ..CheckConfig::default() };
+        let ex = explore(&spec, &gen::clique(4), &cfg);
+        assert_eq!(ex.truncation, Some(Truncation::StateCap));
+        assert_eq!(ex.state_count(), 500);
+        assert!(ex.transitions <= 1_000, "{} transitions under a 500-state cap", ex.transitions);
     }
 }

@@ -18,11 +18,14 @@
 //!   change any node's durable state again), reported with the *minimal*
 //!   adversary schedule reaching it.
 //!
-//! Every counterexample schedule is replayed through the production
-//! [`mtm_engine::Engine`] via [`mtm_engine::Engine::step_scripted`] and must
-//! reproduce the checker's predicted end state exactly (state words and
-//! network fingerprint) — the abstract transition relation is continuously
-//! cross-validated against the concrete executor, including its audit layer.
+//! Every explored transition is one round of the production
+//! [`mtm_engine::Engine`], restored to the parent state and stepped through
+//! [`mtm_engine::Engine::step_scripted`], model audits included: the checker
+//! certifies the round pipeline the simulations run. Counterexample
+//! schedules are also replayed as one continuous engine run from round 0
+//! ([`replay`]), which must reproduce the checker's end state exactly; this
+//! checks that merging states modulo the protocol's period, and crash masks
+//! in place of crash rounds, lose nothing.
 //!
 //! The flagship use is re-deriving experiment A1's β = 1 finding
 //! exhaustively: with a minimum-tag collision, bit convergence wedges into

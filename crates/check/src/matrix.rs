@@ -99,8 +99,8 @@ fn certify_graph<S: CheckSpec>(
             row.certified = false;
         }
     }
-    // Cross-validate one representative schedule per topology through the
-    // real engine: the deepest state's shortest witness.
+    // Replay one representative schedule per topology as a continuous
+    // engine run: the deepest state's shortest witness.
     if ex.state_count() > 1 {
         let target = u32::try_from(ex.state_count() - 1).expect("state index fits u32");
         if let Err(e) = replay_state(spec, graph, &ex, target) {

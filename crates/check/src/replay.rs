@@ -1,13 +1,15 @@
-//! Cross-validation of checker schedules against the real executor.
+//! Cross-validation of checker schedules against one continuous engine run.
 //!
-//! Any state the explorer reaches carries a shortest adversary schedule
-//! (crashes + fully resolved [`mtm_engine::RoundScript`]s). Replaying that
-//! schedule through [`mtm_engine::Engine::step_scripted`] — the production
-//! round executor with the adversary's choices substituted for the random
-//! ones — must land on exactly the state the checker predicted, word for
-//! word and fingerprint for fingerprint. This closes the loop between the
-//! abstract transition relation the checker enumerates and the concrete one
-//! the simulator executes.
+//! Each explored transition is already a production round: an engine
+//! restored to the parent state at the parent's round offset modulo the
+//! spec's period, with every crashed node down from round 1. Any state the
+//! explorer reaches carries a shortest adversary schedule (crashes + fully
+//! resolved [`mtm_engine::RoundScript`]s). Replaying it as one run from
+//! round 0, with each crash window opening at its own round, must land on
+//! exactly the state the chain of restored transitions reached, word for
+//! word and fingerprint for fingerprint. A mismatch means the explorer's
+//! abstraction is unsound: a protocol that reads more of the round counter
+//! than its period, or a crash that matters before its own round.
 
 use mtm_engine::{ActivationSchedule, Engine, Protocol};
 use mtm_graph::faults::ScheduledCrashes;
@@ -27,13 +29,11 @@ pub struct ReplayOutcome {
     pub rounds: u64,
 }
 
-/// Replay `schedule` through a real [`Engine`] on `graph`.
+/// Replay `schedule` through one [`Engine`] on `graph`, from round 0.
 ///
 /// Crashes in the schedule become permanent [`ScheduledCrashes`] outages
 /// starting at their round; every round is then driven by
-/// [`Engine::step_scripted`], so the engine's own audit layer (tag widths,
-/// proposal visibility, matching shape, payload budget) validates the
-/// checker's schedule as a side effect.
+/// [`Engine::step_scripted`].
 pub fn replay<S: CheckSpec>(spec: &S, graph: &Graph, schedule: &[RoundSchedule]) -> ReplayOutcome {
     let n = graph.node_count();
     let mut outages: Vec<(NodeId, u64, u64)> = Vec::new();

@@ -29,10 +29,10 @@ fn agree_on<P, K: PartialEq>(nodes: &[P], crashed: u64, f: impl Fn(&P) -> K) -> 
 }
 
 /// Everything the model checker needs to know about one protocol
-/// configuration. The explorer itself is protocol-agnostic; it drives the
-/// [`Protocol`] check interface (`enumerate_choices` / `apply_choice` /
-/// `enumerate_actions` / `apply_action`) and consults the spec for the
-/// property layer.
+/// configuration. The explorer itself is protocol-agnostic; it enumerates
+/// choices through the [`Protocol`] check interface (`enumerate_choices` /
+/// `apply_choice` / `enumerate_actions`), lets the engine run each round,
+/// and consults the spec for the property layer.
 pub trait CheckSpec {
     /// The protocol under check.
     type P: Protocol + Clone + std::fmt::Debug;
@@ -40,7 +40,7 @@ pub trait CheckSpec {
     /// Short protocol name for reports.
     fn name(&self) -> &'static str;
 
-    /// Model parameters the Engine replay must run under.
+    /// Model parameters the engine runs every transition and replay under.
     fn params(&self) -> ModelParams;
 
     /// The initial configuration (one protocol instance per node).

@@ -340,10 +340,9 @@ fn malformed_check_input_is_a_usage_error() {
 /// invalid topologies, and every option with edge-case values. Whatever the
 /// input, the checker must exit with one of its documented codes, never a
 /// panic (101). The horizon is at most 8 rounds and the state cap at most
-/// 2000, so each case stays short. `--beta` never takes a huge value: it
-/// would widen the non-synchronized protocol's tag to 63 bits, and the
-/// explorer enumerates all `k^n` bit-position choices of a state whatever
-/// the state cap (minutes on 5 or 6 nodes).
+/// 2000, so each case stays short: the explorer stops at the first state
+/// the cap discards, even where a huge `--beta` widens the
+/// non-synchronized protocol's tag to 63 bits.
 #[test]
 fn fuzzed_check_argv_never_panics() {
     let protocols = [
@@ -407,11 +406,7 @@ fn fuzzed_check_argv_never_panics() {
             if option == "--loss" {
                 continue;
             }
-            let edge: &[&str] = if option == "--beta" {
-                &["0", "1", "-1", "0.5", "", "nan"]
-            } else {
-                &["0", "1", "-1", "0.5", U64_MAX, "", "nan"]
-            };
+            let edge = ["0", "1", "-1", "0.5", U64_MAX, "", "nan"];
             let list = |rng: &mut mtm_testkit::SmallRng, hi: u64| {
                 (0..n).map(|_| rng.gen_range(0..hi).to_string()).collect::<Vec<_>>().join(",")
             };

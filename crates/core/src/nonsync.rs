@@ -88,13 +88,13 @@ impl Protocol for NonSyncBitConvergence {
     type Payload = IdPair;
 
     fn advertise(&mut self, local_round: u64, rng: &mut SmallRng) -> Tag {
-        if self.config.is_group_start(local_round) {
-            self.position = rng.gen_range(0..self.config.k);
-        }
-        // The advertised bit reflects the *current* smallest pair, which
-        // may have improved mid-group.
-        self.current_bit = self.best.tag_bit(self.position, self.config.k);
-        Self::encode(self.position, self.current_bit)
+        // The only draw: a fresh uniform bit position at each group start.
+        let choice = if self.config.is_group_start(local_round) {
+            rng.gen_range(0..self.config.k)
+        } else {
+            0
+        };
+        self.apply_choice(local_round, choice)
     }
 
     fn act_rule(&self) -> ActRule {
@@ -145,6 +145,8 @@ impl Protocol for NonSyncBitConvergence {
             debug_assert!(choice < self.config.k, "choice out of range");
             self.position = choice;
         }
+        // The advertised bit reflects the *current* smallest pair, which
+        // may have improved mid-group.
         self.current_bit = self.best.tag_bit(self.position, self.config.k);
         Self::encode(self.position, self.current_bit)
     }

@@ -289,9 +289,9 @@ pub fn rounds_after_activation(stabilized_round: u64, last_activation: u64) -> u
 }
 
 /// One round of a fully scripted execution: the adversary's resolved
-/// choices for every phase, as enumerated and selected by the `mtm-check`
-/// model checker. Replayed with [`Engine::step_scripted`] to cross-validate
-/// checker counterexamples against the real executor.
+/// choices for every phase, as enumerated by the `mtm-check` model checker.
+/// [`Engine::step_scripted`] runs it: the checker computes each explored
+/// transition that way, and a witness schedule is a list of them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RoundScript {
     /// Per-node advertise choice (an element of
@@ -543,6 +543,29 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
         &self.topology
     }
 
+    /// Mutable view of the topology, e.g. to install another fault
+    /// schedule between rounds. Its node count must not change.
+    pub fn topology_mut(&mut self) -> &mut T {
+        &mut self.topology
+    }
+
+    /// Overwrite every node's state with `nodes` and set the round counter
+    /// to `round`, so the next step runs round `round + 1` from that
+    /// configuration. The active set and local rounds are recomputed from
+    /// the schedule at that round. RNG streams, metrics, traces and the
+    /// stuck detector's window carry on. `mtm-check` restores each
+    /// explored state before stepping one scripted transition out of it.
+    pub fn restore(&mut self, nodes: &[P], round: u64)
+    where
+        P: Clone,
+    {
+        assert_eq!(nodes.len(), self.nodes.len(), "restore needs one state per node");
+        self.nodes.clone_from_slice(nodes);
+        self.round = round;
+        self.all_active = false;
+        self.fp_cache.clear();
+    }
+
     /// Immutable view of node `u`'s protocol state.
     pub fn node(&self, u: usize) -> &P {
         &self.nodes[u]
@@ -580,10 +603,12 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
         self.run_round(Choices::Drawn);
     }
 
-    /// Execute one round following `script` instead of drawing randomness —
-    /// the scripted-adversary hook `mtm-check` uses to replay counterexample
-    /// schedules through the real executor (same pipeline, payload audits
-    /// and delivery path as [`Engine::step`]).
+    /// Execute one round following `script` instead of drawing randomness,
+    /// through the same pipeline, audits and delivery path as
+    /// [`Engine::step`]. This is the scripted-adversary hook of `mtm-check`:
+    /// every transition it explores is one call on an engine set to the
+    /// parent state by [`Engine::restore`], and its witness schedules
+    /// replay as a run of these calls from round 0.
     ///
     /// Requirements (asserted): the acceptance policy is
     /// [`ConnectionPolicy::SingleUniform`], every node is active this round
@@ -1079,6 +1104,71 @@ mod tests {
     fn scripted_receiver_accepts_at_most_once() {
         use Action::{Listen, Propose};
         scripted_star_round(2, [Listen, Propose(0), Propose(0)], &[(1, 0), (2, 0)]);
+    }
+
+    #[test]
+    fn restore_then_step_matches_the_continuous_run() {
+        /// Min spreader that also records its last local round, so a stale
+        /// local-round counter shows in its state.
+        #[derive(Clone, Debug, PartialEq)]
+        struct Stamped {
+            best: u64,
+            last_local: u64,
+        }
+        impl Protocol for Stamped {
+            type Payload = U64Payload;
+            fn advertise(&mut self, _local: u64, _rng: &mut SmallRng) -> Tag {
+                Tag::EMPTY
+            }
+            fn payload(&self) -> U64Payload {
+                U64Payload(self.best)
+            }
+            fn on_connect(&mut self, peer: &U64Payload, _rng: &mut SmallRng) {
+                self.best = self.best.min(peer.0);
+            }
+            fn end_round(&mut self, local_round: u64, _rng: &mut SmallRng) {
+                self.last_local = local_round;
+            }
+        }
+        use Action::{Listen, Propose};
+        // On the path 0-1-2-3 the minimum walks from node 0 to node 3.
+        let scripts = [
+            ([Propose(1), Listen, Listen, Propose(2)], vec![(0, 1), (3, 2)]),
+            ([Listen, Propose(2), Listen, Listen], vec![(1, 2)]),
+            ([Listen, Listen, Propose(3), Listen], vec![(2, 3)]),
+        ]
+        .map(|(actions, accept)| RoundScript {
+            advertise: vec![0; 4],
+            actions: actions.to_vec(),
+            accept,
+        });
+        let engine = || {
+            let nodes = (0..4).map(|u| Stamped { best: 100 + u, last_local: 0 }).collect();
+            Engine::new(
+                StaticTopology::new(gen::path(4)),
+                ModelParams::mobile(0),
+                ActivationSchedule::synchronized(4),
+                nodes,
+                1,
+            )
+        };
+        let mut whole = engine();
+        whole.step_scripted(&scripts[0]);
+        let after_first = whole.nodes().to_vec();
+        for script in &scripts[1..] {
+            whole.step_scripted(script);
+        }
+        assert_eq!(whole.node(3).best, 100);
+
+        // An engine that has run rounds of its own, restored to round 1.
+        let mut resumed = engine();
+        resumed.run_rounds(5);
+        resumed.restore(&after_first, 1);
+        for script in &scripts[1..] {
+            resumed.step_scripted(script);
+        }
+        assert_eq!(resumed.round(), 3);
+        assert_eq!(resumed.nodes(), whole.nodes());
     }
 
     #[test]

@@ -220,7 +220,8 @@ pub trait Protocol: Send {
     // `on_connect` and `end_round` read no RNG (true of every protocol in
     // `crates/core`): the checker has no branch for their draws. (An
     // `advertise` that draws must also override `enumerate_choices` and
-    // `apply_choice`; only `NonSyncBitConvergence` does.)
+    // `apply_choice`. `NonSyncBitConvergence`, the only one, draws just the
+    // choice in `advertise` and hands it to `apply_choice`.)
 
     /// True iff this protocol implements the model-checking interface
     /// (`enumerate_choices` / `apply_choice` / `state_words`) and meets its

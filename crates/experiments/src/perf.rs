@@ -159,7 +159,8 @@ mod tests {
         let block: Vec<u8> = (0..32 << 20).map(|i| (i % 251) as u8).collect();
         std::thread::sleep(std::time::Duration::from_millis(10));
         let peak = sampler.stop().expect("VmRSS available on Linux");
-        drop(block);
+        // Keep the optimiser from deleting the block nothing else reads.
+        drop(std::hint::black_box(block));
         let now = current_rss_bytes().expect("VmRSS available on Linux");
         assert!(peak > 0 && now > 0);
         // The sampled peak must be at least the block's size above zero —

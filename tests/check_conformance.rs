@@ -1,17 +1,17 @@
-//! Checker ↔ engine conformance: every state the model checker can reach,
-//! the production [`Engine`] reaches too, bit for bit.
+//! Checker ↔ engine conformance: every state the model checker reaches
+//! through a chain of restored engine rounds, one continuous engine run
+//! reaches too, bit for bit.
 //!
-//! `mtm-check` explores an *abstract* transition relation (its own
-//! enumeration of advertise choices, scans, matchings and payload
-//! exchanges). The engine executes the *concrete* one, audit layer
-//! included. These tests sample reachable states across random small
-//! topologies, specs, and adversary powers (proposal loss, crashes), replay
-//! each state's minimal witness schedule through
-//! [`mtm_engine::Engine::step_scripted`], and require identical durable
-//! state words and network fingerprints. Any drift between the two
-//! semantics — a phase reordered, a crash observed differently, an
-//! acceptance rule loosened — fails here before it can corrupt a
-//! certification run.
+//! `mtm-check` computes each transition with the production engine, but
+//! restored to the parent state at the parent's round offset modulo the
+//! spec's period, with crashed nodes down from round 1. These tests sample
+//! reachable states across random small topologies, specs, and adversary
+//! powers (proposal loss, crashes), replay each state's minimal witness
+//! schedule from round 0 through [`mtm_engine::Engine::step_scripted`],
+//! with each crash window opening at its own round, and require identical
+//! durable state words and network fingerprints. A protocol that keys on
+//! more of the round counter than its period, or a crash observed before
+//! its round, fails here before it can corrupt a certification run.
 
 use mtm_check::{
     analyze, explore, BitConvergenceSpec, BlindGossipSpec, CheckConfig, CheckSpec,
@@ -89,8 +89,8 @@ fn bit_convergence_schedules_replay_exactly() {
 #[test]
 fn schedules_with_crashes_replay_exactly() {
     // Crash choices are the subtlest part of the correspondence: the
-    // checker must observe a crashed node exactly as ScheduledCrashes
-    // does (down from the start of its crash round, scans emptied).
+    // explorer's transitions take a crashed node down from round 1, the
+    // continuous replay only from the start of its crash round.
     run_cases(0xC0F0_0004, 8, |_case, rng| {
         let g = arb_graph(rng);
         let uids: Vec<u64> = (0..g.node_count()).map(|_| rng.gen_range(1..100)).collect();

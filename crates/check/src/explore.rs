@@ -114,6 +114,7 @@ pub(crate) struct StateNode<P> {
 /// The explored transition system.
 pub struct Exploration<P> {
     pub(crate) states: Vec<StateNode<P>>,
+    /// Each state's distinct successors, in first-reached order.
     pub(crate) succs: Vec<Vec<u32>>,
     /// True when the frontier emptied before both bounds: every reachable
     /// state (up to canonicalization) has been expanded, so reachability
@@ -233,6 +234,10 @@ pub fn explore<S: CheckSpec>(spec: &S, graph: &Graph, cfg: &CheckConfig) -> Expl
 
     let mut states: Vec<StateNode<S::P>> = Vec::new();
     let mut succs: Vec<Vec<u32>> = Vec::new();
+    // `last_parent[t]` is the last state that listed `t` as a successor, so
+    // a state expanded now lists each successor once, however many of its
+    // transitions reach it.
+    let mut last_parent: Vec<u32> = Vec::new();
     let mut index: BTreeMap<Vec<u64>, u32> = BTreeMap::new();
     let mut key: Vec<u64> = Vec::new();
     let mut violations: Vec<Violation> = Vec::new();
@@ -255,6 +260,7 @@ pub fn explore<S: CheckSpec>(spec: &S, graph: &Graph, cfg: &CheckConfig) -> Expl
     index.insert(key.clone(), 0);
     states.push(StateNode { nodes: init, offset: 0, crashed: 0, depth: 0, pred: None });
     succs.push(Vec::new());
+    last_parent.push(u32::MAX);
 
     // `states` is appended in BFS order, so the vec doubles as the queue.
     let mut cursor = 0usize;
@@ -385,9 +391,13 @@ pub fn explore<S: CheckSpec>(spec: &S, graph: &Graph, cfg: &CheckConfig) -> Expl
                                 pred: Some((sid, schedule())),
                             });
                             succs.push(Vec::new());
+                            last_parent.push(u32::MAX);
                             t
                         };
-                        succs[sid as usize].push(tid);
+                        if last_parent[tid as usize] != sid {
+                            last_parent[tid as usize] = sid;
+                            succs[sid as usize].push(tid);
+                        }
                         if !next_combo(&mut acc_idx, &accept_sizes) {
                             break;
                         }
@@ -407,6 +417,7 @@ pub fn explore<S: CheckSpec>(spec: &S, graph: &Graph, cfg: &CheckConfig) -> Expl
 }
 
 /// Reachability/property analysis over an [`Exploration`].
+#[derive(Debug, PartialEq, Eq)]
 pub struct Analysis {
     /// Per-state: does the spec's agreement predicate hold?
     pub agreed: Vec<bool>,
@@ -561,7 +572,9 @@ pub fn analyze<S: CheckSpec>(spec: &S, ex: &Exploration<S::P>) -> Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{BlindGossipSpec, MaintainedGossipSpec, NonSyncSpec, RumorSpec};
+    use crate::spec::{
+        BitConvergenceSpec, BlindGossipSpec, MaintainedGossipSpec, NonSyncSpec, RumorSpec,
+    };
     use mtm_core::{Ppush, TagConfig};
     use mtm_engine::{ModelParams, RumorView};
     use mtm_graph::gen;
@@ -623,6 +636,52 @@ mod tests {
         let an = analyze(&spec, &ex);
         assert_eq!(an.doomed, 0);
         assert_eq!(an.deadlocks, 0);
+    }
+
+    /// Explore `spec` to a closed state space; check that no successor
+    /// list repeats a state and that `analyze` gives the same result when
+    /// every list is doubled and reversed, as lists that keep one entry
+    /// per transition would be.
+    fn distinct_successors<S: CheckSpec>(spec: &S, graph: &Graph, cfg: &CheckConfig) -> Analysis {
+        let mut ex = explore(spec, graph, cfg);
+        assert!(ex.closed);
+        for list in &ex.succs {
+            let mut sorted = list.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), list.len(), "repeated successor in {list:?}");
+        }
+        let an = analyze(spec, &ex);
+        for list in &mut ex.succs {
+            let once = list.clone();
+            list.extend_from_slice(&once);
+            list.reverse();
+        }
+        assert_eq!(analyze(spec, &ex), an);
+        an
+    }
+
+    #[test]
+    fn successor_lists_are_distinct_and_analysis_ignores_repeats() {
+        // The counts are the ones `mtm-check` printed for these instances
+        // while successor lists still kept one entry per transition.
+        let blind = BlindGossipSpec { uids: vec![1, 2, 3] };
+        let cfg = CheckConfig { max_crashes: 1, ..CheckConfig::default() };
+        let an = distinct_successors(&blind, &gen::path(3), &cfg);
+        assert_eq!((an.agreed.len(), an.agreed_count), (20, 7));
+        assert_eq!((an.doomed, an.deadlocks, an.max_agreement_distance), (4, 4, Some(1)));
+
+        // A1's β = 1 instance: two leaders wedge short of agreement.
+        let config = TagConfig::new(4, 1.0, 3);
+        let a1 = BitConvergenceSpec { uids: vec![1, 2, 3, 4], tags: vec![0, 0, 1, 2], config };
+        let an = distinct_successors(&a1, &gen::clique(4), &CheckConfig::default());
+        assert_eq!((an.agreed.len(), an.agreed_count), (163, 0));
+        assert_eq!((an.doomed, an.deadlocks), (163, 32));
+
+        let push_pull = RumorSpec::push_pull(3, 1);
+        let cfg = CheckConfig { loss: true, ..CheckConfig::default() };
+        let an = distinct_successors(&push_pull, &gen::clique(3), &cfg);
+        assert_eq!((an.doomed, an.deadlocks), (0, 0));
     }
 
     #[test]

@@ -86,11 +86,11 @@ impl Protocol for BitConvergence {
 
     fn advertise(&mut self, local_round: u64, _rng: &mut SmallRng) -> Tag {
         // Synchronized starts: local_round == global round.
-        if self.config.is_phase_start(local_round) {
+        let (phase_start, group) = self.config.locate(local_round);
+        if phase_start {
             self.active = self.pending;
             self.leader = self.active.uid;
         }
-        let group = self.config.group_of_round(local_round);
         self.current_bit = self.active.tag_bit(group, self.config.k);
         Tag(self.current_bit)
     }

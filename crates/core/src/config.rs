@@ -51,6 +51,26 @@ impl TagConfig {
         (round - 1).is_multiple_of(self.phase_len())
     }
 
+    /// `(is_phase_start(round), group_of_round(round))`, computed by
+    /// multiplication: round `r` is in group `((r − 1) / group_len) mod k`
+    /// and starts its phase iff `group_len` divides `r − 1` and that group
+    /// is 0. Exact for `r − 1 < 2^32` and `k`, `group_len` in the
+    /// reciprocal table, which covers every config [`TagConfig::new`]
+    /// builds; anything else takes the two methods' divisions.
+    #[inline]
+    pub fn locate(&self, round: u64) -> (bool, u32) {
+        debug_assert!(round >= 1);
+        let r = round - 1;
+        let (k, g) = (self.k as usize, self.group_len);
+        if r >> 32 != 0 || !(1..128).contains(&k) || !(2..128).contains(&g) {
+            return (self.is_phase_start(round), self.group_of_round(round));
+        }
+        let groups = fastdiv(r, RECIPROCALS[g as usize]);
+        let group = fastmod(groups, RECIPROCALS[k], self.k.into());
+        // group < k <= 127. mtm-lint: allow(truncating-cast)
+        (r == groups * g && group == 0, group as u32)
+    }
+
     /// True iff `round` (1-based) is the first round of a (local) group.
     pub fn is_group_start(&self, round: u64) -> bool {
         (round - 1).is_multiple_of(self.group_len)
@@ -62,6 +82,33 @@ impl TagConfig {
     pub fn nonsync_tag_bits(&self) -> u32 {
         ceil_log2(self.k.max(2) as usize) + 1
     }
+}
+
+/// `⌈2^64 / d⌉` for every divisor `d` in `2..128`, which covers `k ≤ 63`
+/// and `group_len = 2·⌈log₂ Δ⌉ ≤ 126`. With it [`TagConfig::locate`]
+/// divides and reduces 32-bit numbers by multiplication (Lemire, Kaser and
+/// Kurz, "Faster remainder by direct computation", 2019). Entry 1 is 0,
+/// which makes [`fastmod`] by 1 return 0; entry 0 is unused.
+const RECIPROCALS: [u64; 128] = {
+    let mut table = [0; 128];
+    let mut d = 2;
+    while d < 128 {
+        table[d] = u64::MAX / d as u64 + 1;
+        d += 1;
+    }
+    table
+};
+
+/// `n / d` for `n, d < 2^32`, given `c = RECIPROCALS[d]`.
+#[inline]
+fn fastdiv(n: u64, c: u64) -> u64 {
+    ((u128::from(c) * u128::from(n)) >> 64) as u64
+}
+
+/// `n mod d` for `n, d < 2^32`, given `c = RECIPROCALS[d]`.
+#[inline]
+fn fastmod(n: u64, c: u64, d: u64) -> u64 {
+    ((u128::from(c.wrapping_mul(n)) * u128::from(d)) >> 64) as u64
 }
 
 /// `⌈log₂ x⌉` for `x ≥ 1`.

@@ -70,6 +70,37 @@ fn tag_config_round_partition_is_consistent() {
     });
 }
 
+/// `TagConfig::locate` (phase start and group by reciprocal
+/// multiplication) equals `is_phase_start` and `group_of_round` for every
+/// `k` the constructor makes and group lengths on both sides of its
+/// reciprocal table (up to 127), at phase and group boundaries, at random
+/// rounds, and around `round − 1 = 2^32`, where it falls back to division.
+#[test]
+fn tag_config_locate_matches_the_dividing_methods() {
+    run_cases(0xC709, 512, |_case, rng| {
+        let c = TagConfig { k: rng.gen_range(1..=63), group_len: rng.gen_range(2..=130) };
+        let (phase, g) = (c.phase_len(), c.group_len);
+        let top = (1u64 << 32) / phase;
+        let mut phases = vec![0, 1, top - 1, top, top + 1];
+        phases.extend((0..4).map(|_| rng.gen_range(0..=top + 1)));
+        let mut rounds = vec![1, 2, u64::MAX];
+        for m in phases {
+            // The last round of phase m - 1, the first three of phase m,
+            // and both sides of its first group boundary.
+            for offset in [0, 1, 2, 3, g, g + 1, g + 2] {
+                rounds.push(m * phase + offset);
+            }
+        }
+        rounds.extend((1 << 32) - 2..=(1 << 32) + 3);
+        rounds.extend((0..8).map(|_| rng.gen_range(1..=1u64 << 32)));
+        rounds.extend((0..8).map(|_| rng.gen_range(1..=u64::MAX)));
+        for round in rounds.into_iter().filter(|&r| r >= 1) {
+            let expect = (c.is_phase_start(round), c.group_of_round(round));
+            assert_eq!(c.locate(round), expect, "{c:?} round {round}");
+        }
+    });
+}
+
 #[test]
 fn uid_pool_always_distinct() {
     run_cases(0xC705, 64, |_case, rng| {

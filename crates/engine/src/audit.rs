@@ -118,7 +118,9 @@ impl fmt::Display for Violation {
 /// is reused so steady-state auditing allocates nothing.
 #[derive(Debug, Default)]
 pub struct Auditor {
-    endpoints: Vec<NodeId>,
+    /// The matching audit's mark set, one bit per node id seen so far: all
+    /// clear between [`Auditor::check_matching`] calls.
+    marks: Vec<u64>,
     rounds_audited: u64,
 }
 
@@ -195,24 +197,50 @@ impl Auditor {
         }
     }
 
-    /// Check that the accepted set forms a matching (each node in at most
-    /// one accepted connection), then count the round as audited.
-    pub fn check_matching<'a>(
-        &mut self,
-        round: u64,
-        accepted: impl IntoIterator<Item = &'a (NodeId, NodeId)>,
-    ) {
-        self.endpoints.clear();
-        for &(u, v) in accepted {
-            self.endpoints.push(u);
-            self.endpoints.push(v);
+    /// Check that the accepted `(proposer, receiver)` pairs form a matching
+    /// (each node in at most one accepted connection), then count the round
+    /// as audited.
+    ///
+    /// One pass marks the proposer, then the receiver, of each pair in the
+    /// mark set; a second pass over the same pairs clears them. O(pairs)
+    /// time and one bit per node. On the first endpoint that is already
+    /// marked it fails with [`Violation::NotAMatching`] naming that node:
+    /// the first node, in pair order, that an earlier endpoint already
+    /// used (for a self pair `(u, u)`, `u`).
+    pub fn check_matching<'a, I>(&mut self, round: u64, accepted: I)
+    where
+        I: IntoIterator<Item = &'a (NodeId, NodeId)>,
+        I::IntoIter: Clone,
+    {
+        let pairs = accepted.into_iter();
+        for &(u, v) in pairs.clone() {
+            for node in [u, v] {
+                let (word, bit) = mark_position(node);
+                if word >= self.marks.len() {
+                    self.marks.resize(word + 1, 0);
+                }
+                if self.marks[word] & bit != 0 {
+                    // Leave the set clear for a caller that survives this.
+                    self.marks.fill(0);
+                    fail(Violation::NotAMatching { round, node });
+                }
+                self.marks[word] |= bit;
+            }
         }
-        self.endpoints.sort_unstable();
-        if let Some(w) = self.endpoints.windows(2).find(|w| w[0] == w[1]) {
-            fail(Violation::NotAMatching { round, node: w[0] });
+        for &(u, v) in pairs {
+            for node in [u, v] {
+                let (word, bit) = mark_position(node);
+                self.marks[word] &= !bit;
+            }
         }
         self.rounds_audited += 1;
     }
+}
+
+/// A node's word index and bit mask in the matching audit's mark set.
+#[inline]
+fn mark_position(node: NodeId) -> (usize, u64) {
+    ((node >> 6) as usize, 1 << (node & 63))
 }
 
 fn fail(v: Violation) -> ! {

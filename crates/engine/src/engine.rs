@@ -22,7 +22,7 @@
 //! steady-state execution performs no heap allocation. Node state is kept
 //! struct-of-arrays (parallel `Vec`s for tags, slots, activation, local
 //! rounds, RNGs, protocol states), so a `10^8`-node engine costs ~110
-//! bytes/node and phase loops stream linearly. Three further mechanisms
+//! bytes/node and phase loops stream linearly. Four further mechanisms
 //! keep the per-node-round cost flat at large `n`:
 //!
 //! - **Active set**: activation is checked once per node per round into a
@@ -36,6 +36,10 @@
 //! - **Proposal arena**: incoming proposals are laid out as CSR-style
 //!   spans over one flat buffer, so proposal resolution is cache-linear
 //!   with no per-receiver vectors.
+//! - **Linear matching audit**: delivery checks that the accepted pairs
+//!   form a matching by marking their endpoints in a one-bit-per-node set
+//!   and clearing it on a second walk over the pairs: O(connections) per
+//!   round, no sort.
 //!
 //! # The per-node RNG streams are part of the public contract
 //!

@@ -99,13 +99,12 @@ impl ActRule {
                 Action::Propose(scan.neighbors[rng.gen_range(0..scan.len())])
             }
             ActRule::PushTo(tag) => {
-                let eligible =
-                    u32::try_from(advertising(scan, tag).count()).expect("scan size fits u32");
+                let eligible = count_advertising(scan, tag);
                 if eligible == 0 {
                     return Action::Listen;
                 }
-                let pick = rng.gen_range(0..eligible) as usize;
-                Action::Propose(advertising(scan, tag).nth(pick).expect("pick < eligible count"))
+                let pick = rng.gen_range(0..eligible);
+                Action::Propose(scan.neighbors[nth_advertising(scan, tag, pick)])
             }
         }
     }
@@ -120,22 +119,47 @@ impl ActRule {
             ActRule::CoinFlip => std::iter::once(Action::Listen)
                 .chain(scan.neighbors.iter().map(|&v| Action::Propose(v)))
                 .collect(),
-            ActRule::PushTo(tag) => {
-                let eligible: Vec<Action> = advertising(scan, tag).map(Action::Propose).collect();
-                if eligible.is_empty() {
-                    vec![Action::Listen]
-                } else {
-                    eligible
-                }
-            }
+            ActRule::PushTo(tag) => match count_advertising(scan, tag) {
+                0 => vec![Action::Listen],
+                eligible => (0..eligible)
+                    .map(|pick| Action::Propose(scan.neighbors[nth_advertising(scan, tag, pick)]))
+                    .collect(),
+            },
         }
     }
 }
 
-/// The visible neighbors advertising `tag`, in scan order.
+/// How many visible neighbors advertise `tag`: one branch-free pass over
+/// the tags. With `b = 0` (no tags) every neighbor advertises
+/// [`Tag::EMPTY`] and none any other tag.
 #[inline]
-fn advertising<'s>(scan: &'s Scan<'_>, tag: Tag) -> impl Iterator<Item = NodeId> + 's {
-    (0..scan.len()).filter(move |&i| scan.tag_of(i) == tag).map(move |i| scan.neighbors[i])
+fn count_advertising(scan: &Scan<'_>, tag: Tag) -> u32 {
+    let count = if scan.tags.is_empty() {
+        if tag == Tag::EMPTY {
+            scan.len()
+        } else {
+            0
+        }
+    } else {
+        scan.tags.iter().map(|&t| usize::from(t == tag)).sum()
+    };
+    u32::try_from(count).expect("scan size fits u32")
+}
+
+/// Scan index of the `pick`-th (0-based) neighbor advertising `tag`, for
+/// `pick` below [`count_advertising`]: one branch-free pass counting the
+/// positions at which no more than `pick` eligible tags have been seen.
+#[inline]
+fn nth_advertising(scan: &Scan<'_>, tag: Tag, pick: u32) -> usize {
+    if scan.tags.is_empty() {
+        return pick as usize;
+    }
+    let (mut seen, mut index) = (0u32, 0usize);
+    for &t in scan.tags {
+        seen += u32::from(t == tag);
+        index += usize::from(seen <= pick);
+    }
+    index
 }
 
 /// Budget accounting for connection payloads. The engine debug-asserts each

@@ -3,6 +3,7 @@
 //! Cases are generated deterministically by `mtm-testkit` (the offline
 //! replacement for proptest).
 
+use mtm_engine::audit::Auditor;
 use mtm_engine::runner::run_trials;
 use mtm_engine::{
     ActRule, Action, ActivationSchedule, Engine, ModelParams, PayloadCost, Protocol, Scan, Tag,
@@ -263,16 +264,18 @@ fn reference_draw(rule: ActRule, scan: &Scan<'_>, rng: &mut SmallRng) -> Action 
     }
 }
 
-/// On random scans (0–12 visible neighbors, tags of b = 0, 1 or 2 bits),
-/// every action `ActRule::draw` returns is one `ActRule::actions`
+/// On random scans (0–12 visible neighbors in half the cases, 13–130 in
+/// the rest, so on both sides of a 64-bit word; tags of b = 0, 1 or 2
+/// bits), every action `ActRule::draw` returns is one `ActRule::actions`
 /// enumerates, the enumeration has its documented shape, and the draw
 /// matches `reference_draw` in value and in stream use.
 #[test]
 fn act_rule_draws_lie_in_its_enumeration() {
     run_cases(0xE708, 512, |_case, rng| {
-        let len = rng.gen_range(0..=12usize);
+        let len =
+            if rng.gen_bool(0.5) { rng.gen_range(0..=12usize) } else { rng.gen_range(13..=130) };
         let b = rng.gen_range(0..=2u32);
-        let mut neighbors: Vec<u32> = (0..32).collect();
+        let mut neighbors: Vec<u32> = (0..256).collect();
         neighbors.shuffle(rng);
         neighbors.truncate(len);
         neighbors.sort_unstable();
@@ -315,5 +318,81 @@ fn act_rule_draws_lie_in_its_enumeration() {
                 assert_eq!(drawn.gen::<u64>(), reference.gen::<u64>(), "{rule:?} stream use");
             }
         }
+    });
+}
+
+/// Sort-based reference for the matching audit: the pairs form a matching
+/// iff no node is an endpoint twice (a self pair `(u, u)` counts twice).
+fn reference_is_matching(pairs: &[(u32, u32)]) -> bool {
+    let mut ends: Vec<u32> = pairs.iter().flat_map(|&(u, v)| [u, v]).collect();
+    ends.sort_unstable();
+    ends.windows(2).all(|w| w[0] != w[1])
+}
+
+/// Run `Auditor::check_matching` on `pairs`: `None` if it passes, else the
+/// text of its panic.
+fn audit_matching(auditor: &mut Auditor, round: u64, pairs: &[(u32, u32)]) -> Option<String> {
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        auditor.check_matching(round, pairs);
+    }));
+    outcome.err().map(|payload| match payload.downcast::<String>() {
+        Ok(text) => *text,
+        Err(_) => String::from("non-string panic"),
+    })
+}
+
+/// The linear matching audit against a sorting reference, on random
+/// matchings of up to 2^12 nodes with one injected fault each: a proposer
+/// used twice, a receiver used twice, a node that proposes in one pair and
+/// receives in another, and a self pair. Each valid matching is audited
+/// twice in a row, and once more after the fault, so marks left behind by
+/// a passing or a failing audit fail the next one.
+#[test]
+fn matching_audit_agrees_with_a_sorting_reference() {
+    run_cases(0xA0D1, 256, |case, rng| {
+        let n = rng.gen_range(4..=1u32 << 12);
+        let mut ids: Vec<u32> = (0..n).collect();
+        ids.shuffle(rng);
+        // Keep two nodes out of the matching for the injected pair.
+        let pairs_max = (n as usize - 2) / 2;
+        let count = rng.gen_range(1..=pairs_max);
+        let matching: Vec<(u32, u32)> =
+            ids.chunks_exact(2).take(count).map(|w| (w[0], w[1])).collect();
+        let spare = ids[2 * count];
+        let mut auditor = Auditor::default();
+        assert!(reference_is_matching(&matching));
+        assert_eq!(audit_matching(&mut auditor, 1, &matching), None, "a matching must pass");
+        assert_eq!(audit_matching(&mut auditor, 2, &matching), None, "marks must be cleared");
+
+        let (u, v) = matching[rng.gen_range(0..count)];
+        let (extra, reused) = match case % 4 {
+            0 => ((u, spare), u),
+            1 => ((spare, v), v),
+            2 if rng.gen_bool(0.5) => ((spare, u), u),
+            2 => ((v, spare), v),
+            _ => {
+                let w = if rng.gen_bool(0.5) { spare } else { u };
+                ((w, w), w)
+            }
+        };
+        let mut faulty = matching.clone();
+        faulty.insert(rng.gen_range(0..=count), extra);
+        assert!(!reference_is_matching(&faulty));
+        let text = audit_matching(&mut auditor, 3, &faulty)
+            .unwrap_or_else(|| panic!("fault {extra:?} (case kind {}) passed", case % 4));
+        assert!(
+            text.contains(&format!("node {reused} participates in two accepted connections")),
+            "{text}"
+        );
+        assert_eq!(audit_matching(&mut auditor, 4, &matching), None, "marks cleared on failure");
+
+        // Unstructured pair lists over few nodes: about half repeat a node.
+        let small = rng.gen_range(1..=64u32);
+        let len = rng.gen_range(0..=(small as usize / 3).max(1));
+        let pairs: Vec<(u32, u32)> =
+            (0..len).map(|_| (rng.gen_range(0..small), rng.gen_range(0..small))).collect();
+        let passed = audit_matching(&mut auditor, 5, &pairs).is_none();
+        assert_eq!(passed, reference_is_matching(&pairs), "{pairs:?}");
+        assert_eq!(audit_matching(&mut auditor, 6, &matching), None);
     });
 }

@@ -32,6 +32,9 @@ pub fn run(opts: &ExpOpts) -> Table {
         "nonsync staggered (mean)",
         "slowdown",
         "log₂³n",
+        "sync timeouts",
+        "sync-start timeouts",
+        "staggered timeouts",
     ]);
     for &n in sizes {
         let spec = TopoSpec::Static { family: GraphFamily::Expander8, n };
@@ -70,6 +73,9 @@ pub fn run(opts: &ExpOpts) -> Table {
             ns_stag.summary.as_ref().map_or("-".into(), |s| fmt_f64(s.mean)),
             slowdown,
             fmt_f64(log_n.powi(3)),
+            sync.timeouts.to_string(),
+            ns_sync.timeouts.to_string(),
+            ns_stag.timeouts.to_string(),
         ]);
     }
     table
@@ -106,9 +112,11 @@ mod tests {
         opts.trials = 1;
         let t = run(&opts);
         assert_eq!(t.len(), 2);
+        assert_eq!(t.header().len(), 10);
         for row in t.rows() {
             assert_ne!(row[2], "-", "sync timed out: {row:?}");
             assert_ne!(row[4], "-", "staggered nonsync timed out: {row:?}");
+            assert_eq!(row[7..], ["0", "0", "0"], "no trial times out at quick scale: {row:?}");
         }
     }
 }

@@ -29,6 +29,9 @@ pub fn run(opts: &ExpOpts) -> Table {
         "b=loglog nonsync (mean)",
         "blind/bitconv",
         "nonsync/bitconv",
+        "blind timeouts",
+        "bitconv timeouts",
+        "nonsync timeouts",
     ]);
     for &s in stars {
         let n = s + s * s;
@@ -68,6 +71,9 @@ pub fn run(opts: &ExpOpts) -> Table {
             cell(&ns),
             ratio(&blind, &bc),
             ratio(&ns, &bc),
+            blind.timeouts.to_string(),
+            bc.timeouts.to_string(),
+            ns.timeouts.to_string(),
         ]);
     }
     table
@@ -83,6 +89,9 @@ mod tests {
         opts.trials = 1;
         let t = run(&opts);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.header().len(), 7);
+        assert_eq!(t.header().len(), 10);
+        for row in t.rows() {
+            assert_eq!(row[7..], ["0", "0", "0"], "no trial times out at quick scale: {row:?}");
+        }
     }
 }

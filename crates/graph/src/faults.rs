@@ -28,8 +28,8 @@
 
 use crate::dynamic::DynamicTopology;
 use crate::rng::stream_rng;
-use crate::static_graph::{from_edges, Graph, NodeId};
-use rand::Rng;
+use crate::static_graph::{from_edges, nid, Graph, NodeId};
+use rand::distributions::{Bernoulli, Distribution};
 
 /// Parameters for [`FaultyTopology`]'s random fault process.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -74,6 +74,22 @@ impl FaultConfig {
     }
 }
 
+/// The coin for a fault rate: `None` at rate 0, which draws nothing.
+fn coin(p: f64) -> Option<Bernoulli> {
+    (p > 0.0).then(|| Bernoulli::new(p).expect("validated probability"))
+}
+
+/// True iff `base`'s graph at `round` is the one it returned at `built`
+/// (0 = nothing built yet): no round in `built + 1..=round` may change it.
+/// A gap longer than the node count counts as a change, since scanning it
+/// would cost more than re-filtering.
+fn base_held_still<T: DynamicTopology>(base: &T, built: u64, round: u64) -> bool {
+    built != 0
+        && built < round
+        && round - built <= base.node_count() as u64
+        && (built + 1..=round).all(|r| !base.may_change_at(r))
+}
+
 /// Seed-derived random crash/recover and link-failure adversary over any
 /// base topology. See the module docs for the fault model.
 ///
@@ -81,16 +97,26 @@ impl FaultConfig {
 /// isolated by construction — which deliberately steps outside the paper's
 /// connectivity assumption; F8 measures how gracefully the algorithms
 /// degrade anyway.
+///
+/// Without link loss a round's graph is patched from the previous one
+/// around the nodes that flipped (DESIGN.md, "Fault stack cost model").
 pub struct FaultyTopology<T> {
     base: T,
     cfg: FaultConfig,
     seed: u64,
+    /// Crash-chain coins, indexed by `!up`: `[crash, recover]`.
+    flip: [Option<Bernoulli>; 2],
+    link: Option<Bernoulli>,
     up: Vec<bool>,
+    /// Nodes the chain flipped since `current` was built, maybe repeated.
+    flipped: Vec<NodeId>,
     /// Crash chain advanced through the end of this round (0 = initial).
     chain_round: u64,
     /// Round the cached `current` graph was built for (0 = none yet).
     built_round: u64,
     current: Graph,
+    /// Second CSR buffer: a patch writes it, then swaps it with `current`.
+    spare: Graph,
 }
 
 impl<T: DynamicTopology> FaultyTopology<T> {
@@ -101,21 +127,15 @@ impl<T: DynamicTopology> FaultyTopology<T> {
             base,
             cfg,
             seed,
+            flip: [coin(cfg.crash), coin(cfg.recover)],
+            link: coin(cfg.link_loss),
             up: vec![true; n],
+            flipped: Vec::new(),
             chain_round: 0,
             built_round: 0,
             current: from_edges(n, &[]),
+            spare: from_edges(n, &[]),
         }
-    }
-
-    /// True iff node `u` is up as of the last round built.
-    pub fn is_up(&self, u: NodeId) -> bool {
-        self.up[u as usize]
-    }
-
-    /// Number of up nodes as of the last round built.
-    pub fn up_count(&self) -> usize {
-        self.up.iter().filter(|&&b| b).count()
     }
 
     /// Advance the crash/recover Markov chain through `round`. One draw
@@ -127,10 +147,12 @@ impl<T: DynamicTopology> FaultyTopology<T> {
             // Even streams drive the crash chain; odd streams (used in
             // `build`) drive link loss for the same round.
             let mut rng = stream_rng(self.seed, 2 * self.chain_round);
-            for up in &mut self.up {
-                let flip = if *up { self.cfg.crash } else { self.cfg.recover };
-                if flip > 0.0 && rng.gen_bool(flip) {
-                    *up = !*up;
+            for (u, up) in self.up.iter_mut().enumerate() {
+                if let Some(coin) = &self.flip[usize::from(!*up)] {
+                    if coin.sample(&mut rng) {
+                        *up = !*up;
+                        self.flipped.push(nid(u));
+                    }
                 }
             }
         }
@@ -139,17 +161,26 @@ impl<T: DynamicTopology> FaultyTopology<T> {
     /// Build the effective graph for `round`: base edges minus edges with
     /// a down endpoint, minus this round's link-loss draws.
     fn build(&mut self, round: u64) {
+        let held_still = base_held_still(&self.base, self.built_round, round);
         let base = self.base.graph_at(round);
-        let p = self.cfg.link_loss;
-        if p > 0.0 {
+        if let Some(coin) = self.link {
             // One link coin per base edge, drawn whatever the endpoints'
             // state, so the stream position depends only on the base edge
             // list, not on crash outcomes.
             let mut link_rng = stream_rng(self.seed, 2 * round + 1);
-            base.retain_into(&self.up, || link_rng.gen_bool(p), &mut self.current);
+            base.retain_into(&self.up, || coin.sample(&mut link_rng), &mut self.current);
+        } else if held_still {
+            // Only rows at or next to a flipped node can differ.
+            base.patch_into(&self.up, &self.flipped, &self.current, &mut self.spare);
+            std::mem::swap(&mut self.current, &mut self.spare);
         } else {
-            base.retain_into(&self.up, || false, &mut self.current);
+            // First build, or the base may have changed: every row away
+            // from a down node is the base's own.
+            self.flipped.clear();
+            self.flipped.extend((0..self.up.len()).filter(|&u| !self.up[u]).map(nid));
+            base.patch_into(&self.up, &self.flipped, base, &mut self.current);
         }
+        self.flipped.clear();
         self.built_round = round;
     }
 }
@@ -198,13 +229,16 @@ impl<T: DynamicTopology> DynamicTopology for FaultyTopology<T> {
 pub struct ScheduledCrashes<T> {
     base: T,
     outages: Vec<(NodeId, u64, u64)>,
-    /// Round `up` and `any_down` describe (0 = none yet).
+    /// Round `up` and `down` describe (0 = none yet).
     built_round: u64,
     /// `up[u]` iff no outage window covers `u` at `built_round`.
     up: Vec<bool>,
-    /// True iff some node is down at `built_round`. Only then does
-    /// `current` hold the filtered graph; otherwise the base passes through.
-    any_down: bool,
+    /// The nodes of the windows covering `built_round`, in `outages`
+    /// order. Only while it is nonempty does `current` hold the filtered
+    /// graph; otherwise the base passes through.
+    down: Vec<NodeId>,
+    /// Scratch for the next round's `down`.
+    next_down: Vec<NodeId>,
     current: Graph,
 }
 
@@ -225,13 +259,14 @@ impl<T: DynamicTopology> ScheduledCrashes<T> {
             outages,
             built_round: 0,
             up: vec![true; n],
-            any_down: false,
+            down: Vec::new(),
+            next_down: Vec::new(),
             current: from_edges(n, &[]),
         }
     }
 
     /// True iff node `u` is scheduled down at `round`.
-    pub fn is_down(&self, u: NodeId, round: u64) -> bool {
+    fn is_down(&self, u: NodeId, round: u64) -> bool {
         self.outages.iter().any(|&(v, from, to)| v == u && (from..to).contains(&round))
     }
 }
@@ -249,24 +284,32 @@ impl<T: DynamicTopology> DynamicTopology for ScheduledCrashes<T> {
     }
     fn graph_at(&mut self, round: u64) -> &Graph {
         assert!(round >= 1, "rounds are 1-based");
-        if round != self.built_round {
-            self.up.fill(true);
-            self.any_down = false;
-            for &(u, from, to) in &self.outages {
-                if (from..to).contains(&round) {
-                    self.up[u as usize] = false;
-                    self.any_down = true;
-                }
-            }
-            self.built_round = round;
-        } else if self.any_down {
-            return &self.current;
+        if round == self.built_round {
+            return if self.down.is_empty() { self.base.graph_at(round) } else { &self.current };
         }
+        let held_still = base_held_still(&self.base, self.built_round, round);
+        self.next_down.clear();
+        self.next_down.extend(
+            self.outages.iter().filter(|&&(_, from, to)| (from..to).contains(&round)).map(|o| o.0),
+        );
+        let same_mask = self.next_down == self.down;
+        if !same_mask {
+            for &u in &self.down {
+                self.up[u as usize] = true;
+            }
+            for &u in &self.next_down {
+                self.up[u as usize] = false;
+            }
+            std::mem::swap(&mut self.down, &mut self.next_down);
+        }
+        self.built_round = round;
         let base = self.base.graph_at(round);
-        if !self.any_down {
+        if self.down.is_empty() {
             return base;
         }
-        base.retain_into(&self.up, || false, &mut self.current);
+        if !(same_mask && held_still) {
+            base.patch_into(&self.up, &self.down, base, &mut self.current);
+        }
         &self.current
     }
     fn may_change_at(&self, round: u64) -> bool {
@@ -341,13 +384,9 @@ mod tests {
         let mut t = faulty(cfg, 11);
         for round in 1..=30 {
             let g = t.graph_at(round).clone();
-            for u in 0..g.node_count() {
-                if !t.is_up(u as NodeId) {
-                    assert_eq!(
-                        g.degree(u as NodeId),
-                        0,
-                        "down node {u} has edges in round {round}"
-                    );
+            for u in 0..nid(g.node_count()) {
+                if !t.is_node_up(u, round) {
+                    assert_eq!(g.degree(u), 0, "down node {u} has edges in round {round}");
                 }
             }
         }
@@ -362,7 +401,7 @@ mod tests {
         let mut saw_mixed = false;
         for round in 1..=60 {
             let _ = t.graph_at(round);
-            let up = t.up_count();
+            let up = (0..12).filter(|&u| t.is_node_up(u, round)).count();
             if up > 0 && up < 12 {
                 saw_mixed = true;
             }
@@ -380,7 +419,7 @@ mod tests {
             assert_eq!(g.node_count(), 12);
             total += g.edge_count();
         }
-        assert_eq!(t.up_count(), 12);
+        assert!((0..12).all(|u| t.is_node_up(u, 40)));
         let mean = total as f64 / 40.0;
         assert!(
             mean > 0.3 * full_edges as f64 && mean < 0.7 * full_edges as f64,
@@ -482,16 +521,13 @@ mod tests {
         let mut up_history = Vec::new();
         for round in 1..=40 {
             let _ = original.graph_at(round);
-            up_history.push((0..12).map(|u| original.is_up(u as NodeId)).collect::<Vec<bool>>());
+            up_history.push((0..12).map(|u| original.is_node_up(u, round)).collect::<Vec<bool>>());
         }
         let mut clone = faulty(cfg, 1234);
         for round in 1..=40 {
             let _ = clone.graph_at(round);
-            let ups: Vec<bool> = (0..12).map(|u| clone.is_up(u as NodeId)).collect();
+            let ups: Vec<bool> = (0..12).map(|u| clone.is_node_up(u, round)).collect();
             assert_eq!(ups, up_history[(round - 1) as usize], "chain diverged at round {round}");
-            for u in 0..12u32 {
-                assert_eq!(clone.is_node_up(u, round), ups[u as usize]);
-            }
         }
         // A different seed must (with overwhelming probability) produce a
         // different chain — the history is seed-derived, not constant.
@@ -499,7 +535,7 @@ mod tests {
         let mut diverged = false;
         for round in 1..=40 {
             let _ = other.graph_at(round);
-            let ups: Vec<bool> = (0..12).map(|u| other.is_up(u as NodeId)).collect();
+            let ups: Vec<bool> = (0..12).map(|u| other.is_node_up(u, round)).collect();
             if ups != up_history[(round - 1) as usize] {
                 diverged = true;
             }

@@ -265,6 +265,69 @@ impl Graph {
         adj.truncate(len);
     }
 
+    /// Overwrite `out` with the subgraph of `self` that keeps edge `{u, v}`
+    /// iff `keep[u] && keep[v]`, doing per-arc work only around `seeds`.
+    /// The rows of `seeds` and of their neighbours in `self` are filtered
+    /// from `self`; every other row is copied from `prev`, in maximal spans
+    /// whose offsets shift by one constant each.
+    ///
+    /// `prev` must already hold the filtered row of every node outside
+    /// `seeds ∪ N(seeds)`. Two callers meet that: `prev` is the previous
+    /// output over the same `self` and `seeds` holds every node whose
+    /// `keep` changed since; or `prev` is `self` and `seeds` holds every
+    /// node with `keep` false. `seeds` may repeat nodes. `out`'s buffers
+    /// are reused and are sized to `self` on first use, so later calls
+    /// allocate nothing.
+    pub(crate) fn patch_into(
+        &self,
+        keep: &[bool],
+        seeds: &[NodeId],
+        prev: &Graph,
+        out: &mut Graph,
+    ) {
+        let n = self.node_count();
+        assert_eq!(keep.len(), n, "keep mask must cover every node");
+        assert_eq!(prev.node_count(), n, "prev must be over the same nodes");
+        let mut dirty = vec![0u64; n.div_ceil(64)];
+        for &u in seeds {
+            for &v in std::iter::once(&u).chain(self.neighbors(u)) {
+                dirty[v as usize / 64] |= 1 << (v % 64);
+            }
+        }
+        out.offsets.clear();
+        out.offsets.reserve_exact(self.offsets.len());
+        out.offsets.push(0);
+        out.adjacency.clear();
+        out.adjacency.reserve_exact(self.adjacency.len());
+        let mut copied = 0; // rows `0..copied` are in `out`
+        for (w, &word) in dirty.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let u = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                out.extend_rows(prev, copied..u);
+                if keep[u] {
+                    let row = self.neighbors(nid(u)).iter().filter(|&&v| keep[v as usize]);
+                    out.adjacency.extend(row);
+                }
+                out.offsets.push(u32::try_from(out.adjacency.len()).expect("at most self's arcs"));
+                copied = u + 1;
+            }
+        }
+        out.extend_rows(prev, copied..n);
+    }
+
+    /// Append rows `rows` of `src` to this CSR under construction, which
+    /// must hold exactly rows `0..rows.start`.
+    fn extend_rows(&mut self, src: &Graph, rows: std::ops::Range<usize>) {
+        let (lo, hi) = (src.offsets[rows.start], src.offsets[rows.end]);
+        let shift =
+            u32::try_from(self.adjacency.len()).expect("arc count fits u32").wrapping_sub(lo);
+        self.adjacency.extend_from_slice(&src.adjacency[lo as usize..hi as usize]);
+        let ends = &src.offsets[rows.start + 1..=rows.end];
+        self.offsets.extend(ends.iter().map(|&o| o.wrapping_add(shift)));
+    }
+
     /// Position of `v` in `u`'s row within `adjacency`; `{u, v}` must be
     /// an edge.
     fn arc_index(&self, u: NodeId, v: NodeId) -> usize {
@@ -566,6 +629,35 @@ mod tests {
         let buffers = (out.offsets.as_ptr(), out.adjacency.as_ptr());
         g.retain_into(&[true, false, true, true, false, true], || false, &mut out);
         assert_eq!(out.edge_count(), 6);
+        assert_eq!((out.offsets.as_ptr(), out.adjacency.as_ptr()), buffers);
+    }
+
+    #[test]
+    fn patch_into_matches_builder_from_self_and_from_prev() {
+        let g = crate::gen::random_regular(200, 4, 5);
+        let filtered = |keep: &[bool]| {
+            let kept: Vec<_> =
+                g.edges().filter(|&(u, v)| keep[u as usize] && keep[v as usize]).collect();
+            from_edges(200, &kept)
+        };
+        let first: Vec<bool> = (0..200).map(|u| u % 7 != 3).collect();
+        let down: Vec<NodeId> = (0..200).filter(|&u| !first[u as usize]).collect();
+        let mut out = from_edges(0, &[]);
+        g.patch_into(&first, &down, &g, &mut out);
+        assert_eq!(out, filtered(&first));
+        // Flip a few nodes, one of them twice in the seed list.
+        let mut second = first.clone();
+        let changed = [0, 3, 150, 199, 3];
+        for &u in &changed[..4] {
+            second[u as usize] = !second[u as usize];
+        }
+        let mut next = from_edges(0, &[]);
+        g.patch_into(&second, &changed, &out, &mut next);
+        assert_eq!(next, filtered(&second));
+        // Sized to `g` on first use: patching back reuses the buffers.
+        let buffers = (out.offsets.as_ptr(), out.adjacency.as_ptr());
+        g.patch_into(&first, &changed, &next, &mut out);
+        assert_eq!(out, filtered(&first));
         assert_eq!((out.offsets.as_ptr(), out.adjacency.as_ptr()), buffers);
     }
 

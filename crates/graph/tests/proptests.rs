@@ -192,7 +192,6 @@ fn from_edges_respects_input() {
 /// streams) and link coins (odd streams, one per base edge in `edges()`
 /// order), with each round's graph pushed through [`GraphBuilder`].
 struct ReferenceFaults {
-    base: Graph,
     cfg: FaultConfig,
     seed: u64,
     up: Vec<bool>,
@@ -200,12 +199,12 @@ struct ReferenceFaults {
 }
 
 impl ReferenceFaults {
-    fn new(base: Graph, cfg: FaultConfig, seed: u64) -> Self {
-        let up = vec![true; base.node_count()];
-        ReferenceFaults { base, cfg, seed, up, chain_round: 0 }
+    fn new(n: usize, cfg: FaultConfig, seed: u64) -> Self {
+        ReferenceFaults { cfg, seed, up: vec![true; n], chain_round: 0 }
     }
 
-    fn graph_at(&mut self, round: u64) -> Graph {
+    /// The faulted graph at `round`, given the base's graph at `round`.
+    fn graph_at(&mut self, base: &Graph, round: u64) -> Graph {
         while self.chain_round < round {
             self.chain_round += 1;
             let mut rng = stream_rng(self.seed, 2 * self.chain_round);
@@ -217,8 +216,8 @@ impl ReferenceFaults {
             }
         }
         let mut link_rng = stream_rng(self.seed, 2 * round + 1);
-        let mut b = GraphBuilder::new(self.base.node_count());
-        for (u, v) in self.base.edges() {
+        let mut b = GraphBuilder::new(base.node_count());
+        for (u, v) in base.edges() {
             let link_down = self.cfg.link_loss > 0.0 && link_rng.gen_bool(self.cfg.link_loss);
             if self.up[u as usize] && self.up[v as usize] && !link_down {
                 b.add_edge(u, v);
@@ -265,67 +264,160 @@ fn fault_config(rng: &mut SmallRng) -> FaultConfig {
     FaultConfig { crash: rate(0.3), recover: rate(0.5), link_loss: rate(0.5) }
 }
 
+/// Up to `max` random outage windows within `1..=horizon + 3`, a fifth of
+/// them permanent.
+fn random_outages(
+    rng: &mut SmallRng,
+    n: usize,
+    max: usize,
+    horizon: u64,
+) -> Vec<(NodeId, u64, u64)> {
+    (0..rng.gen_range(0..=max))
+        .map(|_| {
+            let u = rng.gen_range(0..nid(n));
+            let from = rng.gen_range(1..=horizon);
+            let to =
+                if rng.gen_bool(0.2) { u64::MAX } else { rng.gen_range(from + 1..=horizon + 3) };
+            (u, from, to)
+        })
+        .collect()
+}
+
+/// Every round `1..=horizon` or, with probability one half, a skip-ahead
+/// sequence with gaps and repeated rounds.
+fn round_sequence(rng: &mut SmallRng, horizon: u64) -> Vec<u64> {
+    if rng.gen_bool(0.5) {
+        (1..=horizon).collect()
+    } else {
+        let mut r = 0;
+        std::iter::from_fn(|| {
+            r += rng.gen_range(0..=4u64);
+            (r <= horizon).then_some(r.max(1))
+        })
+        .collect()
+    }
+}
+
+/// Drive `FaultyTopology`, `ScheduledCrashes` and the two stacked, each
+/// over a fresh `make_base()`, through `rounds`, and check every graph and
+/// every node's `is_node_up` against the references fed that round's base
+/// graph.
+fn check_fault_stack<B: DynamicTopology>(
+    make_base: impl Fn() -> B,
+    cfg: FaultConfig,
+    seed: u64,
+    outages: &[(NodeId, u64, u64)],
+    rounds: &[u64],
+    rng: &mut SmallRng,
+) {
+    let mut base = make_base();
+    let n = base.node_count();
+    let horizon = rounds.last().copied().unwrap_or(1);
+    let mut alone = FaultyTopology::new(make_base(), cfg, seed);
+    let mut scheduled = ScheduledCrashes::new(make_base(), outages.to_vec());
+    let mut stacked =
+        ScheduledCrashes::new(FaultyTopology::new(make_base(), cfg, seed), outages.to_vec());
+    let mut reference = ReferenceFaults::new(n, cfg, seed);
+    for &round in rounds {
+        let base_graph = base.graph_at(round).clone();
+        let want_faulty = reference.graph_at(&base_graph, round);
+        let want = [
+            ("FaultyTopology", want_faulty.clone()),
+            ("ScheduledCrashes", reference_schedule(&base_graph, outages, round)),
+            ("ScheduledCrashes<FaultyTopology>", reference_schedule(&want_faulty, outages, round)),
+        ];
+        let got = [alone.graph_at(round), scheduled.graph_at(round), stacked.graph_at(round)];
+        for ((name, want), got) in want.iter().zip(got) {
+            assert_eq!(got, want, "{name} diverged from the reference at round {round}");
+            assert_eq!(got.validate(), Ok(()), "{name} broke a CSR invariant at round {round}");
+        }
+        for u in 0..nid(n) {
+            let down = scheduled_down(outages, u, round);
+            assert_eq!(alone.is_node_up(u, round), reference.up[u as usize]);
+            assert_eq!(stacked.is_node_up(u, round), reference.up[u as usize] && !down);
+            // Any round, built or not, agrees with the schedule.
+            let other = rng.gen_range(1..=horizon + 3);
+            assert_eq!(scheduled.is_node_up(u, other), !scheduled_down(outages, u, other));
+        }
+    }
+}
+
 #[test]
 fn fault_stack_matches_graph_builder_reference() {
     const HORIZON: u64 = 30;
     run_cases(0x670B, 64, |_case, rng| {
         let base = fault_base(rng);
-        let n = base.node_count();
         let cfg = fault_config(rng);
         let seed = rng.gen::<u64>();
-        let outages: Vec<(NodeId, u64, u64)> = (0..rng.gen_range(0..=6))
-            .map(|_| {
-                let u = rng.gen_range(0..n as NodeId);
-                let from = rng.gen_range(1..=HORIZON);
-                let to = if rng.gen_bool(0.2) {
-                    u64::MAX
-                } else {
-                    rng.gen_range(from + 1..=HORIZON + 3)
-                };
-                (u, from, to)
-            })
-            .collect();
-        // Dense (every round) or skip-ahead (gaps and repeated rounds).
-        let rounds: Vec<u64> = if rng.gen_bool(0.5) {
-            (1..=HORIZON).collect()
-        } else {
-            let mut r = 0;
-            std::iter::from_fn(|| {
-                r += rng.gen_range(0..=4u64);
-                (r <= HORIZON).then_some(r.max(1))
-            })
-            .collect()
-        };
+        let outages = random_outages(rng, base.node_count(), 6, HORIZON);
+        let rounds = round_sequence(rng, HORIZON);
+        check_fault_stack(|| StaticTopology::new(base.clone()), cfg, seed, &outages, &rounds, rng);
+    });
+}
 
-        let faulty = || FaultyTopology::new(StaticTopology::new(base.clone()), cfg, seed);
-        let mut alone = faulty();
-        let mut scheduled =
-            ScheduledCrashes::new(StaticTopology::new(base.clone()), outages.clone());
-        let mut stacked = ScheduledCrashes::new(faulty(), outages.clone());
-        let mut reference = ReferenceFaults::new(base.clone(), cfg, seed);
-        for &round in &rounds {
-            let want_faulty = reference.graph_at(round);
-            let want = [
-                ("FaultyTopology", want_faulty.clone()),
-                ("ScheduledCrashes", reference_schedule(&base, &outages, round)),
-                (
-                    "ScheduledCrashes<FaultyTopology>",
-                    reference_schedule(&want_faulty, &outages, round),
-                ),
-            ];
-            let got = [alone.graph_at(round), scheduled.graph_at(round), stacked.graph_at(round)];
-            for ((name, want), got) in want.iter().zip(got) {
-                assert_eq!(got, want, "{name} diverged from the reference at round {round}");
-                assert_eq!(got.validate(), Ok(()), "{name} broke a CSR invariant at round {round}");
-            }
-            for u in 0..n as NodeId {
-                let down = scheduled_down(&outages, u, round);
-                assert_eq!(stacked.is_node_up(u, round), reference.up[u as usize] && !down);
-                // Any round, built or not, agrees with the schedule.
-                let other = rng.gen_range(1..=HORIZON + 3);
-                assert_eq!(scheduled.is_node_up(u, other), !scheduled_down(&outages, u, other));
-            }
-        }
+/// The service workload's regime: a few flips per round among hundreds of
+/// nodes, no link loss, so nearly every round patches a handful of rows
+/// and copies the rest in long spans.
+#[test]
+fn fault_stack_patches_match_reference_at_service_rates() {
+    run_cases(0x5E7E, 4, |_case, rng| {
+        let n = rng.gen_range(256..=1024usize);
+        let base = gen::random_regular(n, 8, rng.gen::<u64>());
+        let cfg = FaultConfig::crashes(0.01 * (1.0 - rng.gen::<f64>()), rng.gen_range(0.03..0.07));
+        let seed = rng.gen::<u64>();
+        let horizon = rng.gen_range(200..=260u64);
+        let mut outages = random_outages(rng, n, 3, horizon);
+        outages.push((rng.gen_range(0..nid(n)), rng.gen_range(1..=horizon), u64::MAX));
+        let rounds = round_sequence(rng, horizon);
+        check_fault_stack(|| StaticTopology::new(base.clone()), cfg, seed, &outages, &rounds, rng);
+    });
+}
+
+/// Rates of exactly 0 and 1: at 1 every node flips each round without a
+/// draw, and a link-loss rate of 1 empties the graph.
+#[test]
+fn fault_stack_matches_reference_at_rates_zero_and_one() {
+    const HORIZON: u64 = 24;
+    run_cases(0x01D1, 48, |_case, rng| {
+        let base = fault_base(rng);
+        let mut rate = || match rng.gen_range(0..3) {
+            0 => 0.0,
+            1 => 1.0,
+            _ => rng.gen::<f64>(),
+        };
+        let cfg = FaultConfig { crash: rate(), recover: rate(), link_loss: rate() };
+        let seed = rng.gen::<u64>();
+        let outages = random_outages(rng, base.node_count(), 4, HORIZON);
+        let rounds = round_sequence(rng, HORIZON);
+        check_fault_stack(|| StaticTopology::new(base.clone()), cfg, seed, &outages, &rounds, rng);
+    });
+}
+
+/// A base that rewires every τ rounds: a patch is only valid between its
+/// changes, so each change must re-filter from the new base graph.
+#[test]
+fn fault_stack_matches_reference_over_a_changing_base() {
+    const HORIZON: u64 = 40;
+    run_cases(0x7A03, 32, |_case, rng| {
+        let base = fault_base(rng);
+        let tau = if rng.gen_bool(0.5) { 3 } else { rng.gen_range(1..=6) };
+        let topo_seed = rng.gen::<u64>();
+        let cfg = if rng.gen_bool(0.75) {
+            FaultConfig::crashes(rng.gen_range(0.02..0.3), rng.gen_range(0.05..0.5))
+        } else {
+            fault_config(rng)
+        };
+        let seed = rng.gen::<u64>();
+        let outages = random_outages(rng, base.node_count(), 4, HORIZON);
+        let rounds = round_sequence(rng, HORIZON);
+        check_fault_stack(
+            || RelabelingAdversary::new(base.clone(), tau, topo_seed),
+            cfg,
+            seed,
+            &outages,
+            &rounds,
+            rng,
+        );
     });
 }
 

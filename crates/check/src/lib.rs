@@ -44,7 +44,7 @@ pub use explore::{
     analyze, explore, Analysis, CheckConfig, Exploration, RoundSchedule, Truncation, Violation,
 };
 pub use matrix::{a1_beta1_instance, certification_matrix, connected_graphs_4, MatrixRow};
-pub use replay::{network_fingerprint_of, replay, replay_state, ReplayOutcome};
+pub use replay::{replay, replay_state, ReplayOutcome};
 pub use spec::{
     BitConvergenceSpec, BlindGossipSpec, CheckSpec, MaintainedGossipSpec, NonSyncSpec, RumorSpec,
 };

@@ -11,7 +11,7 @@
 //! abstraction is unsound: a protocol that reads more of the round counter
 //! than its period, or a crash that matters before its own round.
 
-use mtm_engine::{ActivationSchedule, Engine, Protocol};
+use mtm_engine::{ActivationSchedule, Engine};
 use mtm_graph::faults::ScheduledCrashes;
 use mtm_graph::{Graph, NodeId, StaticTopology};
 
@@ -80,7 +80,7 @@ pub fn replay_state<S: CheckSpec>(
             outcome.words
         ));
     }
-    let expected_fp = network_fingerprint_of(ex.nodes_of(target));
+    let expected_fp = mtm_engine::fingerprint::of_nodes(ex.nodes_of(target));
     if outcome.fingerprint != expected_fp {
         return Err(format!(
             "replay fingerprint mismatch at state {target}: engine {:?}, checker {expected_fp:?}",
@@ -88,14 +88,4 @@ pub fn replay_state<S: CheckSpec>(
         ));
     }
     Ok(outcome)
-}
-
-/// The checker-side network fingerprint of a configuration, folded exactly
-/// as [`Engine::network_fingerprint`] folds per-node state fingerprints.
-pub fn network_fingerprint_of<P: Protocol>(nodes: &[P]) -> Option<u64> {
-    let mut acc = mtm_engine::fingerprint::SEED;
-    for p in nodes {
-        acc = mtm_engine::fingerprint::mix(acc, p.state_fingerprint()?);
-    }
-    Some(acc)
 }

@@ -714,39 +714,43 @@ fn cmd_graph(args: &[String]) -> Result<i32, String> {
     Ok(0)
 }
 
-/// `mtm trace`: run one lockstep leader election with per-round tracing
-/// and dump a CSV of (round, active, proposals, connections) plus the
-/// connection log summary.
+/// `mtm trace`: run one lockstep leader election and dump a CSV of
+/// (round, active, proposals, connections), read off the engine's counters
+/// after each round, plus the number of connections formed.
 fn cmd_trace(args: &[String]) -> Result<i32, String> {
     let (algo, rest) = args.split_first().ok_or("trace: missing algorithm")?;
     let a = parse_run_args(rest, "--seed --tau --max-rounds --export")?;
     let g = a.connected_graph()?;
     let (n, delta) = (g.node_count(), g.max_degree());
     let topo = a.topology(g);
-    let (outcome, traces, logged) =
+    let mut csv = String::from("round,active,proposals,connections\n");
+    let (stabilized, rows, logged) =
         with_election!(algo.as_str(), n, delta, a.seed, |params, nodes, _| {
             let mut e =
                 Engine::new(topo, params, ActivationSchedule::synchronized(n), nodes, a.seed);
-            e.enable_tracing();
-            e.enable_connection_log();
-            let out = e.run_to_stabilization(a.max_rounds);
-            (out, e.traces().to_vec(), e.connection_log().len())
+            let mut prev = e.metrics();
+            let stabilized = e.run_until(a.max_rounds, |e| {
+                if e.round() >= 1 {
+                    let (m, active) = (e.metrics(), (0..n).filter(|&u| e.is_active(u)).count());
+                    let (p, c) = (m.proposals - prev.proposals, m.connections - prev.connections);
+                    csv.push_str(&format!("{},{active},{p},{c}\n", e.round()));
+                    prev = m;
+                }
+                e.leaders_agree().is_some()
+            });
+            (stabilized, e.round(), e.metrics().connections)
         });
-    let mut csv = String::from("round,active,proposals,connections\n");
-    for t in &traces {
-        csv.push_str(&format!("{},{},{},{}\n", t.round, t.active, t.proposals, t.connections));
-    }
     match &a.export {
         Some(path) => {
             if let Err(e) = std::fs::write(path, &csv) {
                 eprintln!("error: failed to write {path}: {e}");
                 return Ok(1);
             }
-            println!("trace written to {path} ({} rows)", traces.len());
+            println!("trace written to {path} ({rows} rows)");
         }
         None => print!("{csv}"),
     }
-    match outcome.stabilized_round {
+    match stabilized {
         Some(r) => {
             eprintln!("stabilized in {r} rounds ({logged} connections logged)");
             Ok(0)

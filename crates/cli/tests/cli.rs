@@ -7,6 +7,8 @@
 //! * `--threads` actually reaches the engine on `spread` (byte-identical
 //!   stdout at 1 vs 2 workers — the regression was parsing the flag and
 //!   dropping it);
+//! * `mtm trace` prints one CSV row per executed round, and its
+//!   connections column sums to the count it reports on stderr;
 //! * `--backend event` determinism: same seed ⇒ byte-identical stdout,
 //!   different seed ⇒ different timing; flag validation for the
 //!   lockstep-only options;
@@ -123,6 +125,31 @@ fn spread_honors_threads() {
     let t2 = mtm(&[base, &["--threads", "2"][..]].concat());
     assert_eq!(t1.status.code(), Some(0));
     assert_eq!(stdout(&t1), stdout(&t2), "spread output must not depend on --threads");
+}
+
+#[test]
+fn trace_prints_one_row_per_executed_round() {
+    let out = mtm(&["trace", "blind", "cycle", "16", "--seed", "3"]);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    let text = stdout(&out);
+    let mut lines = text.lines();
+    assert_eq!(lines.next(), Some("round,active,proposals,connections"));
+    let rows: Vec<Vec<u64>> = lines
+        .map(|line| line.split(',').map(|f| f.parse().expect("numeric CSV field")).collect())
+        .collect();
+    for (i, row) in rows.iter().enumerate() {
+        // round, active, proposals, connections
+        assert_eq!(row.len(), 4, "row {i}: {row:?}");
+        assert_eq!(row[0], i as u64 + 1, "rows must number the executed rounds in order");
+        assert_eq!(row[1], 16, "every node is active in a synchronized run");
+        assert!(row[3] <= row[2] && row[3] <= 8, "row {i}: {row:?}");
+    }
+    let logged: u64 = rows.iter().map(|row| row[3]).sum();
+    assert_eq!(
+        stderr,
+        format!("stabilized in {} rounds ({logged} connections logged)\n", rows.len())
+    );
 }
 
 #[test]

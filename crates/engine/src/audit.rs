@@ -19,7 +19,7 @@
 //!
 //! The module also hosts [`determinism_self_check`], the executable form
 //! of the repo's determinism contract: run the same `(seed, config)`
-//! twice and demand identical [`Metrics`] and [`RoundTrace`] streams.
+//! twice and demand identical [`Metrics`] after every round.
 //!
 //! [`ConnectionPolicy::SingleUniform`]: crate::model::ConnectionPolicy::SingleUniform
 
@@ -28,7 +28,7 @@ use std::fmt;
 use mtm_graph::{DynamicTopology, NodeId};
 
 use crate::engine::Engine;
-use crate::metrics::{Metrics, RoundTrace};
+use crate::metrics::Metrics;
 use crate::model::Tag;
 use crate::protocol::Protocol;
 
@@ -248,11 +248,10 @@ fn fail(v: Violation) -> ! {
 }
 
 /// Run the same construction twice for `rounds` rounds and demand that
-/// both executions produce identical [`Metrics`], identical per-round
-/// [`RoundTrace`] streams, and (when the protocol supports fingerprinting)
-/// identical final network state digests — the executable form of the
-/// determinism contract (an execution is a pure function of
-/// `(seed, config)`).
+/// both executions produce identical [`Metrics`] after every round and
+/// (when the protocol supports fingerprinting) identical final network
+/// state digests — the executable form of the determinism contract (an
+/// execution is a pure function of `(seed, config)`).
 ///
 /// Returns the (common) metrics on success, and a description of the
 /// first divergence on failure. `build` must construct a fresh engine
@@ -263,29 +262,20 @@ where
     T: DynamicTopology,
     F: FnMut() -> Engine<P, T>,
 {
-    let mut run = || {
-        let mut e = build();
-        e.enable_tracing();
-        e.run_rounds(rounds);
-        (e.metrics(), e.traces().to_vec(), e.network_fingerprint())
-    };
-    let (m1, t1, f1): (Metrics, Vec<RoundTrace>, Option<u64>) = run();
-    let (m2, t2, f2) = run();
-    for (a, b) in t1.iter().zip(t2.iter()) {
-        if a != b {
-            return Err(format!("round {} trace diverged: {a:?} vs {b:?}", a.round));
+    let (mut a, mut b) = (build(), build());
+    for round in 1..=rounds {
+        a.step();
+        b.step();
+        let (m1, m2) = (a.metrics(), b.metrics());
+        if m1 != m2 {
+            return Err(format!("round {round} metrics diverged: {m1:?} vs {m2:?}"));
         }
     }
-    if t1.len() != t2.len() {
-        return Err(format!("trace lengths diverged: {} vs {}", t1.len(), t2.len()));
-    }
-    if m1 != m2 {
-        return Err(format!("metrics diverged: {m1:?} vs {m2:?}"));
-    }
+    let (f1, f2) = (a.network_fingerprint(), b.network_fingerprint());
     if f1 != f2 {
         return Err(format!("final network state fingerprints diverged: {f1:?} vs {f2:?}"));
     }
-    Ok(m1)
+    Ok(a.metrics())
 }
 
 #[cfg(test)]

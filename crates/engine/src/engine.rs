@@ -72,7 +72,7 @@ use mtm_graph::{DynamicTopology, Graph, NodeId};
 use rand::rngs::SmallRng;
 
 use crate::activation::ActivationSchedule;
-use crate::metrics::{Metrics, RoundTrace};
+use crate::metrics::Metrics;
 use crate::model::{ConnectionPolicy, ModelParams, Tag};
 use crate::protocol::{Action, LeaderView, PayloadCost, Protocol, RumorView};
 
@@ -328,8 +328,6 @@ pub struct Engine<P: Protocol, T: DynamicTopology> {
     rngs: Vec<SmallRng>,
     round: u64,
     metrics: Metrics,
-    traces: Option<Vec<RoundTrace>>,
-    connection_log: Option<Vec<(u64, NodeId, NodeId)>>,
     stuck: Option<StuckDetector>,
     loss_prob: f64,
     // Counter-coin key for proposal loss: survival of `(round, proposer)`
@@ -348,7 +346,6 @@ pub struct Engine<P: Protocol, T: DynamicTopology> {
     active: Vec<bool>,
     local_rounds: Vec<u64>,
     all_active: bool,
-    active_count: u64,
     inbox: Inbox,
     // Per-receiver span lengths, outside `inbox` so acceptance can chunk
     // them mutably while its shards share the arena.
@@ -384,8 +381,6 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
             rngs: node_streams(seed, n),
             round: 0,
             metrics: Metrics::default(),
-            traces: None,
-            connection_log: None,
             stuck: None,
             loss_prob: 0.0,
             // Dedicated stream index far above the per-node range so
@@ -398,33 +393,11 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
             active: vec![false; n],
             local_rounds: vec![0; n],
             all_active: false,
-            active_count: 0,
             inbox: Inbox::default(),
             incoming_len: vec![0; n],
             fp_cache: Vec::new(),
             auditor: crate::audit::Auditor::default(),
         }
-    }
-
-    /// Record a [`RoundTrace`] for every subsequent round.
-    pub fn enable_tracing(&mut self) {
-        self.traces = Some(Vec::new());
-    }
-
-    /// Collected traces (empty unless tracing was enabled).
-    pub fn traces(&self) -> &[RoundTrace] {
-        self.traces.as_deref().unwrap_or(&[])
-    }
-
-    /// Record every formed connection as `(round, proposer, receiver)` for
-    /// post-hoc analysis (who talked to whom, when).
-    pub fn enable_connection_log(&mut self) {
-        self.connection_log = Some(Vec::new());
-    }
-
-    /// The connection log (empty unless enabled).
-    pub fn connection_log(&self) -> &[(u64, NodeId, NodeId)] {
-        self.connection_log.as_deref().unwrap_or(&[])
     }
 
     /// Enable the stuck-run detector with a no-progress window of `window`
@@ -476,11 +449,7 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
     /// Fold of every node's [`Protocol::state_fingerprint`] in node order,
     /// or `None` if the protocol does not support fingerprinting.
     pub fn network_fingerprint(&self) -> Option<u64> {
-        let mut acc = crate::fingerprint::SEED;
-        for node in &self.nodes {
-            acc = crate::fingerprint::mix(acc, node.state_fingerprint()?);
-        }
-        Some(acc)
+        crate::fingerprint::of_nodes(&self.nodes)
     }
 
     /// Inject message loss: each proposal is independently dropped with
@@ -556,9 +525,9 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
     /// Overwrite every node's state with `nodes` and set the round counter
     /// to `round`, so the next step runs round `round + 1` from that
     /// configuration. The active set and local rounds are recomputed from
-    /// the schedule at that round. RNG streams, metrics, traces and the
-    /// stuck detector's window carry on. `mtm-check` restores each
-    /// explored state before stepping one scripted transition out of it.
+    /// the schedule at that round. RNG streams, metrics and the stuck
+    /// detector's window carry on. `mtm-check` restores each explored
+    /// state before stepping one scripted transition out of it.
     pub fn restore(&mut self, nodes: &[P], round: u64)
     where
         P: Clone,
@@ -588,17 +557,6 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
     /// Rounds that passed the full conformance audit so far.
     pub fn rounds_audited(&self) -> u64 {
         self.auditor.rounds_audited()
-    }
-
-    /// Run this engine's configuration twice and demand identical
-    /// [`Metrics`] and [`RoundTrace`](crate::metrics::RoundTrace) streams.
-    /// Convenience wrapper over [`crate::audit::determinism_self_check`];
-    /// `build` must construct a fresh engine from the same inputs each call.
-    pub fn determinism_self_check(
-        build: impl FnMut() -> Self,
-        rounds: u64,
-    ) -> Result<Metrics, String> {
-        crate::audit::determinism_self_check(build, rounds)
     }
 
     /// Execute one full round (all five phases), every node drawing its
@@ -642,7 +600,6 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
     fn run_round(&mut self, choices: Choices<'_>) {
         self.round += 1;
         let round = self.round;
-        let before = self.metrics;
         let topo_may_change = self.stuck.is_some() && self.topology.may_change_at(round);
         self.update_active_set(round);
         let scripted = matches!(choices, Choices::Scripted(_));
@@ -722,7 +679,7 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
             parallel::end_round(active, local_rounds, base, nodes, rngs)
         });
 
-        self.close_round(round, before, topo_may_change);
+        self.close_round(round, topo_may_change);
     }
 
     /// Active-set precompute: one schedule check per node per round, with
@@ -736,15 +693,15 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
             }
             return;
         }
-        self.active_count = 0;
+        let mut active_count = 0;
         for (u, (active, lr)) in self.active.iter_mut().zip(&mut self.local_rounds).enumerate() {
             *active = self.schedule.is_active(u, round);
             if *active {
-                self.active_count += 1;
+                active_count += 1;
                 *lr = self.schedule.local_round(u, round);
             }
         }
-        self.all_active = self.active_count == self.nodes.len() as u64;
+        self.all_active = active_count == self.nodes.len();
     }
 
     /// Phase 4b: take the shards' accepted connections in shard order (=
@@ -763,9 +720,6 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
         }
         for shard in &mut shards {
             for &(u, v) in &shard.accepted {
-                if let Some(log) = &mut self.connection_log {
-                    log.push((round, u, v));
-                }
                 self.connect(u as usize, v as usize);
             }
             shard.accepted.clear();
@@ -773,20 +727,12 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
         self.shards = shards;
     }
 
-    /// Round close: counters, conservation audit, trace, stuck detector.
-    fn close_round(&mut self, round: u64, before: Metrics, topo_may_change: bool) {
+    /// Round close: counters, conservation audit, stuck detector.
+    fn close_round(&mut self, round: u64, topo_may_change: bool) {
         self.metrics.rounds = round;
         // On running totals, checked every round from a zero start, this
         // is exactly the per-round law.
         self.auditor.check_conservation(round, &self.metrics, 0);
-        if let Some(traces) = &mut self.traces {
-            traces.push(RoundTrace {
-                round,
-                active: self.active_count,
-                proposals: self.metrics.proposals - before.proposals,
-                connections: self.metrics.connections - before.connections,
-            });
-        }
         if self.stuck.is_some() {
             self.update_stuck_detector(topo_may_change);
         }
@@ -817,10 +763,7 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
                 }
             }
         }
-        let mut fp = crate::fingerprint::SEED;
-        for &f in &self.fp_cache {
-            fp = crate::fingerprint::mix(fp, f);
-        }
+        let fp = crate::fingerprint::of_words(&self.fp_cache);
         let round = self.round;
         // Frozen state is only evidence of a fixed point while the world
         // holds still: pending activations or a topology change window can
@@ -1207,16 +1150,12 @@ mod tests {
         // number of connections per round is at most n/2.
         let n = 10;
         let mut e = engine_on(gen::clique(n), n, 3);
-        e.enable_tracing();
-        e.run_rounds(50);
-        for t in e.traces() {
-            assert!(
-                t.connections as usize <= n / 2,
-                "round {}: {} connections",
-                t.round,
-                t.connections
-            );
-            assert!(t.proposals >= t.connections);
+        for round in 1..=50 {
+            let before = e.metrics();
+            e.step();
+            let connections = e.metrics().connections - before.connections;
+            assert!(connections as usize <= n / 2, "round {round}: {connections} connections");
+            assert!(e.metrics().proposals - before.proposals >= connections);
         }
     }
 
@@ -1249,10 +1188,13 @@ mod tests {
             leaf_nodes,
             11,
         );
-        e.enable_tracing();
-        e.run_rounds(30);
-        for t in e.traces() {
-            assert!(t.connections <= 1, "star can host at most 1 connection involving the hub");
+        for _ in 0..30 {
+            let before = e.metrics().connections;
+            e.step();
+            assert!(
+                e.metrics().connections - before <= 1,
+                "star can host at most 1 connection involving the hub"
+            );
         }
     }
 
@@ -1297,15 +1239,13 @@ mod tests {
             protos,
             4,
         );
-        e.enable_tracing();
-        e.run_rounds(8);
         // In some round the hub listened and connected to all 7 leaves.
-        let max_conn = e
-            .traces()
-            .iter()
-            .map(|t| t.connections)
-            .max()
-            .expect("a traced run records at least one round");
+        let mut max_conn = 0;
+        for _ in 0..8 {
+            let before = e.metrics().connections;
+            e.step();
+            max_conn = max_conn.max(e.metrics().connections - before);
+        }
         assert!(
             max_conn >= (n - 1) as u64,
             "classical hub should accept all proposals, max was {max_conn}"
@@ -1408,8 +1348,9 @@ mod tests {
 
     #[test]
     fn determinism_self_check_passes_for_fixed_seed() {
-        let metrics = Engine::determinism_self_check(|| engine_on(gen::cycle(10), 10, 42), 150)
-            .expect("same (seed, config) must replay identically");
+        let metrics =
+            crate::audit::determinism_self_check(|| engine_on(gen::cycle(10), 10, 42), 150)
+                .expect("same (seed, config) must replay identically");
         assert_eq!(metrics.rounds, 150);
         assert!(metrics.connections > 0);
     }
@@ -1419,7 +1360,7 @@ mod tests {
         // A builder that varies the seed across calls is exactly the bug
         // the self-check exists to catch.
         let mut seed = 0u64;
-        let err = Engine::determinism_self_check(
+        let err = crate::audit::determinism_self_check(
             || {
                 seed += 1;
                 engine_on(gen::cycle(16), 16, seed)
@@ -1428,26 +1369,6 @@ mod tests {
         )
         .expect_err("different seeds must diverge");
         assert!(err.contains("diverged"), "unhelpful divergence report: {err}");
-    }
-
-    #[test]
-    fn connection_log_matches_metrics() {
-        let mut e = engine_on(gen::clique(8), 8, 6);
-        e.enable_connection_log();
-        e.run_rounds(40);
-        let log = e.connection_log();
-        assert_eq!(log.len() as u64, e.metrics().connections);
-        for &(round, u, v) in log {
-            assert!((1..=40).contains(&round));
-            assert_ne!(u, v);
-            assert!(u < 8 && v < 8);
-        }
-        // Each node appears at most once per round (one connection each).
-        let mut seen = std::collections::BTreeSet::new();
-        for &(round, u, v) in log {
-            assert!(seen.insert((round, u)), "node {u} in two connections in round {round}");
-            assert!(seen.insert((round, v)), "node {v} in two connections in round {round}");
-        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use engine::{
     ENGINE_SEMANTICS_VERSION,
 };
 pub use event::{EventEngine, EventKind, EventOutcome, EventRecord, LatencyModel};
-pub use metrics::{Metrics, RoundTrace, ServiceMetrics};
+pub use metrics::{Metrics, ServiceMetrics};
 pub use model::{uniform_accept_index, ConnectionPolicy, ModelParams, Tag};
 pub use protocol::{
     ActRule, Action, EpochView, LeaderView, PayloadCost, Protocol, RumorView, Scan,

@@ -1,4 +1,4 @@
-//! Execution metrics and optional per-round tracing.
+//! Execution counters for lockstep and service-mode runs.
 
 /// Aggregate counters over an execution.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -56,19 +56,6 @@ pub struct ServiceMetrics {
     pub re_elections: u64,
     /// Largest number of simultaneous up claimants ever observed.
     pub max_concurrent_claimants: u64,
-}
-
-/// Per-round trace entry (enabled with [`crate::Engine::enable_tracing`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RoundTrace {
-    /// Round number (1-based).
-    pub round: u64,
-    /// Active nodes this round.
-    pub active: u64,
-    /// Proposals sent this round.
-    pub proposals: u64,
-    /// Connections formed this round.
-    pub connections: u64,
 }
 
 #[cfg(test)]

@@ -12,8 +12,9 @@
 //! proposals as one `Vec` per receiver. The property: across random
 //! (topology, schedule, tag_bits, loss, policy, acceptance, seed)
 //! configurations — and at every thread count in {1, 2, 4, 8} — engine and
-//! reference produce identical round traces, connection logs, metrics, and
-//! final node states.
+//! reference produce identical counters after every round and identical
+//! final node states, each of which includes the node's connection
+//! history.
 
 // The reference executor is written in deliberately plain indexed style —
 // it should read like the model's pseudocode, not like optimized Rust.
@@ -21,8 +22,8 @@
 
 use mtm_engine::model::Acceptance;
 use mtm_engine::{
-    Action, ActivationSchedule, ConnectionPolicy, Engine, ModelParams, PayloadCost, Protocol,
-    RoundTrace, Scan, Tag,
+    Action, ActivationSchedule, ConnectionPolicy, Engine, ModelParams, PayloadCost, Protocol, Scan,
+    Tag,
 };
 use mtm_graph::dynamic::RelabelingAdversary;
 use mtm_graph::{gen, DynamicTopology, Graph, NodeId, StaticTopology};
@@ -32,14 +33,32 @@ use rand::seq::SliceRandom;
 /// A protocol that draws randomness in every hook and folds everything it
 /// observes (tags, payloads, local rounds) into its state, so any deviation
 /// in call order or RNG stream shows up in the final state comparison.
+///
+/// Each node also logs `(local round, peer id)` for every connection, in
+/// the order its `on_connect` calls happen. A connection `(u, v)` formed in
+/// round `r` therefore appears in both endpoints' logs, at local rounds
+/// that are functions of `r`, and a receiver's log keeps the accept-all
+/// delivery order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct Chatty {
+    id: u64,
     tag_bits: u32,
     state: u64,
+    local_round: u64,
+    log: Vec<(u64, u64)>,
+}
+
+impl Chatty {
+    fn new(id: u64, tag_bits: u32, state: u64) -> Self {
+        Chatty { id, tag_bits, state, local_round: 0, log: Vec::new() }
+    }
 }
 
 #[derive(Clone)]
-struct Word(u64);
+struct Word {
+    id: u64,
+    state: u64,
+}
 impl PayloadCost for Word {
     fn uid_count(&self) -> u32 {
         1
@@ -57,6 +76,7 @@ impl Protocol for Chatty {
         // randomness regardless of the tag width.
         let r = rng.gen::<u32>();
         self.state = self.state.wrapping_add(u64::from(r)).rotate_left(7) ^ local_round;
+        self.local_round = local_round;
         if self.tag_bits == 0 {
             Tag(0)
         } else {
@@ -79,11 +99,12 @@ impl Protocol for Chatty {
     }
 
     fn payload(&self) -> Word {
-        Word(self.state)
+        Word { id: self.id, state: self.state }
     }
 
     fn on_connect(&mut self, peer: &Word, rng: &mut SmallRng) {
-        self.state = self.state.rotate_left(13) ^ peer.0 ^ rng.gen::<u64>();
+        self.state = self.state.rotate_left(13) ^ peer.state ^ rng.gen::<u64>();
+        self.log.push((self.local_round, peer.id));
     }
 
     fn end_round(&mut self, local_round: u64, rng: &mut SmallRng) {
@@ -97,16 +118,13 @@ impl Protocol for Chatty {
     }
 }
 
-/// Everything observable about one execution.
+/// Everything observable about one execution: after every round, the
+/// active node count and the running `[proposals, connections, rejected,
+/// dropped]` counters; at the end, every node's whole state.
 #[derive(Debug, PartialEq)]
 struct Observed {
-    traces: Vec<RoundTrace>,
-    connection_log: Vec<(u64, NodeId, NodeId)>,
-    proposals: u64,
-    connections: u64,
-    rejected: u64,
-    dropped: u64,
-    states: Vec<u64>,
+    rounds: Vec<[u64; 5]>,
+    nodes: Vec<Chatty>,
 }
 
 /// Straight-line reference executor: the round structure of Section III
@@ -120,8 +138,7 @@ struct Reference<T: DynamicTopology> {
     loss_prob: f64,
     loss_seed: u64,
     round: u64,
-    traces: Vec<RoundTrace>,
-    connection_log: Vec<(u64, NodeId, NodeId)>,
+    rounds: Vec<[u64; 5]>,
     proposals: u64,
     connections: u64,
     rejected: u64,
@@ -147,8 +164,7 @@ impl<T: DynamicTopology> Reference<T> {
             loss_prob,
             loss_seed: mtm_graph::rng::derive_seed(seed, u64::MAX),
             round: 0,
-            traces: Vec::new(),
-            connection_log: Vec::new(),
+            rounds: Vec::new(),
             proposals: 0,
             connections: 0,
             rejected: 0,
@@ -164,8 +180,6 @@ impl<T: DynamicTopology> Reference<T> {
         let schedule = self.schedule.clone();
         let active = |u: usize| schedule.is_active(u, round);
         let active_count = (0..n).filter(|&u| active(u)).count() as u64;
-        let proposals_before = self.proposals;
-        let connections_before = self.connections;
 
         // Phase 1: every active node advertises a tag.
         let mut tags = vec![Tag(0); n];
@@ -281,7 +295,6 @@ impl<T: DynamicTopology> Reference<T> {
 
         // Phase 4b: payload exchanges, proposer's hook before receiver's.
         for (u, v) in accepted {
-            self.connection_log.push((round, u, v));
             let pu = self.nodes[u as usize].payload();
             let pv = self.nodes[v as usize].payload();
             self.nodes[u as usize].on_connect(&pv, &mut self.rngs[u as usize]);
@@ -297,27 +310,20 @@ impl<T: DynamicTopology> Reference<T> {
             }
         }
 
-        self.traces.push(RoundTrace {
-            round,
-            active: active_count,
-            proposals: self.proposals - proposals_before,
-            connections: self.connections - connections_before,
-        });
+        self.rounds.push([
+            active_count,
+            self.proposals,
+            self.connections,
+            self.rejected,
+            self.dropped,
+        ]);
     }
 
     fn run(mut self, rounds: u64) -> Observed {
         for _ in 0..rounds {
             self.step();
         }
-        Observed {
-            traces: self.traces,
-            connection_log: self.connection_log,
-            proposals: self.proposals,
-            connections: self.connections,
-            rejected: self.rejected,
-            dropped: self.dropped,
-            states: self.nodes.iter().map(|p| p.state).collect(),
-        }
+        Observed { rounds: self.rounds, nodes: self.nodes }
     }
 }
 
@@ -332,24 +338,21 @@ fn run_engine<T: DynamicTopology>(
     rounds: u64,
     threads: usize,
 ) -> Observed {
+    let n = nodes.len();
     let mut e = Engine::new(topology, params, schedule, nodes, seed);
-    e.enable_tracing();
-    e.enable_connection_log();
     e.set_threads(threads);
     if loss_prob > 0.0 {
         e.set_proposal_loss(loss_prob);
     }
-    e.run_rounds(rounds);
-    let m = e.metrics();
-    Observed {
-        traces: e.traces().to_vec(),
-        connection_log: e.connection_log().to_vec(),
-        proposals: m.proposals,
-        connections: m.connections,
-        rejected: m.rejected_proposals,
-        dropped: m.dropped_proposals,
-        states: e.nodes().iter().map(|p| p.state).collect(),
-    }
+    let rounds = (0..rounds)
+        .map(|_| {
+            e.step();
+            let m = e.metrics();
+            let active = (0..n).filter(|&u| e.is_active(u)).count() as u64;
+            [active, m.proposals, m.connections, m.rejected_proposals, m.dropped_proposals]
+        })
+        .collect();
+    Observed { rounds, nodes: e.nodes().to_vec() }
 }
 
 /// One random configuration drawn from the case RNG.
@@ -403,7 +406,7 @@ fn optimized_step_matches_reference_executor() {
         let cfg = sample_config(rng);
         let n = cfg.graph.node_count();
         let nodes: Vec<Chatty> = (0..n as u64)
-            .map(|u| Chatty { tag_bits: cfg.tag_bits, state: u.wrapping_mul(0xA5A5_A5A5) ^ 1 })
+            .map(|u| Chatty::new(u, cfg.tag_bits, u.wrapping_mul(0xA5A5_A5A5) ^ 1))
             .collect();
 
         // One reference run, checked against the engine at every thread
@@ -480,8 +483,7 @@ fn reference_equivalence_holds_for_recorded_workload_shape() {
         let seed = rng.gen::<u64>();
         let n = 16;
         let graph = gen::random_regular(n, 4, seed ^ 0xF00D);
-        let nodes: Vec<Chatty> =
-            (0..n as u64).map(|u| Chatty { tag_bits: 0, state: u + 100 }).collect();
+        let nodes: Vec<Chatty> = (0..n as u64).map(|u| Chatty::new(u, 0, u + 100)).collect();
         let want = Reference::new(
             StaticTopology::new(graph.clone()),
             ModelParams::mobile(0),

@@ -202,8 +202,17 @@ pub fn bit_convergence_rounds_threaded(
     })
 }
 
+/// Stuck-detection window, in rounds, for non-synchronized bit convergence
+/// trials. Two UIDs that draw the same minimum tag can wedge a trial with
+/// two leaders forever; the detector ends such a trial like a timeout
+/// (`None`) instead of running it to the round budget. W must exceed the
+/// longest gap between `best` changes in a trial that still stabilizes, or
+/// the detector would cut that trial short.
+const NONSYNC_STUCK_WINDOW: u64 = 100_000;
+
 /// Stabilization rounds (after the last activation) of non-synchronized bit
-/// convergence (`b = log log n + O(1)`).
+/// convergence (`b = log log n + O(1)`); `None` for a trial that ran out of
+/// rounds or stayed stuck for [`NONSYNC_STUCK_WINDOW`] rounds.
 pub fn nonsync_rounds(
     spec: &TopoSpec,
     sched: SchedSpec,
@@ -233,6 +242,7 @@ pub fn nonsync_rounds(
             nodes,
             derive_seed(seed, 11),
         );
+        e.enable_stuck_detection(NONSYNC_STUCK_WINDOW);
         let out = e.run_to_stabilization(max_rounds);
         if let Some(w) = out.winner {
             assert_eq!(

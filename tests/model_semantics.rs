@@ -16,14 +16,13 @@ fn at_most_one_connection_per_node_per_round_mobile() {
         BlindGossip::spawn(&uids),
         2,
     );
-    e.enable_tracing();
-    e.run_rounds(200);
-    for t in e.traces() {
+    for round in 1..=200 {
+        let before = e.metrics().connections;
+        e.step();
+        let connections = e.metrics().connections - before;
         assert!(
-            t.connections as usize <= n / 2,
-            "round {}: {} connections on {n} nodes",
-            t.round,
-            t.connections
+            connections as usize <= n / 2,
+            "round {round}: {connections} connections on {n} nodes"
         );
     }
 }
@@ -42,9 +41,13 @@ fn classical_policy_can_exceed_mobile_cap() {
             PushPull::spawn(n, 1),
             3,
         );
-        e.enable_tracing();
-        e.run_rounds(60);
-        e.traces().iter().map(|t| t.connections).max().unwrap()
+        let mut max_conn = 0;
+        for _ in 0..60 {
+            let before = e.metrics().connections;
+            e.step();
+            max_conn = max_conn.max(e.metrics().connections - before);
+        }
+        max_conn
     };
     let classical = run_max_conn(ModelParams::classical());
     let mobile = run_max_conn(ModelParams::mobile(0));

@@ -6,6 +6,7 @@
 //! replacement for proptest); each test reports the failing case seed on
 //! panic.
 
+use mobile_telephone::engine::Metrics;
 use mobile_telephone::prelude::*;
 use mtm_testkit::{run_cases, Rng, SmallRng};
 
@@ -21,6 +22,19 @@ const FAMILIES: &[GraphFamily] = &[
 
 fn arb_family(rng: &mut SmallRng) -> GraphFamily {
     FAMILIES[rng.gen_range(0..FAMILIES.len())]
+}
+
+/// Step `e` for `rounds` rounds and return its counters after each one.
+fn metrics_per_round<P: Protocol, T: DynamicTopology>(
+    e: &mut Engine<P, T>,
+    rounds: u64,
+) -> Vec<Metrics> {
+    (0..rounds)
+        .map(|_| {
+            e.step();
+            e.metrics()
+        })
+        .collect()
 }
 
 #[test]
@@ -181,14 +195,15 @@ fn engine_conservation_under_random_protocol_mix() {
             BlindGossip::spawn(&uids),
             seed ^ 15,
         );
-        e.enable_tracing();
-        e.run_rounds(rounds);
+        for _ in 0..rounds {
+            let before = e.metrics();
+            e.step();
+            let connections = e.metrics().connections - before.connections;
+            assert!(connections as usize <= n / 2);
+            assert!(e.metrics().proposals - before.proposals >= connections);
+        }
         let m = e.metrics();
         assert_eq!(m.proposals, m.connections + m.rejected_proposals);
-        for t in e.traces() {
-            assert!(t.connections as usize <= n / 2);
-            assert!(t.proposals >= t.connections);
-        }
     });
 }
 
@@ -216,9 +231,9 @@ fn stabilized_means_unanimous_and_permanent() {
 }
 
 /// The executable form of DESIGN.md's substitution rule: a full protocol
-/// execution — including every `RoundTrace` entry — is a pure function of
-/// `(seed, config)`, across graph families and across both paper
-/// protocols.
+/// execution — including the counters after every round — is a pure
+/// function of `(seed, config)`, across graph families and across both
+/// paper protocols.
 #[test]
 fn same_seed_runs_produce_identical_round_traces() {
     run_cases(0xF708, 10, |_case, rng| {
@@ -237,9 +252,7 @@ fn same_seed_runs_produce_identical_round_traces() {
                 BlindGossip::spawn(&uids),
                 seed ^ 22,
             );
-            e.enable_tracing();
-            e.run_rounds(200);
-            (e.metrics(), e.traces().to_vec())
+            metrics_per_round(&mut e, 200)
         };
         assert_eq!(run_blind(seed), run_blind(seed), "BlindGossip trace must be seed-pure");
 
@@ -256,16 +269,14 @@ fn same_seed_runs_produce_identical_round_traces() {
                 nodes,
                 seed ^ 25,
             );
-            e.enable_tracing();
-            e.run_rounds(200);
-            (e.metrics(), e.traces().to_vec())
+            metrics_per_round(&mut e, 200)
         };
         assert_eq!(run_bits(seed), run_bits(seed), "BitConvergence trace must be seed-pure");
     });
 }
 
 /// The engine's own determinism entry point agrees: replaying a fixed
-/// `(seed, config)` through [`Engine::determinism_self_check`] reports no
+/// `(seed, config)` through `mtm_engine::determinism_self_check` reports no
 /// divergence for a real paper protocol.
 #[test]
 fn engine_determinism_self_check_entry_point() {
@@ -273,7 +284,7 @@ fn engine_determinism_self_check_entry_point() {
         let family = arb_family(rng);
         let n = rng.gen_range(4..12usize);
         let seed = rng.gen::<u64>();
-        let metrics = Engine::determinism_self_check(
+        let metrics = mobile_telephone::engine::determinism_self_check(
             || {
                 let g = family.build(n, seed);
                 let nn = g.node_count();

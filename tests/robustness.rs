@@ -107,7 +107,7 @@ fn faulty_engine(seed: u64) -> Engine<NonSyncBitConvergence, FaultyTopology<Stat
 #[test]
 fn fault_injection_preserves_determinism() {
     // Same (seed, config) twice with crash faults and message loss enabled:
-    // identical metrics, identical per-round traces, identical final state.
+    // identical metrics after every round, identical final state.
     let m = determinism_self_check(|| faulty_engine(0xFA017), 2_000)
         .expect("faulted runs must replay identically");
     assert!(m.dropped_proposals > 0, "loss at p = 0.2 should have dropped something");

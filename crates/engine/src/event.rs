@@ -50,8 +50,8 @@
 //!   backend); only the interleaving differs.
 //!
 //! Same seed ⇒ same event trace, byte for byte (pinned by tests here and
-//! by `tests/event_backend.rs`, whose trace hashes were recorded from the
-//! binary heap this queue replaced).
+//! by `tests/event_backend.rs`, whose trace hashes were recorded from
+//! earlier queues: a binary heap, then a calendar with one ordered map).
 //!
 //! # The event queue
 //!
@@ -59,18 +59,33 @@
 //! phase (`RoundStart`, `Act`, `ListenEnd` or its `Response`), or its
 //! proposal in flight. A proposal buffered at a listener owns none. Event
 //! bodies therefore live in one slot per node, indexed by owner, and
-//! scheduling into an occupied slot panics as an engine bug.
+//! scheduling into an occupied slot panics as an engine bug. A tick's
+//! events form lists threaded through per-owner links, each appended in
+//! scheduling order.
 //!
-//! The queue is a tick calendar: an ordered map from each future tick to a
-//! list threaded through those slots, appended in scheduling order. When a
-//! tick becomes current its list is sorted by `(node, arrival index)`,
-//! which is the `(node id, scheduling order)` tie-break exactly. Every
-//! delay is at least one tick, except the `RoundStart` a node queues right
-//! after its own `ListenEnd` or `Response`; that one is served after the
-//! node's remaining events at the tick and before any larger node's. Memory
-//! is O(n) whatever the latency spread. [`EventEngine::run_until`] stops
-//! before an event past its budget, leaving it queued, so a later call
-//! resumes the same execution.
+//! The queue is a two-tier tick calendar. A tick fewer than 64 ticks
+//! ahead of the current tick `now` keeps its list in a ring of 64
+//! `(head, tail)` pairs, at index `tick % 64`. One `u64` marks the
+//! occupied entries, so an append is O(1) and the next near tick is `now`
+//! plus the trailing zeros of that word rotated right by `now % 64`. Only
+//! a tick 64 or more ticks ahead keeps its list in an ordered map, at
+//! O(log T) per append for T such ticks. `now` never decreases, so every
+//! far append to a tick comes before every near append to it: the tick's
+//! far list followed by its near list holds its events in scheduling
+//! order.
+//!
+//! When a tick becomes current, its `(node, owner)` pairs are sorted
+//! stably by node, which gives the `(node id, scheduling order)` tie-break
+//! exactly. A tick of at least 128 events takes an LSD radix sort, one
+//! byte of the node id per pass (⌈log₂ n / 8⌉ passes); a smaller one takes
+//! a comparison sort, which is cheaper there. Every delay is at least one
+//! tick, except the `RoundStart` a node queues right after its own
+//! `ListenEnd` or `Response`; that one is served after the node's
+//! remaining events at the tick and before any larger node's. Memory is
+//! O(n + 64) whatever the latency spread: the map holds at most n lists,
+//! the ring 64, and the two sort buffers at most n pairs each.
+//! [`EventEngine::run_until`] stops before an event past its budget,
+//! leaving it queued, so a later call resumes the same execution.
 //!
 //! Proposal loss (`set_proposal_loss`) drops the proposal message itself;
 //! the proposer is unblocked by a timeout scheduled at the instant the
@@ -257,10 +272,53 @@ const NIL: NodeId = NodeId::MAX;
 /// The panic message for an event scheduled past `u64::MAX` ticks.
 const TIME_OVERFLOW: &str = "event time overflows u64 ticks: latency durations too large";
 
-/// The one event a node owns (see [`EventEngine`]'s `slots`).
-struct Slot<PL> {
-    /// The pending event, or `None` while the node owns none.
-    ev: Option<Ev<PL>>,
+/// Ticks in the near tier of the calendar: an event fewer than `NEAR`
+/// ticks ahead of `now` goes in the ring, any other in the ordered map.
+/// One `u64` holds the ring's occupancy.
+const NEAR: usize = 64;
+
+/// Ticks with at least this many events are ordered by radix sort, smaller
+/// ones by a comparison sort. Each radix pass clears and sums 256
+/// counters, so on a tick of a few events it costs several times a
+/// comparison sort; from about 100 events on it costs less, with up to
+/// three passes (n ≤ 2^24).
+const RADIX_MIN: usize = 128;
+
+/// The ring slot of tick `time`.
+#[inline]
+fn ring_index(time: u64) -> usize {
+    (time % NEAR as u64) as usize
+}
+
+/// Sort `pairs` stably by their first element, a node id below
+/// `256^passes`: one counting pass per byte, least significant first,
+/// each from `pairs` into `spare` and back by a swap.
+fn radix_sort(pairs: &mut Vec<(NodeId, NodeId)>, spare: &mut Vec<(NodeId, NodeId)>, passes: u32) {
+    for pass in 0..passes {
+        let digit = |&(at, _): &(NodeId, NodeId)| (at >> (8 * pass)) as usize & 0xff;
+        let mut start = [0usize; 256];
+        for pair in pairs.iter() {
+            start[digit(pair)] += 1;
+        }
+        let mut sum = 0;
+        for count in &mut start {
+            (*count, sum) = (sum, sum + *count);
+        }
+        spare.clear();
+        spare.resize(pairs.len(), (NIL, NIL));
+        for pair in pairs.iter() {
+            let d = digit(pair);
+            spare[start[d]] = *pair;
+            start[d] += 1;
+        }
+        std::mem::swap(pairs, spare);
+    }
+}
+
+/// Where the event a node owns runs, and which event follows it in its
+/// tick's list (see [`EventEngine`]'s `links`).
+#[derive(Clone, Copy)]
+struct Link {
     /// The node the event is processed at: a proposal's receiver, otherwise
     /// the owner itself.
     at: NodeId,
@@ -323,15 +381,26 @@ pub struct EventEngine<P: Protocol> {
     link_seed: u64,
     loss_seed: u64,
     now: u64,
-    /// Each node's one pending event, indexed by owner.
-    slots: Vec<Slot<P::Payload>>,
-    /// Every tick with events that has not yet become current, mapped to
-    /// the `(head, tail)` owners of its list, threaded through `slots` in
-    /// scheduling order.
-    calendar: BTreeMap<u64, (NodeId, NodeId)>,
-    /// The current tick's events as `(at, arrival index, owner)`, sorted;
+    /// Each node's one pending event, indexed by owner, or `None` while it
+    /// owns none.
+    pending: Vec<Option<Ev<P::Payload>>>,
+    /// Each pending event's [`Link`], indexed by owner. Kept apart from the
+    /// event bodies so that walking a tick's list reads 8 bytes per event.
+    links: Vec<Link>,
+    /// The near tier: at index `tick % NEAR`, the `(head, tail)` owners of
+    /// the list of events appended to `tick` while it was fewer than
+    /// `NEAR` ticks ahead, threaded through `links` in scheduling order.
+    near: [(NodeId, NodeId); NEAR],
+    /// Bit `i` is set iff `near[i]` holds a list.
+    occupied: u64,
+    /// The far tier: each tick's list of events appended while it was
+    /// `NEAR` or more ticks ahead.
+    far: BTreeMap<u64, (NodeId, NodeId)>,
+    /// The current tick's events as `(at, owner)`, in serving order;
     /// `cursor` is the next one to serve.
-    tick: Vec<(NodeId, u32, NodeId)>,
+    tick: Vec<(NodeId, NodeId)>,
+    /// The radix sort's second buffer.
+    spare: Vec<(NodeId, NodeId)>,
     cursor: usize,
     /// A `RoundStart` queued at the current tick by its node's `ListenEnd`
     /// or `Response`.
@@ -399,9 +468,13 @@ impl<P: Protocol> EventEngine<P> {
             link_seed: derive_seed(base, 3),
             loss_seed: derive_seed(base, 4),
             now: 0,
-            slots: (0..n).map(|_| Slot { ev: None, at: NIL, next: NIL }).collect(),
-            calendar: BTreeMap::new(),
+            pending: (0..n).map(|_| None).collect(),
+            links: vec![Link { at: NIL, next: NIL }; n],
+            near: [(NIL, NIL); NEAR],
+            occupied: 0,
+            far: BTreeMap::new(),
             tick: Vec::new(),
+            spare: Vec::new(),
             cursor: 0,
             same_tick: None,
             phase: vec![Phase::Scanning; n],
@@ -482,15 +555,16 @@ impl<P: Protocol> EventEngine<P> {
         self.local_round.iter().sum::<u64>() as f64 / self.local_round.len() as f64
     }
 
-    /// Store `ev`, processed at node `at`, in its owner's slot and return
-    /// the owner.
+    /// Store `ev`, processed at node `at`, as its owner's pending event and
+    /// return the owner.
     fn occupy(&mut self, at: NodeId, ev: Ev<P::Payload>) -> NodeId {
         let owner = ev.owner(at);
-        let slot = &mut self.slots[owner as usize];
+        let pending = &mut self.pending[owner as usize];
         // A node owns at most one queued event: its next phase, or its
         // proposal in flight.
-        assert!(slot.ev.is_none(), "engine bug: node {owner} already has an event queued");
-        *slot = Slot { ev: Some(ev), at, next: NIL };
+        assert!(pending.is_none(), "engine bug: node {owner} already has an event queued");
+        *pending = Some(ev);
+        self.links[owner as usize] = Link { at, next: NIL };
         owner
     }
 
@@ -499,16 +573,26 @@ impl<P: Protocol> EventEngine<P> {
     fn schedule(&mut self, delay: u64, at: NodeId, ev: Ev<P::Payload>) {
         let time = self.now.checked_add(delay).expect(TIME_OVERFLOW);
         let owner = self.occupy(at, ev);
-        match self.calendar.entry(time) {
-            Entry::Vacant(list) => {
-                list.insert((owner, owner));
+        let list = if delay < NEAR as u64 {
+            let i = ring_index(time);
+            if self.occupied & (1 << i) == 0 {
+                self.occupied |= 1 << i;
+                self.near[i] = (owner, owner);
+                return;
             }
-            Entry::Occupied(mut list) => {
-                let (_, tail) = list.get_mut();
-                self.slots[*tail as usize].next = owner;
-                *tail = owner;
+            &mut self.near[i]
+        } else {
+            match self.far.entry(time) {
+                Entry::Vacant(list) => {
+                    list.insert((owner, owner));
+                    return;
+                }
+                Entry::Occupied(list) => list.into_mut(),
             }
-        }
+        };
+        // The tick's list is not empty: link its tail to `owner`.
+        self.links[list.1 as usize].next = owner;
+        list.1 = owner;
     }
 
     /// Queue `node`'s next `RoundStart` at the current tick, the one
@@ -524,42 +608,84 @@ impl<P: Protocol> EventEngine<P> {
         );
     }
 
-    /// The owner of the next event due at or before `max_time`, or `None`
-    /// when there is none; an event past `max_time` stays queued.
+    /// Make the earliest queued tick current if it lies at or before
+    /// `max_time`, and return whether one did. Its events are its far list,
+    /// then its near list, ordered by the node they run at, each node's
+    /// events kept in the order they were listed.
+    fn open_next(&mut self, max_time: u64) -> bool {
+        let near = (self.occupied != 0).then(|| {
+            // Bit `now % NEAR` becomes bit 0, so the first set bit is the
+            // distance from `now` to the earliest near tick.
+            let now_bit = u32::try_from(ring_index(self.now)).expect("a ring index is below 64");
+            self.now + u64::from(self.occupied.rotate_right(now_bit).trailing_zeros())
+        });
+        let far = self.far.first_entry();
+        let Some(time) = near.into_iter().chain(far.as_ref().map(|list| *list.key())).min() else {
+            return false;
+        };
+        if time > max_time {
+            return false;
+        }
+        let far_head = far.filter(|list| *list.key() == time).map(|list| list.remove().0);
+        self.now = time;
+        self.tick.clear();
+        self.cursor = 0;
+        if let Some(head) = far_head {
+            self.gather(head);
+        }
+        // Every near list belongs to a tick in `[now, now + NEAR)` of the
+        // old `now`, and none is earlier than `time`, so the one at
+        // `time % NEAR`, if any, is `time`'s.
+        let i = ring_index(time);
+        if self.occupied & (1 << i) != 0 {
+            self.occupied &= !(1 << i);
+            self.gather(self.near[i].0);
+        }
+        if self.tick.len() < RADIX_MIN {
+            self.tick.sort_by_key(|&(at, _)| at);
+        } else {
+            // ⌈log₂ n / 8⌉ byte passes order every node id up to n − 1.
+            let passes = (usize::BITS - (self.nodes.len() - 1).leading_zeros()).div_ceil(8);
+            radix_sort(&mut self.tick, &mut self.spare, passes);
+        }
+        true
+    }
+
+    /// Append the list starting at `head` to the current tick as
+    /// `(at, owner)` pairs.
+    fn gather(&mut self, head: NodeId) {
+        let mut owner = head;
+        while owner != NIL {
+            let link = self.links[owner as usize];
+            self.tick.push((link.at, owner));
+            owner = link.next;
+        }
+    }
+
+    /// The node the next event due at or before `max_time` runs at and its
+    /// owner, or `None` when there is none; an event past `max_time` stays
+    /// queued.
     ///
     /// Events are served by `(time, node, scheduling order)`. A tick's
-    /// list holds its events in scheduling order, so sorting it by
-    /// `(at, arrival index)` when it becomes current gives that order. The
-    /// only event scheduled during its own tick is a `RoundStart`, served
-    /// from `same_tick` ahead of the first listed event at a larger node.
-    fn next_due(&mut self, max_time: u64) -> Option<NodeId> {
+    /// lists hold its events in scheduling order, so a stable sort by the
+    /// node they run at gives that order. The only event scheduled during
+    /// its own tick is a `RoundStart`, served from `same_tick` ahead of
+    /// the first listed event at a larger node.
+    fn next_due(&mut self, max_time: u64) -> Option<(NodeId, NodeId)> {
         if self.cursor == self.tick.len() && self.same_tick.is_none() {
-            let first = self.calendar.first_entry()?;
-            if *first.key() > max_time {
+            if !self.open_next(max_time) {
                 return None;
             }
-            let (time, (head, _)) = first.remove_entry();
-            self.now = time;
-            self.tick.clear();
-            self.cursor = 0;
-            let (mut owner, mut arrival) = (head, 0);
-            while owner != NIL {
-                let slot = &self.slots[owner as usize];
-                self.tick.push((slot.at, arrival, owner));
-                arrival += 1;
-                owner = slot.next;
-            }
-            self.tick.sort_unstable();
         } else if self.now > max_time {
             return None;
         }
-        let listed = self.tick.get(self.cursor).map(|&(at, _, owner)| (at, owner));
+        let listed = self.tick.get(self.cursor).copied();
         if let Some(node) = self.same_tick.filter(|&u| listed.is_none_or(|(at, _)| u < at)) {
             self.same_tick = None;
-            return Some(node);
+            return Some((node, node));
         }
         self.cursor += 1;
-        listed.map(|(_, owner)| owner)
+        listed
     }
 
     #[inline]
@@ -765,9 +891,8 @@ impl<P: Protocol> EventEngine<P> {
         if pred(self) {
             return Some(self.now);
         }
-        while let Some(owner) = self.next_due(max_time) {
-            let slot = &mut self.slots[owner as usize];
-            let (node, ev) = (slot.at, slot.ev.take().expect("a listed owner holds its event"));
+        while let Some((node, owner)) = self.next_due(max_time) {
+            let ev = self.pending[owner as usize].take().expect("a listed owner holds its event");
             self.events += 1;
             if let Some(trace) = &mut self.trace {
                 trace.push(EventRecord { time: self.now, node, kind: ev.kind() });
@@ -979,7 +1104,7 @@ mod tests {
         // Node 0 has one proposal outstanding, so it owns no queued event,
         // and its response arrives twice at the same tick.
         e.phase[0] = Phase::Waiting;
-        e.slots[0].ev = None;
+        e.pending[0] = None;
         e.process(0, Ev::Response { accepted: None });
         e.process(0, Ev::Response { accepted: None });
     }
@@ -1014,6 +1139,104 @@ mod tests {
         // u64::MAX - 1, so the next scan would end past u64::MAX.
         let latency = LatencyModel { listen_min: u64::MAX - 5, ..LatencyModel::multipeer(0) };
         engine_on(gen::clique(2), 0, latency).run_until(u64::MAX, |_| false);
+    }
+
+    /// Drives the queue directly and checks every pop against a binary
+    /// heap on `(time, node, scheduling order)`: random owners, proposals
+    /// crowding four receivers, delays of 1 to 200 ticks with some of 2^32
+    /// or more, same-tick round starts and random time budgets. Dense
+    /// stretches (delays of 1 to 3 ticks) fill ticks past `RADIX_MIN`;
+    /// 70,000 nodes need three radix passes.
+    #[test]
+    fn queue_pops_in_time_node_scheduling_order() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        for (n, pops, seed) in [(24, 20_000, 1), (1_000, 60_000, 2), (70_000, 60_000, 3)] {
+            let mut e = engine_on(gen::cycle(n), seed, LatencyModel::multipeer(0));
+            let mut rng = crate::engine::node_streams(seed, 1).remove(0);
+            let ids = 0..NodeId::try_from(n).expect("test sizes fit a NodeId");
+            // `(time, at, scheduling order, owner)`: every node's first
+            // round start is due at tick 0.
+            let mut reference: BinaryHeap<_> =
+                ids.clone().map(|u| Reverse((0, u, u64::from(u), u))).collect();
+            let mut seq = reference.len() as u64;
+            let hot: Vec<NodeId> = (0..4).map(|_| rng.gen_range(ids.clone())).collect();
+            let mut free = Vec::new();
+            let (mut max_time, mut popped) = (0, 0);
+            let (mut small_ticks, mut big_ticks, mut far_ticks) = (0, 0, 0);
+            loop {
+                if rng.gen_bool(0.02) && e.now > 0 {
+                    assert_eq!(e.next_due(e.now - 1), None, "a budget behind now serves nothing");
+                }
+                // `next_due` opens a tick exactly when the current one is done.
+                let opens = e.cursor == e.tick.len() && e.same_tick.is_none();
+                let far_before = e.far.len();
+                let Some((got_at, owner)) = e.next_due(max_time) else {
+                    let Some(Reverse((time, ..))) = reference.peek() else { break };
+                    assert!(*time > max_time, "tick {time} is due by {max_time}");
+                    max_time = time - 1 + rng.gen_range(0..300);
+                    continue;
+                };
+                if opens {
+                    far_ticks += usize::from(e.far.len() < far_before);
+                    if e.tick.len() < RADIX_MIN {
+                        small_ticks += 1;
+                    } else {
+                        big_ticks += 1;
+                    }
+                }
+                let Reverse((time, at, _, want)) =
+                    reference.pop().expect("the queue served an event the reference lacks");
+                assert_eq!((e.now, got_at, owner), (time, at, want), "n {n}, pop {popped}");
+                e.pending[owner as usize] = None;
+                free.push(owner);
+                popped += 1;
+                if popped > pops {
+                    max_time = u64::MAX;
+                    continue;
+                }
+                if at == owner && e.same_tick.is_none() && rng.gen_bool(0.2) {
+                    free.pop();
+                    e.start_next_round(owner);
+                    reference.push(Reverse((e.now, owner, seq, owner)));
+                    seq += 1;
+                }
+                let dense = popped / 10_000 % 2 == 0;
+                // One or two new events per pop keep nearly every owner busy.
+                for _ in 0..rng.gen_range(1..=2) {
+                    if free.is_empty() {
+                        break;
+                    }
+                    let owner = free.swap_remove(rng.gen_range(0..free.len()));
+                    let delay = if dense {
+                        rng.gen_range(1..=3)
+                    } else if rng.gen_bool(0.002) {
+                        (1 << 32) + rng.gen_range(0..1_000)
+                    } else {
+                        rng.gen_range(1..=200)
+                    };
+                    let (at, ev) = if rng.gen_bool(0.5) {
+                        (owner, Ev::Act)
+                    } else {
+                        let to = if rng.gen_bool(0.5) {
+                            hot[rng.gen_range(0..hot.len())]
+                        } else {
+                            rng.gen_range(ids.clone())
+                        };
+                        (to, Ev::Proposal { from: owner, payload: U64Payload(0) })
+                    };
+                    reference.push(Reverse((e.now + delay, at, seq, owner)));
+                    seq += 1;
+                    e.schedule(delay, at, ev);
+                }
+            }
+            assert_eq!(free.len(), n, "every event was served once");
+            assert!(
+                small_ticks > 0 && far_ticks > 0,
+                "n {n}: {small_ticks} small, {far_ticks} far"
+            );
+            assert!(n < RADIX_MIN || big_ticks > 0, "n {n}: no tick reached the radix sort");
+        }
     }
 
     #[test]

@@ -156,14 +156,14 @@ fn trace_hash<P: Protocol>(e: &EventEngine<P>) -> u64 {
 /// later than this tick.
 const CUT_AT: u64 = 300;
 
-/// Blind gossip on `expander8` 256 at seed 1, traced, run to
+/// Blind gossip on `expander8` with `n` nodes at seed 1, traced, run to
 /// stabilization within `max_time` ticks.
-fn blind_hash(spread: u64, loss: f64, max_time: u64) -> u64 {
-    let mut e = election_engine(256, 1, spread);
+fn blind_hash(n: usize, spread: u64, loss: f64, max_time: u64) -> u64 {
+    let mut e = election_engine(n, 1, spread);
     e.set_proposal_loss(loss);
     e.enable_event_trace();
     let done = e.run_to_stabilization(max_time).completed_at;
-    assert_eq!(done.is_some(), max_time > CUT_AT, "spread {spread}, loss {loss}: {done:?}");
+    assert_eq!(done.is_some(), max_time > CUT_AT, "n {n}, spread {spread}, loss {loss}: {done:?}");
     trace_hash(&e)
 }
 
@@ -197,20 +197,31 @@ type Pin = (&'static str, fn() -> u64, u64);
 
 #[test]
 fn event_traces_match_recorded_hashes() {
-    // Recorded from the binary-heap event queue that the tick calendar
-    // replaced, so a change to the pop order `(time, node id, scheduling
+    // The first eight were recorded from a binary-heap event queue, the
+    // last three from a tick calendar that kept every tick in one ordered
+    // map, so a change to the pop order `(time, node id, scheduling
     // order)` fails here even when two runs of one build still agree.
     // Spread 0 makes many same-tick ties; loss covers the drop path; the
-    // last case ends on the time budget, not the predicate.
-    let cases: [Pin; 8] = [
-        ("blind spread 0", || blind_hash(0, 0.0, 10_000_000), 0x7eb0_dbc4_36b0_acb2),
-        ("blind spread 8", || blind_hash(8, 0.0, 10_000_000), 0xcf1e_e6c7_31a0_e062),
-        ("blind spread 64", || blind_hash(64, 0.0, 10_000_000), 0x9371_642a_1765_6650),
-        ("blind spread 8 loss 0.3", || blind_hash(8, 0.3, 10_000_000), 0x06d4_f27e_351c_a630),
+    // cut case ends on the time budget, not the predicate. At n = 256 only
+    // a few spread-0 ticks reach the radix sort's 128 events; at n = 2048
+    // over 99 % of ticks do. At spread 1000 about 90 % of delays reach
+    // past the calendar's 64-tick ring.
+    let cases: [Pin; 11] = [
+        ("blind spread 0", || blind_hash(256, 0, 0.0, 10_000_000), 0x7eb0_dbc4_36b0_acb2),
+        ("blind spread 8", || blind_hash(256, 8, 0.0, 10_000_000), 0xcf1e_e6c7_31a0_e062),
+        ("blind spread 64", || blind_hash(256, 64, 0.0, 10_000_000), 0x9371_642a_1765_6650),
+        ("blind spread 8 loss 0.3", || blind_hash(256, 8, 0.3, 10_000_000), 0x06d4_f27e_351c_a630),
         ("bit convergence b = 1", bitconv_hash, 0x6f47_812f_1937_2391),
         ("push-pull", || rumor_hash(0, PushPull::spawn), 0x1c23_f39b_9e3f_0e4b),
         ("ppush", || rumor_hash(1, Ppush::spawn), 0x010f_b493_934c_7c3c),
-        ("blind spread 8 cut at tick 300", || blind_hash(8, 0.0, CUT_AT), 0x0f5e_168d_803e_f9e2),
+        (
+            "blind spread 8 cut at tick 300",
+            || blind_hash(256, 8, 0.0, CUT_AT),
+            0x0f5e_168d_803e_f9e2,
+        ),
+        ("blind n 2048 spread 0", || blind_hash(2048, 0, 0.0, 10_000_000), 0x4573_e61e_de9a_a006),
+        ("blind n 2048 spread 8", || blind_hash(2048, 8, 0.0, 10_000_000), 0x71d1_c6fd_9c67_e12c),
+        ("blind spread 1000", || blind_hash(256, 1000, 0.0, 10_000_000), 0x3e12_d013_556a_9534),
     ];
     let moved: Vec<String> = cases
         .iter()

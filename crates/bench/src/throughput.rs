@@ -93,7 +93,7 @@ fn time_rounds<P: Protocol>(
         std::hint::black_box(engine.metrics().connections);
         secs
     });
-    (best, sampler.stop())
+    (best, sampler.stop().map(|r| r.peak))
 }
 
 /// Run `timed` once as an untimed warm-up, then `reps` times more, and

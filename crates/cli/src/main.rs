@@ -358,7 +358,8 @@ impl RunArgs {
 ///
 /// Bit-convergence state changes at most once per phase, so its window is
 /// 8 phases; blind gossip has no phase structure and gets a flat generous
-/// window.
+/// window. The UID pool is freed once the nodes hold their UIDs, before
+/// `$run` builds the engine.
 macro_rules! with_election {
     ($algo:expr, $n:expr, $delta:expr, $seed:expr,
      |$params:pat_param, $nodes:pat_param, $window:pat_param| $run:expr) => {{
@@ -367,17 +368,20 @@ macro_rules! with_election {
         let phases = 8 * config.phase_len().max(1);
         match $algo {
             "blind" => {
-                let ($params, $nodes, $window) =
-                    (ModelParams::mobile(0), BlindGossip::spawn(&uids), 4096);
+                let nodes = BlindGossip::spawn(&uids);
+                drop(uids);
+                let ($params, $nodes, $window) = (ModelParams::mobile(0), nodes, 4096);
                 $run
             }
             "bitconv" => {
                 let nodes = BitConvergence::spawn(&uids, config, $seed ^ 0x7A6);
+                drop(uids);
                 let ($params, $nodes, $window) = (ModelParams::mobile(1), nodes, phases);
                 $run
             }
             "nonsync" => {
                 let nodes = NonSyncBitConvergence::spawn(&uids, config, $seed ^ 0x7A6);
+                drop(uids);
                 let params = ModelParams::mobile(config.nonsync_tag_bits());
                 let ($params, $nodes, $window) = (params, nodes, phases);
                 $run

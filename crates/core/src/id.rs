@@ -53,19 +53,12 @@ pub struct UidPool {
 }
 
 impl UidPool {
-    /// `n` distinct random UIDs derived from `seed`.
+    /// `n` distinct random UIDs derived from `seed`: the first `n` distinct
+    /// values of one `SmallRng` stream, in draw order.
     pub fn random(n: usize, seed: u64) -> UidPool {
         // spawn-time uid sampling from an explicit seed. mtm-lint: allow(smallrng-outside-engine)
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut set = std::collections::BTreeSet::new();
-        let mut uids = Vec::with_capacity(n);
-        while uids.len() < n {
-            let u: u64 = rng.gen();
-            if set.insert(u) {
-                uids.push(u);
-            }
-        }
-        UidPool { uids }
+        UidPool { uids: first_distinct(n, std::iter::repeat_with(move || rng.gen())) }
     }
 
     /// Sequential UIDs `0..n` (useful in tests where the winner must be a
@@ -106,9 +99,80 @@ impl UidPool {
     }
 }
 
+/// The first `n` distinct values of `draws`, in draw order.
+///
+/// Among `n` random 64-bit draws a repeat is rare (probability about
+/// `n²/2^65`), so the first `n` draws are taken and checked on a sorted copy,
+/// which holds 8 bytes per value only while the check runs. Only when a
+/// repeat exists does the stream restart and de-duplicate through a set,
+/// which yields the same values as that set loop would have on its own.
+fn first_distinct(n: usize, draws: impl Iterator<Item = u64> + Clone) -> Vec<u64> {
+    let first: Vec<u64> = draws.clone().take(n).collect();
+    let mut sorted = first.clone();
+    sorted.sort_unstable();
+    if sorted.windows(2).all(|w| w[0] != w[1]) {
+        return first;
+    }
+    let mut seen = std::collections::BTreeSet::new();
+    draws.filter(|&u| seen.insert(u)).take(n).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The set loop `UidPool::random` used before the sorted-copy check:
+    /// the reference every path of [`first_distinct`] must reproduce.
+    fn set_loop(n: usize, mut draws: impl Iterator<Item = u64>) -> Vec<u64> {
+        let mut set = std::collections::BTreeSet::new();
+        let mut uids = Vec::with_capacity(n);
+        while uids.len() < n {
+            let u = draws.next().expect("the stream holds n distinct values");
+            if set.insert(u) {
+                uids.push(u);
+            }
+        }
+        uids
+    }
+
+    /// Each stream is cut at every `n` up to 4, so both paths run: a repeat
+    /// among the first `n` draws takes the fallback, one past them does not.
+    #[test]
+    fn first_distinct_falls_back_on_planted_duplicates() {
+        let streams: [&[u64]; 5] = [
+            &[5, 5, 3, 9, 1, 7],                 // adjacent repeat
+            &[8, 2, 6, 4, 0, 8, 1, 3, 9],        // repeat far apart
+            &[4, 1, 4, 7, 4, 2, 6, 5],           // one value drawn three times
+            &[3, 3, 3, 3, 2, 1, 0],              // a run of repeats
+            &[u64::MAX, 0, u64::MAX, 0, 11, 12], // extremes repeated
+        ];
+        for stream in streams {
+            for n in 0..=4 {
+                let draws = stream.iter().copied();
+                let got = first_distinct(n, draws.clone());
+                assert_eq!(got, set_loop(n, draws), "stream {stream:?}, n = {n}");
+                let mut sorted = got.clone();
+                sorted.sort_unstable();
+                sorted.dedup();
+                assert_eq!(sorted.len(), n, "stream {stream:?}, n = {n}: values repeat");
+            }
+        }
+    }
+
+    #[test]
+    fn uid_pool_random_matches_the_set_loop() {
+        for n in [0, 1, 2, 1000, 65536] {
+            for seed in [0, 1, 7, 0x11D, u64::MAX] {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let reference = set_loop(n, std::iter::repeat_with(move || rng.gen()));
+                assert_eq!(
+                    UidPool::random(n, seed).as_slice(),
+                    reference,
+                    "n = {n}, seed = {seed}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn id_pair_orders_by_tag_then_uid() {

@@ -4,8 +4,11 @@
 //! replacement for proptest).
 
 use mtm_core::config::{ceil_log2, TagConfig};
-use mtm_core::{BitConvergence, IdPair, NonSyncBitConvergence, UidPool};
-use mtm_engine::{Protocol, Tag};
+use mtm_core::{BitConvergence, BlindGossip, IdPair, NonSyncBitConvergence, UidPool};
+use mtm_engine::{
+    ActivationSchedule, Engine, LeaderView, ModelParams, Protocol, RunOutcome, RunStatus, Tag,
+};
+use mtm_graph::{gen, StaticTopology};
 use mtm_testkit::{run_cases, Rng};
 
 #[test]
@@ -173,5 +176,67 @@ fn pending_pair_is_min_of_received() {
             expect = expect.min(pair);
         }
         assert_eq!(node.pending_pair(), expect);
+    });
+}
+
+/// Run `nodes` on `graph` under `schedule` one round at a time, returning
+/// the run-to-stabilization outcome after every round (its metrics
+/// included) and the final node states, printed.
+fn outcome_per_round<P: Protocol + LeaderView + std::fmt::Debug>(
+    graph: &mtm_graph::Graph,
+    params: ModelParams,
+    schedule: ActivationSchedule,
+    nodes: Vec<P>,
+    (seed, threads, stuck_window): (u64, usize, Option<u64>),
+) -> (Vec<RunOutcome>, String) {
+    let mut e = Engine::new(StaticTopology::new(graph.clone()), params, schedule, nodes, seed);
+    e.set_threads(threads);
+    if let Some(window) = stuck_window {
+        e.enable_stuck_detection(window);
+    }
+    let mut outcomes = Vec::new();
+    loop {
+        let out = e.run_to_stabilization(e.round() + 1);
+        let done = out.status != RunStatus::TimedOut || e.round() >= 3_000;
+        outcomes.push(out);
+        if done {
+            return (outcomes, format!("{:?}", e.nodes()));
+        }
+    }
+}
+
+/// A synchronized schedule stores no activation vector, and the engine
+/// then keeps no active set; `explicit(vec![1; n])` stores the vector.
+/// Both name the same schedule, and blind gossip and bit convergence run
+/// identically under them: the same outcome after every round, the same
+/// per-round metrics and the same final node states, with stuck detection
+/// on and off, at one and two threads.
+#[test]
+fn synchronized_schedule_runs_like_its_explicit_form() {
+    run_cases(0xC70A, 24, |case, rng| {
+        let n = rng.gen_range(5..=120usize);
+        let graph = gen::random_regular(n, 4, rng.gen());
+        let uids = UidPool::random(n, rng.gen());
+        let config = TagConfig::for_network(n, graph.max_degree());
+        let tag_seed = rng.gen();
+        let run = (
+            rng.gen(),
+            1 + usize::from(case % 2 == 1),
+            (case % 4 >= 2).then(|| rng.gen_range(1..=40u64)),
+        );
+        let forms =
+            || [ActivationSchedule::synchronized(n), ActivationSchedule::explicit(vec![1; n])];
+        assert_eq!(forms()[0], forms()[1]);
+        let blind = forms().map(|schedule| {
+            let nodes = BlindGossip::spawn(&uids);
+            outcome_per_round(&graph, ModelParams::mobile(0), schedule, nodes, run)
+        });
+        assert_eq!(blind[0], blind[1], "blind gossip, case {case}: n = {n}, {run:?}");
+        let bitconv = forms().map(|schedule| {
+            let nodes = BitConvergence::spawn(&uids, config, tag_seed);
+            outcome_per_round(&graph, ModelParams::mobile(1), schedule, nodes, run)
+        });
+        assert_eq!(bitconv[0], bitconv[1], "bit convergence, case {case}: n = {n}, {run:?}");
+        assert!(bitconv[0].0.len() > 1, "case {case}: the run must take rounds");
     });
 }

@@ -20,19 +20,41 @@
 //!
 //! All per-round state lives in workhorse buffers reused across rounds —
 //! steady-state execution performs no heap allocation. Node state is kept
-//! struct-of-arrays (parallel `Vec`s for tags, slots, activation, local
-//! rounds, RNGs, protocol states), so a `10^8`-node engine costs ~110
-//! bytes/node and phase loops stream linearly. Four further mechanisms
+//! struct-of-arrays, so phase loops stream linearly, and an array exists
+//! only where a round reads it. Per node the engine holds:
+//!
+//! - the protocol state (16 bytes for blind gossip);
+//! - its RNG stream: 32 bytes;
+//! - its round slot: 4 bytes, a `u32` proposal target with two reserved
+//!   values for "listen" and "asleep";
+//! - the end of its inbox span: 4 bytes;
+//! - its advertised tag: 4 bytes, only when `b > 0` (no scan reads a
+//!   `b = 0` tag, though the audit still checks every one);
+//! - an active flag: 1 byte, only while a non-synchronized schedule still
+//!   has a sleeping node;
+//! - its activation round: 8 bytes in the [`ActivationSchedule`], only for
+//!   a non-synchronized schedule. Local rounds are read from the schedule:
+//!   a synchronized node's local round is the engine round;
+//! - a fingerprint: 8 bytes, only with stuck detection on.
+//!
+//! Per-round buffers grow with the round's proposals: 8 bytes per proposal
+//! in its shard's list and again in the merged pair list, 4 in the arena,
+//! and 8 per connection. The topology's CSR (36 bytes per node at degree 8)
+//! belongs to the caller. A synchronized blind-gossip election at
+//! `n = 2^22` peaks at about 110 bytes per node in all, graph and UIDs
+//! included (DESIGN.md §4, "Per-node memory"). Four further mechanisms
 //! keep the per-node-round cost flat at large `n`:
 //!
-//! - **Active set**: activation is checked once per node per round into a
-//!   bitmap (with `local_round` cached alongside), not per phase and per
-//!   neighbor. Activation is monotone, so once every node is awake the
-//!   bitmap is complete forever and the per-round recomputation stops.
+//! - **Active set**: while some node is still asleep, activation is
+//!   checked once per node per round into a flag array, not per phase and
+//!   per neighbor. Activation is monotone, so from the schedule's last
+//!   activation round on the array is freed and no phase checks it; a
+//!   synchronized schedule never builds it.
 //! - **Zero-copy scan**: once all nodes are active, every neighbor is
-//!   visible and the CSR neighbor slice is passed straight into [`Scan`]
-//!   instead of being filtered into a scratch buffer; tag gathering is
-//!   skipped entirely when `tag_bits == 0`.
+//!   visible and the CSR neighbor slice is passed straight into
+//!   [`Scan`](crate::protocol::Scan) instead of being filtered into a
+//!   scratch buffer; tag gathering is skipped entirely when
+//!   `tag_bits == 0`.
 //! - **Proposal arena**: incoming proposals are laid out as CSR-style
 //!   spans over one flat buffer, so proposal resolution is cache-linear
 //!   with no per-receiver vectors.
@@ -98,12 +120,36 @@ pub(crate) fn node_streams(seed: u64, n: usize) -> Vec<SmallRng> {
     (0..n as u64).map(|u| mtm_graph::rng::stream_rng(seed, u)).collect()
 }
 
-/// Per-node resolved action for the current round.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Slot {
-    Inactive,
-    Listen,
-    Propose(NodeId),
+/// Per-node resolved action for the current round: the id a node proposes
+/// to, or one of two reserved values no node id reaches ([`Engine::new`]
+/// caps `n` at [`Slot::MAX_NODES`], so ids stop at `u32::MAX − 3`).
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Slot(NodeId);
+
+impl Slot {
+    /// Asleep this round: every slot's initial value.
+    const INACTIVE: Slot = Slot(u32::MAX);
+    /// Listening this round.
+    const LISTEN: Slot = Slot(u32::MAX - 1);
+    /// The largest node count whose ids stay below both reserved values.
+    const MAX_NODES: usize = u32::MAX as usize - 2;
+
+    /// Proposing to `v`.
+    #[inline]
+    fn propose(v: NodeId) -> Slot {
+        debug_assert!((v as usize) < Self::MAX_NODES, "node id {v} collides with a reserved slot");
+        Slot(v)
+    }
+}
+
+impl std::fmt::Debug for Slot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Slot::INACTIVE => f.write_str("Inactive"),
+            Slot::LISTEN => f.write_str("Listen"),
+            Slot(v) => write!(f, "Propose({v})"),
+        }
+    }
 }
 
 /// Where a round's choices come from.
@@ -115,15 +161,41 @@ enum Choices<'a> {
     Scripted(&'a RoundScript),
 }
 
+/// Which nodes run the current round, and at which local round.
+#[derive(Clone, Copy)]
+struct Awake<'a> {
+    round: u64,
+    schedule: &'a ActivationSchedule,
+    /// This round's active set, or `None` once every node has activated.
+    active: Option<&'a [bool]>,
+}
+
+impl Awake<'_> {
+    /// True once every node has activated (activation is monotone).
+    #[inline]
+    fn all(&self) -> bool {
+        self.active.is_none()
+    }
+
+    #[inline]
+    fn is_active(&self, u: usize) -> bool {
+        self.active.is_none_or(|active| active[u])
+    }
+
+    /// Node `u`'s local round, or `None` while it is still asleep.
+    #[inline]
+    fn local_round(&self, u: usize) -> Option<u64> {
+        self.is_active(u).then(|| self.schedule.local_round(u, self.round))
+    }
+}
+
 /// The read-only inputs every shard body of one round shares.
 struct RoundCtx<'a> {
     round: u64,
     params: ModelParams,
     choices: Choices<'a>,
     graph: &'a Graph,
-    active: &'a [bool],
-    local_rounds: &'a [u64],
-    all_active: bool,
+    awake: Awake<'a>,
     loss_prob: f64,
     loss_seed: u64,
     auditor: &'a crate::audit::Auditor,
@@ -136,7 +208,9 @@ struct Inbox {
     /// Surviving `(receiver, proposer)` pairs in ascending proposer order.
     pairs: Vec<(NodeId, NodeId)>,
     arena: Vec<NodeId>,
-    /// One past the end of each receiver's span, once scattered.
+    /// One past the end of each receiver's span, once scattered; receiver
+    /// `v`'s span starts where `v − 1`'s ends. While proposals are counted
+    /// it holds each receiver's count instead.
     ends: Vec<u32>,
     /// The proposer each receiver accepts in a scripted round.
     picks: Vec<Option<NodeId>>,
@@ -146,14 +220,9 @@ impl Inbox {
     /// Merge the shards' proposals in shard order (= ascending proposer
     /// id, so each span stays proposer-sorted) and scatter those whose
     /// receiver listened into the arena. A proposal to a node that itself
-    /// proposed is rejected. `lens` receives each receiver's span length.
-    fn collect(
-        &mut self,
-        shards: &mut [ShardScratch],
-        slots: &[Slot],
-        lens: &mut [u32],
-        metrics: &mut Metrics,
-    ) {
+    /// proposed is rejected.
+    fn collect(&mut self, shards: &mut [ShardScratch], slots: &[Slot], metrics: &mut Metrics) {
+        self.ends.clear();
         self.ends.resize(slots.len(), 0);
         for shard in shards.iter_mut() {
             // A proposal made at scan time either survived or was dropped.
@@ -161,8 +230,8 @@ impl Inbox {
             shard.drain_counts(metrics);
             for &(u, v) in &shard.proposed {
                 let vi = v as usize;
-                if slots[vi] == Slot::Listen {
-                    lens[vi] += 1;
+                if slots[vi] == Slot::LISTEN {
+                    self.ends[vi] += 1;
                     self.pairs.push((v, u));
                 } else {
                     metrics.rejected_proposals += 1;
@@ -175,10 +244,11 @@ impl Inbox {
         if self.arena.len() < self.pairs.len() {
             self.arena.resize(self.pairs.len(), 0);
         }
-        // Dense prefix-sum: one cache-linear pass over two u32 arrays
-        // (lengths are nonzero only for receivers with proposals).
+        // Dense prefix sum, one cache-linear pass: each count becomes the
+        // start of its span, and the scatter advances it to the span's end.
         let mut cursor = 0u32;
-        for (end, &len) in self.ends.iter_mut().zip(lens.iter()) {
+        for end in &mut self.ends {
+            let len = *end;
             *end = cursor;
             cursor += len;
         }
@@ -190,11 +260,15 @@ impl Inbox {
         self.pairs.clear();
     }
 
-    /// The `k` proposers that reached receiver `v`.
-    #[inline]
-    fn incoming(&self, v: usize, k: usize) -> &[NodeId] {
-        let end = self.ends[v] as usize;
-        &self.arena[end - k..end]
+    /// The proposers that reached each receiver from `first` on, one span
+    /// per receiver in id order.
+    fn incoming_from(&self, first: usize) -> impl Iterator<Item = &[NodeId]> + '_ {
+        let mut start = first.checked_sub(1).map_or(0, |v| self.ends[v] as usize);
+        self.ends[first..].iter().map(move |&end| {
+            let span = &self.arena[start..end as usize];
+            start = end as usize;
+            span
+        })
     }
 
     /// Validate a script's matching against this round's slots and record
@@ -208,10 +282,10 @@ impl Inbox {
             assert!(ui < n && vi < n, "accepted pair ({u}, {v}) out of range");
             assert_eq!(
                 slots[ui],
-                Slot::Propose(v),
+                Slot::propose(v),
                 "accepted pair ({u}, {v}) does not match a scripted proposal"
             );
-            assert_eq!(slots[vi], Slot::Listen, "receiver {v} did not listen this round");
+            assert_eq!(slots[vi], Slot::LISTEN, "receiver {v} did not listen this round");
             assert!(self.picks[vi].is_none(), "receiver {v} accepts more than one proposal");
             self.picks[vi] = Some(u);
         }
@@ -338,18 +412,15 @@ pub struct Engine<P: Protocol, T: DynamicTopology> {
     threads: usize,
     // Workhorse buffers (reused every round).
     shards: Vec<ShardScratch>,
+    // Advertised tags; empty when `b = 0`, where no scan reads a tag.
     tags: Vec<Tag>,
     slots: Vec<Slot>,
-    // Per-round active set: `active[u]` and `local_rounds[u]` are valid for
-    // the round being executed; once `all_active` latches true they stop
-    // being recomputed (activation is monotone).
+    // Per-round active set, held only while some node is still asleep:
+    // once `all_active` latches true it is freed and never recomputed
+    // (activation is monotone). A synchronized schedule never allocates it.
     active: Vec<bool>,
-    local_rounds: Vec<u64>,
     all_active: bool,
     inbox: Inbox,
-    // Per-receiver span lengths, outside `inbox` so acceptance can chunk
-    // them mutably while its shards share the arena.
-    incoming_len: Vec<u32>,
     // Per-node fingerprint cache for the stuck detector (empty until the
     // first detector update; thereafter only active nodes are re-hashed).
     fp_cache: Vec<u64>,
@@ -373,6 +444,7 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
         let n = topology.node_count();
         assert_eq!(nodes.len(), n, "one protocol instance per topology node");
         assert_eq!(schedule.len(), n, "activation schedule must cover all nodes");
+        assert!(n <= Slot::MAX_NODES, "{n} nodes exceed the engine's {} node ids", Slot::MAX_NODES);
         Engine {
             topology,
             params,
@@ -388,13 +460,11 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
             loss_seed: mtm_graph::rng::derive_seed(seed, u64::MAX),
             threads: 1,
             shards: Vec::new(),
-            tags: vec![Tag::EMPTY; n],
-            slots: vec![Slot::Inactive; n],
-            active: vec![false; n],
-            local_rounds: vec![0; n],
+            tags: if params.tag_bits > 0 { vec![Tag::EMPTY; n] } else { Vec::new() },
+            slots: vec![Slot::INACTIVE; n],
+            active: Vec::new(),
             all_active: false,
             inbox: Inbox::default(),
-            incoming_len: vec![0; n],
             fp_cache: Vec::new(),
             auditor: crate::audit::Auditor::default(),
         }
@@ -619,17 +689,21 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
             params: self.params,
             choices,
             graph,
-            active: &self.active,
-            local_rounds: &self.local_rounds,
-            all_active: self.all_active,
+            awake: Awake {
+                round,
+                schedule: &self.schedule,
+                active: (!self.all_active).then_some(&self.active[..]),
+            },
             loss_prob: if scripted { 0.0 } else { self.loss_prob },
             loss_seed: self.loss_seed,
             auditor: &self.auditor,
         };
 
-        // Phase 1: advertise. Tags land in disjoint chunks of the tag array.
+        // Phase 1: advertise. Tags land in disjoint chunks of the tag array;
+        // with `b = 0` there is no array and every shard gets an empty one.
+        let tag_chunks = self.tags.chunks_mut(c).chain(std::iter::repeat_with(Default::default));
         plan.run(
-            self.nodes.chunks_mut(c).zip(self.rngs.chunks_mut(c)).zip(self.tags.chunks_mut(c)),
+            self.nodes.chunks_mut(c).zip(self.rngs.chunks_mut(c)).zip(tag_chunks),
             |base, ((nodes, rngs), tags)| parallel::advertise(&ctx, base, nodes, rngs, tags),
         );
 
@@ -648,60 +722,50 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
 
         // Glue: merge proposals into the arena; a scripted matching is
         // validated once, before acceptance reads it.
-        self.inbox.collect(
-            &mut self.shards,
-            &self.slots,
-            &mut self.incoming_len,
-            &mut self.metrics,
-        );
+        self.inbox.collect(&mut self.shards, &self.slots, &mut self.metrics);
         if let Choices::Scripted(script) = choices {
             self.inbox.pick(&script.accept, &self.slots);
         }
 
         // Phase 4a: acceptance, sharded by receiver.
         let inbox = &self.inbox;
-        plan.run(
-            self.incoming_len
-                .chunks_mut(c)
-                .zip(self.rngs.chunks_mut(c))
-                .zip(self.shards.iter_mut()),
-            |base, ((lens, rngs), scratch)| {
-                parallel::accept(&ctx, inbox, base, lens, rngs, scratch)
-            },
-        );
+        plan.run(self.rngs.chunks_mut(c).zip(self.shards.iter_mut()), |base, (rngs, scratch)| {
+            parallel::accept(&ctx, inbox, base, rngs, scratch)
+        });
 
         // Phase 4b: payload exchanges on the calling thread.
         self.deliver(round);
 
         // Phase 5: end of round.
-        let (active, local_rounds) = (&self.active, &self.local_rounds);
+        let awake = Awake {
+            round,
+            schedule: &self.schedule,
+            active: (!self.all_active).then_some(&self.active[..]),
+        };
         plan.run(self.nodes.chunks_mut(c).zip(self.rngs.chunks_mut(c)), |base, (nodes, rngs)| {
-            parallel::end_round(active, local_rounds, base, nodes, rngs)
+            parallel::end_round(awake, base, nodes, rngs)
         });
 
         self.close_round(round, topo_may_change);
     }
 
-    /// Active-set precompute: one schedule check per node per round, with
-    /// `local_round` cached alongside. Activation is monotone, so once
-    /// everyone is awake the bitmap is complete forever and the steady
-    /// state only bumps the cached local rounds.
+    /// Active-set precompute: one schedule check per node per round while
+    /// some node is still asleep. Activation is monotone, so from the
+    /// schedule's last activation round on every node is awake forever:
+    /// the set is freed and the steady state does no work here.
     fn update_active_set(&mut self, round: u64) {
         if self.all_active {
-            for lr in &mut self.local_rounds {
-                *lr += 1;
-            }
             return;
         }
-        let mut active_count = 0;
-        for (u, (active, lr)) in self.active.iter_mut().zip(&mut self.local_rounds).enumerate() {
-            *active = self.schedule.is_active(u, round);
-            if *active {
-                active_count += 1;
-                *lr = self.schedule.local_round(u, round);
-            }
+        if round >= self.schedule.last_activation() {
+            self.all_active = true;
+            self.active = Vec::new();
+            return;
         }
-        self.all_active = active_count == self.nodes.len();
+        self.active.resize(self.nodes.len(), false);
+        for (u, active) in self.active.iter_mut().enumerate() {
+            *active = self.schedule.is_active(u, round);
+        }
     }
 
     /// Phase 4b: take the shards' accepted connections in shard order (=
@@ -756,7 +820,7 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
             }
         } else {
             for u in 0..n {
-                if self.active[u] {
+                if self.all_active || self.active[u] {
                     self.fp_cache[u] = self.nodes[u]
                         .state_fingerprint()
                         .expect("fingerprint support is constant and was checked at enable time");
@@ -992,6 +1056,25 @@ mod tests {
             nodes(n),
             seed,
         )
+    }
+
+    #[test]
+    fn slot_ids_stay_clear_of_the_reserved_values() {
+        let n = 10;
+        let top = NodeId::try_from(Slot::MAX_NODES - 1).expect("the largest id fits NodeId");
+        assert_eq!(top, u32::MAX - 3);
+        for v in [0, n - 1, top] {
+            let slot = Slot::propose(v);
+            assert_eq!(slot, Slot(v));
+            assert_ne!(slot, Slot::LISTEN);
+            assert_ne!(slot, Slot::INACTIVE);
+            assert_eq!(format!("{slot:?}"), format!("Propose({v})"));
+        }
+        assert_ne!(Slot::LISTEN, Slot::INACTIVE);
+        for reserved in [Slot::LISTEN, Slot::INACTIVE] {
+            assert!(reserved.0 as usize >= Slot::MAX_NODES, "{reserved:?} is a valid node id");
+        }
+        assert_eq!(format!("{:?} {:?}", Slot::LISTEN, Slot::INACTIVE), "Listen Inactive");
     }
 
     #[test]

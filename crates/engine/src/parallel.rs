@@ -5,16 +5,16 @@
 //! [`engine`](super) module docs), so nothing depends on cross-node
 //! execution order. Shard `s` owns nodes `[s·chunk, (s+1)·chunk)`; each
 //! phase body runs over `chunks_mut` of the struct-of-arrays node state
-//! with read-only state (tags, active bitmap, round graph, arena) shared
-//! by reference, and the calling thread merges per-shard output in shard
-//! order — which, shards being contiguous, *is* ascending node order:
+//! with read-only state (tags, active set, schedule, round graph, arena)
+//! shared by reference, and the calling thread merges per-shard output in
+//! shard order — which, shards being contiguous, *is* ascending node order:
 //! proposer order for the proposal merge, receiver order for delivery.
 
 use mtm_graph::NodeId;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 
-use super::{Choices, Inbox, RoundCtx, Slot};
+use super::{Awake, Choices, Inbox, RoundCtx, Slot};
 use crate::metrics::Metrics;
 use crate::model::{uniform_accept_index, Acceptance, ConnectionPolicy, Tag};
 use crate::protocol::{Action, Protocol, Scan};
@@ -83,8 +83,10 @@ impl ShardScratch {
 }
 
 /// Phase 1 over one shard: every active node advertises a tag, drawn or
-/// scripted. (An inactive node's slot needs no reset: activation is
-/// monotone, so it still holds its initial [`Slot::Inactive`].)
+/// scripted, and the audit checks it. The tag is stored only where a scan
+/// can read it: `tags` is this shard's chunk when `b > 0` and empty when
+/// `b = 0`. (An inactive node's slot needs no reset: activation is
+/// monotone, so it still holds its initial [`Slot::INACTIVE`].)
 pub(super) fn advertise<P: Protocol>(
     ctx: &RoundCtx<'_>,
     base: usize,
@@ -92,26 +94,20 @@ pub(super) fn advertise<P: Protocol>(
     rngs: &mut [SmallRng],
     tags: &mut [Tag],
 ) {
-    let end = base + nodes.len();
     let tag_bits = ctx.params.tag_bits;
-    for (i, ((((&active, &lr), node), rng), tag_slot)) in ctx.active[base..end]
-        .iter()
-        .zip(&ctx.local_rounds[base..end])
-        .zip(nodes)
-        .zip(rngs)
-        .zip(tags)
-        .enumerate()
-    {
-        if !active {
-            continue;
-        }
+    for (i, (node, rng)) in nodes.iter_mut().zip(rngs).enumerate() {
         let u = base + i;
+        let Some(lr) = ctx.awake.local_round(u) else {
+            continue;
+        };
         let tag = match ctx.choices {
             Choices::Drawn => node.advertise(lr, rng),
             Choices::Scripted(script) => node.apply_choice(lr, script.advertise[u]),
         };
         ctx.auditor.check_tag(ctx.round, u, tag, tag_bits);
-        *tag_slot = tag;
+        if let Some(stored) = tags.get_mut(i) {
+            *stored = tag;
+        }
     }
 }
 
@@ -129,22 +125,15 @@ pub(super) fn scan_act<P: Protocol>(
     rngs: &mut [SmallRng],
     scratch: &mut ShardScratch,
 ) {
-    let end = base + slots.len();
     let (round, tag_bits) = (ctx.round, ctx.params.tag_bits);
-    for (i, (((((slot, &active), &lr), node), rng), nbrs)) in slots
-        .iter_mut()
-        .zip(&ctx.active[base..end])
-        .zip(&ctx.local_rounds[base..end])
-        .zip(nodes)
-        .zip(rngs)
-        .zip(ctx.graph.neighbor_rows_from(base))
-        .enumerate()
+    for (i, (((slot, node), rng), nbrs)) in
+        slots.iter_mut().zip(nodes).zip(rngs).zip(ctx.graph.neighbor_rows_from(base)).enumerate()
     {
-        if !active {
-            continue;
-        }
         let u = base + i;
-        let neighbors: &[NodeId] = if ctx.all_active {
+        let Some(lr) = ctx.awake.local_round(u) else {
+            continue;
+        };
+        let neighbors: &[NodeId] = if ctx.awake.all() {
             if tag_bits > 0 {
                 scratch.visible_tags.clear();
                 for &v in nbrs {
@@ -156,7 +145,7 @@ pub(super) fn scan_act<P: Protocol>(
             scratch.visible.clear();
             scratch.visible_tags.clear();
             for &v in nbrs {
-                if ctx.active[v as usize] {
+                if ctx.awake.is_active(v as usize) {
                     scratch.visible.push(v);
                     if tag_bits > 0 {
                         scratch.visible_tags.push(tags[v as usize]);
@@ -174,7 +163,7 @@ pub(super) fn scan_act<P: Protocol>(
             }
         };
         *slot = match action {
-            Action::Listen => Slot::Listen,
+            Action::Listen => Slot::LISTEN,
             Action::Propose(v) => {
                 ctx.auditor.check_proposal(round, u, v, scan.neighbors);
                 if ctx.loss_prob > 0.0
@@ -185,7 +174,7 @@ pub(super) fn scan_act<P: Protocol>(
                     // hot path: u < n <= u32::MAX. mtm-lint: allow(truncating-cast)
                     scratch.proposed.push((u as NodeId, v));
                 }
-                Slot::Propose(v)
+                Slot::propose(v)
             }
         };
     }
@@ -200,20 +189,17 @@ pub(super) fn accept(
     ctx: &RoundCtx<'_>,
     inbox: &Inbox,
     base: usize,
-    lens: &mut [u32],
     rngs: &mut [SmallRng],
     scratch: &mut ShardScratch,
 ) {
-    for (i, (len, rng)) in lens.iter_mut().zip(rngs).enumerate() {
-        let k = *len as usize;
+    for (i, (incoming, rng)) in inbox.incoming_from(base).zip(rngs).enumerate() {
+        let k = incoming.len();
         if k == 0 {
             continue;
         }
-        *len = 0;
         let vi = base + i;
         // receivers are node ids: vi < n <= u32::MAX. mtm-lint: allow(truncating-cast)
         let v = vi as NodeId;
-        let incoming = inbox.incoming(vi, k);
         let pick = match (ctx.choices, ctx.params.policy) {
             (Choices::Scripted(_), _) => inbox.picks[vi],
             (Choices::Drawn, ConnectionPolicy::AcceptAll) => {
@@ -234,12 +220,12 @@ pub(super) fn accept(
                         // permutation is itself uniform).
                         let nbrs = ctx.graph.neighbors(v);
                         scratch.accept_scratch.clear();
-                        if ctx.all_active {
+                        if ctx.awake.all() {
                             scratch.accept_scratch.extend_from_slice(nbrs);
                         } else {
-                            scratch
-                                .accept_scratch
-                                .extend(nbrs.iter().copied().filter(|&w| ctx.active[w as usize]));
+                            scratch.accept_scratch.extend(
+                                nbrs.iter().copied().filter(|&w| ctx.awake.is_active(w as usize)),
+                            );
                         }
                         scratch.accept_scratch.shuffle(rng);
                         *scratch
@@ -263,17 +249,13 @@ pub(super) fn accept(
 
 /// Phase 5 over one shard: end-of-round bookkeeping for every active node.
 pub(super) fn end_round<P: Protocol>(
-    active: &[bool],
-    local_rounds: &[u64],
+    awake: Awake<'_>,
     base: usize,
     nodes: &mut [P],
     rngs: &mut [SmallRng],
 ) {
-    let end = base + nodes.len();
-    for (((&active, &lr), node), rng) in
-        active[base..end].iter().zip(&local_rounds[base..end]).zip(nodes).zip(rngs)
-    {
-        if active {
+    for (i, (node, rng)) in nodes.iter_mut().zip(rngs).enumerate() {
+        if let Some(lr) = awake.local_round(base + i) {
             node.end_round(lr, rng);
         }
     }

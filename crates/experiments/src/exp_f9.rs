@@ -11,10 +11,14 @@
 //! `--threads` workers (below it, trials fan out and the engine stays
 //! sequential — same results either way, the executor is deterministic).
 //! Each row also records engineering telemetry: wall-clock seconds,
-//! aggregate node-rounds/sec, and the cell's peak RSS sampled over the run
-//! (`VmRSS` max, honest per cell — not the process-lifetime `VmHWM`).
-//! Round counts stay deterministic in (seed, config); the telemetry
-//! columns are machine-dependent by nature.
+//! aggregate node-rounds/sec, and `peak_rss_mb`, the cell's memory growth:
+//! the largest `VmRSS` sampled over the cell minus the `VmRSS` when the
+//! cell started (not the process-lifetime `VmHWM`). Heap that an earlier
+//! cell freed but the allocator kept resident is thus not charged to the
+//! next cell; memory the cell reuses from that heap is not counted either,
+//! so a cell after a larger one can read low. Round counts stay
+//! deterministic in (seed, config); the telemetry columns are
+//! machine-dependent by nature.
 
 use mtm_analysis::fit::log_log_fit;
 use mtm_analysis::table::{fmt_f64, Table};
@@ -136,7 +140,7 @@ pub fn run(opts: &ExpOpts) -> Table {
                 ts.timeouts.to_string(),
                 fmt_f64(wall),
                 fmt_f64(node_rounds / wall / 1e6),
-                cell_rss.map_or("-".into(), |b| fmt_f64(b as f64 / (1024.0 * 1024.0))),
+                cell_rss.map_or("-".into(), |r| fmt_f64(r.growth() as f64 / (1024.0 * 1024.0))),
             ]);
         }
         if points.len() >= 2 {

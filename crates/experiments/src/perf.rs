@@ -63,16 +63,36 @@ fn read_proc_status_kb(field: &str) -> Option<u64> {
     }
 }
 
-/// Samples `VmRSS` on a background thread and reports the maximum seen
-/// over a measured region — the honest per-cell memory number.
+/// What an [`RssSampler`] saw over its region, in bytes of `VmRSS`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RssReading {
+    /// The process's resident set when sampling started.
+    pub start: u64,
+    /// The largest resident set sampled over the region.
+    pub peak: u64,
+}
+
+impl RssReading {
+    /// What the region added on top of what the process already held:
+    /// `peak − start`.
+    pub fn growth(&self) -> u64 {
+        self.peak.saturating_sub(self.start)
+    }
+}
+
+/// Samples `VmRSS` on a background thread and reports the starting value
+/// and the maximum seen over a measured region.
 ///
 /// `VmHWM` (what [`peak_rss_bytes`] reads) is a process-*lifetime*
 /// high-water mark: in a multi-cell run, every cell after the hungriest
 /// one re-reports that earlier peak. Sampling `VmRSS` between `start` and
-/// `stop` instead attributes memory to the cell that actually used it.
-/// The thread only reads `/proc` and two atomics — it cannot touch
-/// simulation state, so determinism is unaffected.
+/// `stop` bounds the reading to the region, and [`RssReading::growth`]
+/// also subtracts what the process held when the region began: heap an
+/// earlier cell freed but the allocator kept resident is not charged to
+/// the next cell. The thread only reads `/proc` and two atomics — it
+/// cannot touch simulation state, so determinism is unaffected.
 pub struct RssSampler {
+    start: u64,
     // measurement-only thread, no simulation state. mtm-lint: allow(parallelism-outside-engine)
     stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
     // measurement-only accumulator. mtm-lint: allow(parallelism-outside-engine)
@@ -82,17 +102,16 @@ pub struct RssSampler {
 
 impl RssSampler {
     /// Start sampling at roughly `interval_ms` millisecond resolution. An
-    /// immediate first sample is taken before returning, so even regions
-    /// shorter than one interval get a reading.
+    /// immediate first sample, which is also the reading's `start`, is
+    /// taken before returning, so even regions shorter than one interval
+    /// get a reading.
     pub fn start(interval_ms: u64) -> RssSampler {
         use std::sync::atomic::Ordering;
         // measurement-only thread state. mtm-lint: allow(parallelism-outside-engine)
         let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let start = current_rss_bytes().unwrap_or(0);
         // measurement-only accumulator. mtm-lint: allow(parallelism-outside-engine)
-        let peak = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        if let Some(rss) = current_rss_bytes() {
-            peak.fetch_max(rss, Ordering::Relaxed);
-        }
+        let peak = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(start));
         let (stop2, peak2) = (stop.clone(), peak.clone());
         // measurement only, joined in stop(). mtm-lint: allow(parallelism-outside-engine)
         let handle = std::thread::spawn(move || {
@@ -103,13 +122,13 @@ impl RssSampler {
                 std::thread::sleep(std::time::Duration::from_millis(interval_ms));
             }
         });
-        RssSampler { stop, peak, handle: Some(handle) }
+        RssSampler { start, stop, peak, handle: Some(handle) }
     }
 
-    /// Stop sampling and return the peak `VmRSS` in bytes observed over the
-    /// region (including one final sample). `None` when `/proc` sampling is
-    /// unavailable (non-Linux).
-    pub fn stop(mut self) -> Option<u64> {
+    /// Stop sampling and return the region's starting and peak `VmRSS`
+    /// (the peak includes one final sample). `None` when `/proc` sampling
+    /// is unavailable (non-Linux).
+    pub fn stop(mut self) -> Option<RssReading> {
         use std::sync::atomic::Ordering;
         self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.handle.take() {
@@ -119,7 +138,7 @@ impl RssSampler {
             self.peak.fetch_max(rss, Ordering::Relaxed);
         }
         let peak = self.peak.load(Ordering::Relaxed);
-        (peak > 0).then_some(peak)
+        (self.start > 0).then_some(RssReading { start: self.start, peak })
     }
 }
 
@@ -158,7 +177,7 @@ mod tests {
         // Touch ~32 MB so VmRSS actually rises while the sampler runs.
         let block: Vec<u8> = (0..32 << 20).map(|i| (i % 251) as u8).collect();
         std::thread::sleep(std::time::Duration::from_millis(10));
-        let peak = sampler.stop().expect("VmRSS available on Linux");
+        let peak = sampler.stop().expect("VmRSS available on Linux").peak;
         // Keep the optimiser from deleting the block nothing else reads.
         drop(std::hint::black_box(block));
         let now = current_rss_bytes().expect("VmRSS available on Linux");

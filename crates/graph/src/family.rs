@@ -107,8 +107,8 @@ impl GraphFamily {
             }
             GraphFamily::Expander8 => {
                 let n = n_target.max(10);
-                // The pairing model peaks at 27 bytes/edge (measured: its
-                // pair list, then `GraphBuilder`'s edge list and CSR);
+                // The pairing model peaks at 24 bytes/edge (measured: its
+                // pair list plus its multiplicity table, in the repair loop);
                 // past the threshold only the direct-to-CSR cycle-union
                 // builder fits in memory. Every table recorded before the
                 // threshold existed sits below it, so those instance bytes

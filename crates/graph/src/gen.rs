@@ -182,10 +182,11 @@ pub fn barbell(k: usize, bridge: usize) -> Graph {
 /// Pair multiplicities live in a flat table of `d` `(partner, count)` slots
 /// per node (`PairCounts`), and the scan for the first bad pair resumes
 /// where the previous one stopped (DESIGN.md §4, "Generator cost model"), so
-/// one attempt scans each pair a constant number of times. Measured peak at
-/// `d = 8`: 27 bytes per edge (the pair list plus `GraphBuilder`'s edge list
-/// and CSR; the stubs and the 16-byte-per-edge table are freed before the
-/// build).
+/// one attempt scans each pair a constant number of times. The simple
+/// pairing is then scattered straight into `d`-regular CSR rows. Measured
+/// peak at `d = 8`: 24 bytes per edge, during the repair loop (the 8-byte
+/// pair list plus the 16-byte table; the CSR is built after the table is
+/// freed).
 pub fn random_regular(n: usize, d: usize, seed: u64) -> Graph {
     assert!((n * d).is_multiple_of(2), "n·d must be even");
     assert!(d < n, "degree must be < n");
@@ -253,16 +254,36 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Graph {
             continue;
         }
         drop(seen);
-        let mut b = GraphBuilder::with_capacity(n, pairs.len());
-        for &(u, v) in &pairs {
-            b.add_edge(u, v);
-        }
-        let g = b.build();
-        if g.is_connected() && g.degree_sum() == n * d {
+        let g = regular_csr(n, d, &pairs);
+        if g.is_connected() {
             return g;
         }
     }
     panic!("random_regular({n}, {d}) failed to produce a simple connected graph");
+}
+
+/// The CSR graph of a simple pairing in which every node has `d` stubs:
+/// row `u` is `adjacency[u·d .. (u+1)·d]`, filled in pair order and then
+/// sorted. A simple pairing has no self loop and no repeated pair, so each
+/// row holds exactly `d` distinct neighbours and the graph is `d`-regular
+/// by construction.
+fn regular_csr(n: usize, d: usize, pairs: &[(NodeId, NodeId)]) -> Graph {
+    let row_start = |u: usize| u32::try_from(u * d).expect("n·d half-edges fit u32 CSR offsets");
+    let offsets: Vec<u32> = (0..=n).map(row_start).collect();
+    let mut next = offsets[..n].to_vec();
+    let mut adjacency: Vec<NodeId> = vec![0; n * d];
+    for &(u, v) in pairs {
+        for (a, b) in [(u, v), (v, u)] {
+            let slot = &mut next[a as usize];
+            adjacency[*slot as usize] = b;
+            *slot += 1;
+        }
+    }
+    for row in adjacency.chunks_exact_mut(d) {
+        row.sort_unstable();
+        debug_assert!(row.windows(2).all(|w| w[0] < w[1]), "a simple pairing repeats no pair");
+    }
+    Graph::from_csr_parts_unchecked(offsets, adjacency)
 }
 
 /// How many times each pair `{u, v}`, `u ≠ v`, occurs in a pairing: `d`
@@ -322,10 +343,10 @@ impl PairCounts {
 ///
 /// This is the memory-lean counterpart of [`random_regular`]: the pairing
 /// model materializes an `n·d/2` pair list plus a `d`-slot-per-node
-/// multiplicity table and peaks at 27 bytes per edge (measured at `d = 8`).
+/// multiplicity table and peaks at 24 bytes per edge (measured at `d = 8`).
 /// Here the only allocations are the final CSR arrays (`(n+1) + n·d` u32
 /// words) and one `n`-entry permutation buffer, so a `2^27`-node 8-regular
-/// expander costs ≈ 5 GB instead of ≈ 14.5 GB. Connectivity holds *by
+/// expander costs ≈ 5 GB instead of ≈ 12.9 GB. Connectivity holds *by
 /// construction* — every cycle alone spans all nodes, and a 2-opt move
 /// keeps a Hamiltonian cycle Hamiltonian — so there is no retry loop and
 /// construction time is `O(n·d)` expected.

@@ -38,16 +38,6 @@ impl Histogram {
         self.counts.iter().sum()
     }
 
-    /// Index of the fullest bucket.
-    pub fn mode_bucket(&self) -> usize {
-        self.counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .map(|(i, _)| i)
-            .expect("a histogram always has at least one bucket")
-    }
-
     /// Render as a compact ASCII sparkline-style bar chart.
     pub fn render(&self, bar_width: usize) -> String {
         let max = self.counts.iter().copied().max().unwrap_or(1).max(1);
@@ -152,7 +142,6 @@ mod tests {
         assert_eq!(h.total(), 6);
         assert_eq!(h.counts.len(), 5);
         assert_eq!(h.counts[4], 2, "both 4.0s land in the last bucket");
-        assert_eq!(h.mode_bucket(), 4);
     }
 
     #[test]

@@ -53,16 +53,6 @@ impl Summary {
         let as_f: Vec<f64> = samples.iter().map(|&x| x as f64).collect();
         Summary::of(&as_f)
     }
-
-    /// Half-width of the normal-approximation 95% confidence interval for
-    /// the mean.
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            1.96 * self.std_dev / (self.count as f64).sqrt()
-        }
-    }
 }
 
 /// Nearest-rank percentile of an ascending-sorted slice, `q ∈ [0, 1]`.
@@ -107,7 +97,6 @@ mod tests {
         let s = Summary::of(&[7.0]);
         assert_eq!(s.mean, 7.0);
         assert_eq!(s.std_dev, 0.0);
-        assert_eq!(s.ci95_half_width(), 0.0);
     }
 
     #[test]
@@ -143,12 +132,5 @@ mod tests {
     fn geometric_mean_examples() {
         assert!((geometric_mean(&[1.0, 100.0]) - 10.0).abs() < 1e-9);
         assert!((geometric_mean(&[4.0]) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ci_shrinks_with_samples() {
-        let narrow = Summary::of(&[3.0, 4.0, 5.0].repeat(100));
-        let wide = Summary::of(&[3.0, 4.0, 5.0]);
-        assert!(narrow.ci95_half_width() < wide.ci95_half_width());
     }
 }

@@ -7,7 +7,7 @@ use mtm_graph::static_graph::from_edges;
 use mtm_graph::{gen, Graph, NodeId};
 
 use crate::explore::{analyze, explore, CheckConfig, RoundSchedule, Truncation};
-use crate::matrix::{a1_beta1_instance, certification_matrix};
+use crate::matrix::certification_matrix;
 use crate::replay::replay_state;
 use crate::spec::{
     BitConvergenceSpec, BlindGossipSpec, CheckSpec, MaintainedGossipSpec, NonSyncSpec, RumorSpec,
@@ -473,10 +473,4 @@ pub fn run(args: &[String]) -> i32 {
             usage()
         }
     }
-}
-
-/// The A1 β = 1 instance, re-exported for tests and docs examples.
-pub fn a1_demo() -> i32 {
-    let (graph, spec) = a1_beta1_instance();
-    run_spec(&spec, &graph, &CheckConfig::default())
 }

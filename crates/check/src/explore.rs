@@ -144,11 +144,6 @@ impl<P> Exploration<P> {
         self.states[s as usize].depth
     }
 
-    /// Crash bitmask of state `s`.
-    pub fn crashed_of(&self, s: u32) -> u64 {
-        self.states[s as usize].crashed
-    }
-
     /// Shortest adversary schedule from the initial state to `s` (by BFS
     /// predecessor chain; length equals `depth_of(s)`).
     pub fn witness(&self, s: u32) -> Vec<RoundSchedule> {

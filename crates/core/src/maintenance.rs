@@ -412,9 +412,8 @@ mod tests {
     fn payload_fits_mobile_budget() {
         let node = MaintainedGossip::new(3, cfg(8));
         let hb = node.payload();
-        let params = ModelParams::mobile(0);
-        assert!(hb.uid_count() <= params.max_payload_uids);
-        assert!(hb.extra_bits() <= params.max_payload_bits);
+        assert!(hb.uid_count() <= mtm_engine::model::MAX_PAYLOAD_UIDS);
+        assert!(hb.extra_bits() <= mtm_engine::model::MAX_PAYLOAD_BITS);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! - every advertised [`Tag`] fits the model's `b` bits,
 //! - every exchanged payload stays within the budget of
-//!   `max_payload_uids` UIDs plus `max_payload_bits` extra bits,
+//!   [`MAX_PAYLOAD_UIDS`] UIDs plus [`MAX_PAYLOAD_BITS`] extra bits,
 //! - a node only proposes to neighbors it actually saw in its scan,
 //! - under [`ConnectionPolicy::SingleUniform`] the accepted proposals
 //!   form a matching: no node participates in two connections per round
@@ -22,6 +22,8 @@
 //! twice and demand identical [`Metrics`] after every round.
 //!
 //! [`ConnectionPolicy::SingleUniform`]: crate::model::ConnectionPolicy::SingleUniform
+//! [`MAX_PAYLOAD_UIDS`]: crate::model::MAX_PAYLOAD_UIDS
+//! [`MAX_PAYLOAD_BITS`]: crate::model::MAX_PAYLOAD_BITS
 
 use std::fmt;
 
@@ -29,8 +31,8 @@ use mtm_graph::{DynamicTopology, NodeId};
 
 use crate::engine::Engine;
 use crate::metrics::Metrics;
-use crate::model::Tag;
-use crate::protocol::Protocol;
+use crate::model::{Tag, MAX_PAYLOAD_BITS, MAX_PAYLOAD_UIDS};
+use crate::protocol::{PayloadCost, Protocol};
 
 /// A breach of the mobile telephone model contract, with enough context
 /// (round, node, offending values) to replay the failure.
@@ -39,14 +41,7 @@ pub enum Violation {
     /// A node advertised a tag wider than the model's `b` bits.
     TagBudget { round: u64, node: usize, tag: Tag, tag_bits: u32 },
     /// A payload exceeded the per-connection budget.
-    PayloadBudget {
-        round: u64,
-        node: usize,
-        uid_count: u32,
-        max_uids: u32,
-        extra_bits: u32,
-        max_bits: u32,
-    },
+    PayloadBudget { round: u64, node: usize, uid_count: u32, extra_bits: u32 },
     /// A node proposed to a neighbor that was not in its scan result
     /// (inactive, or not adjacent this round).
     ProposalNotVisible { round: u64, node: usize, target: NodeId },
@@ -77,13 +72,12 @@ impl fmt::Display for Violation {
                 f,
                 "round {round}: node {node} advertised tag {tag:?} exceeding b = {tag_bits} bits"
             ),
-            Violation::PayloadBudget { round, node, uid_count, max_uids, extra_bits, max_bits } => {
-                write!(
-                    f,
-                    "round {round}: node {node} payload exceeds model budget: \
-                     {uid_count} UIDs (max {max_uids}), {extra_bits} extra bits (max {max_bits})"
-                )
-            }
+            Violation::PayloadBudget { round, node, uid_count, extra_bits } => write!(
+                f,
+                "round {round}: node {node} payload exceeds model budget: \
+                 {uid_count} UIDs (max {MAX_PAYLOAD_UIDS}), \
+                 {extra_bits} extra bits (max {MAX_PAYLOAD_BITS})"
+            ),
             Violation::ProposalNotVisible { round, node, target } => {
                 write!(f, "round {round}: node {node} proposed to {target}, not a visible neighbor")
             }
@@ -138,26 +132,12 @@ impl Auditor {
         }
     }
 
-    /// Check a payload against the per-connection budget.
+    /// Check `node`'s payload against the per-connection budget.
     #[inline]
-    pub fn check_payload(
-        &self,
-        round: u64,
-        node: usize,
-        uid_count: u32,
-        max_uids: u32,
-        extra_bits: u32,
-        max_bits: u32,
-    ) {
-        if uid_count > max_uids || extra_bits > max_bits {
-            fail(Violation::PayloadBudget {
-                round,
-                node,
-                uid_count,
-                max_uids,
-                extra_bits,
-                max_bits,
-            });
+    pub fn check_payload(&self, round: u64, node: usize, payload: &impl PayloadCost) {
+        let (uid_count, extra_bits) = (payload.uid_count(), payload.extra_bits());
+        if uid_count > MAX_PAYLOAD_UIDS || extra_bits > MAX_PAYLOAD_BITS {
+            fail(Violation::PayloadBudget { round, node, uid_count, extra_bits });
         }
     }
 
@@ -295,16 +275,35 @@ mod tests {
         Auditor::default().check_tag(7, 3, Tag(4), 2);
     }
 
-    #[test]
-    #[should_panic(expected = "payload exceeds model budget")]
-    fn over_budget_payload_caught() {
-        Auditor::default().check_payload(2, 5, 3, 2, 0, 256);
+    /// A payload of `.0` UIDs and `.1` extra bits.
+    struct Cost(u32, u32);
+
+    impl PayloadCost for Cost {
+        fn uid_count(&self) -> u32 {
+            self.0
+        }
+        fn extra_bits(&self) -> u32 {
+            self.1
+        }
     }
 
     #[test]
-    #[should_panic(expected = "payload exceeds model budget")]
+    fn payload_within_budget_passes() {
+        Auditor::default().check_payload(2, 5, &Cost(MAX_PAYLOAD_UIDS, MAX_PAYLOAD_BITS));
+    }
+
+    #[test]
+    #[should_panic(expected = "node 5 payload exceeds model budget: 3 UIDs (max 2), \
+                               0 extra bits (max 256)")]
+    fn over_budget_payload_caught() {
+        Auditor::default().check_payload(2, 5, &Cost(3, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "payload exceeds model budget: 1 UIDs (max 2), \
+                               300 extra bits (max 256)")]
     fn over_budget_extra_bits_caught() {
-        Auditor::default().check_payload(2, 5, 1, 2, 300, 256);
+        Auditor::default().check_payload(2, 5, &Cost(1, 300));
     }
 
     #[test]

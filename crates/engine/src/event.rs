@@ -109,76 +109,44 @@ use mtm_graph::{Graph, NodeId};
 use rand::rngs::SmallRng;
 
 use crate::metrics::Metrics;
-use crate::model::{uniform_accept_index, Acceptance, ConnectionPolicy, ModelParams, Tag};
-use crate::protocol::{Action, LeaderView, PayloadCost, Protocol, RumorView, Scan};
+use crate::model::{uniform_accept_index, ConnectionPolicy, ModelParams, Tag};
+use crate::protocol::{Action, LeaderView, Protocol, RumorView, Scan};
+
+/// Minimum ticks for a scan (neighborhood discovery) to complete.
+const SCAN_MIN: u64 = 4;
+/// Minimum one-way link latency per message.
+const LINK_MIN: u64 = 1;
+/// Minimum length of a listener's accept window.
+const LISTEN_MIN: u64 = 6;
 
 /// Per-phase timing distributions, in integer ticks. Every duration is
-/// drawn uniformly from `[min, min + spread]` via a counter-based coin —
-/// `spread = 0` makes the phase deterministic while the composition stays
-/// asynchronous (nodes still drift through accumulated round-trip
-/// differences and start jitter).
+/// drawn uniformly from `[min, min + spread]` via a counter-based coin. The
+/// minimums are fixed, at least one tick each so local time always
+/// advances; every phase's spread derives from one `spread` knob (the
+/// AS1/AS2 sweep axis). `spread = 0` makes each phase deterministic while
+/// the composition stays asynchronous (nodes still drift through
+/// accumulated round-trip differences).
 #[derive(Clone, Copy, Debug)]
 pub struct LatencyModel {
-    /// Minimum ticks for a scan (neighborhood discovery) to complete.
-    pub scan_min: u64,
-    /// Extra uniform spread on the scan time.
-    pub scan_spread: u64,
-    /// Minimum one-way link latency per message.
-    pub link_min: u64,
-    /// Extra uniform spread on each link latency.
-    pub link_spread: u64,
-    /// Minimum length of a listener's accept window.
-    pub listen_min: u64,
-    /// Extra uniform spread on the listen window.
-    pub listen_spread: u64,
-    /// Per-node start jitter: node `u` begins its first round at a uniform
-    /// time in `[0, start_spread]`.
-    pub start_spread: u64,
+    spread: u64,
 }
 
 impl LatencyModel {
-    /// A Multipeer-flavored model parameterized by one `spread` knob (the
-    /// AS1/AS2 sweep axis): discovery is the slow phase, links are fast,
-    /// and all spreads scale together. `spread = 0` gives fixed durations.
+    /// A Multipeer-flavored model: discovery is the slow phase (scan
+    /// `[4, 4 + spread]`), links are fast (`[1, 1 + spread / 2]`), a listen
+    /// window lasts `[6, 6 + spread]`, and node `u` begins its first round
+    /// at a uniform time in `[0, 4·spread]`. `spread = 0` gives fixed
+    /// durations and no start jitter.
     pub fn multipeer(spread: u64) -> Self {
-        LatencyModel {
-            scan_min: 4,
-            scan_spread: spread,
-            link_min: 1,
-            link_spread: spread / 2,
-            listen_min: 6,
-            listen_spread: spread,
-            start_spread: spread.checked_mul(4).expect("start spread 4 × spread overflows u64"),
-        }
+        assert!(spread.checked_mul(4).is_some(), "start spread 4 × spread overflows u64");
+        LatencyModel { spread }
     }
 
     /// Nominal ticks of one listen-shaped round (scan + listen window at
     /// the distribution means) — the conversion factor between lockstep
     /// rounds and event time used by the AS experiments' bound column.
     pub fn nominal_round_ticks(&self) -> f64 {
-        self.scan_min as f64
-            + self.scan_spread as f64 / 2.0
-            + self.listen_min as f64
-            + self.listen_spread as f64 / 2.0
-    }
-
-    fn validate(&self) {
-        assert!(
-            self.scan_min >= 1 && self.link_min >= 1 && self.listen_min >= 1,
-            "phase minimums must be ≥ 1 tick so local time always advances"
-        );
-        for (phase, min, spread) in [
-            ("scan", self.scan_min, self.scan_spread),
-            ("link", self.link_min, self.link_spread),
-            ("listen", self.listen_min, self.listen_spread),
-            ("start", 0, self.start_spread),
-        ] {
-            // `draw` computes `spread + 1` and returns at most `min + spread`.
-            assert!(
-                spread < u64::MAX && min.checked_add(spread).is_some(),
-                "{phase} latency spread {spread} with minimum {min} is too large for u64 ticks"
-            );
-        }
+        SCAN_MIN as f64 + self.spread as f64 / 2.0 + LISTEN_MIN as f64 + self.spread as f64 / 2.0
     }
 }
 
@@ -429,8 +397,8 @@ impl<P: Protocol> EventEngine<P> {
     /// `seed` plays the same role as for the lockstep engine: node `u`
     /// executes on `stream_rng(seed, u)`, and the latency/loss coin streams
     /// are derived from dedicated sub-streams. Only
-    /// [`ConnectionPolicy::SingleUniform`] with [`Acceptance::UniformIndex`]
-    /// is modeled — the mobile telephone model's acceptance rule.
+    /// [`ConnectionPolicy::SingleUniform`] is modeled — the mobile telephone
+    /// model's acceptance rule.
     pub fn new(
         graph: Graph,
         params: ModelParams,
@@ -438,16 +406,10 @@ impl<P: Protocol> EventEngine<P> {
         seed: u64,
         latency: LatencyModel,
     ) -> Self {
-        latency.validate();
         assert_eq!(
             params.policy,
             ConnectionPolicy::SingleUniform,
             "the event backend models the mobile model's single-accept rule"
-        );
-        assert_eq!(
-            params.acceptance,
-            Acceptance::UniformIndex,
-            "the event backend resolves acceptance by uniform index draw"
         );
         let n = graph.node_count();
         assert_eq!(protocols.len(), n, "one protocol instance per graph node");
@@ -491,7 +453,7 @@ impl<P: Protocol> EventEngine<P> {
             auditor: crate::audit::Auditor::default(),
         };
         for u in 0..n {
-            let jitter = draw(engine.start_seed, u as u64, 0, 0, engine.latency.start_spread);
+            let jitter = draw(engine.start_seed, u as u64, 0, 0, 4 * engine.latency.spread);
             // node count fits a NodeId by graph construction. mtm-lint: allow(truncating-cast)
             engine.schedule(jitter, u as NodeId, Ev::RoundStart);
         }
@@ -690,13 +652,7 @@ impl<P: Protocol> EventEngine<P> {
 
     #[inline]
     fn link_delay(&self, from: NodeId, to: NodeId, counter: u64) -> u64 {
-        draw(
-            self.link_seed,
-            link_key(from, to),
-            counter,
-            self.latency.link_min,
-            self.latency.link_spread,
-        )
+        draw(self.link_seed, link_key(from, to), counter, LINK_MIN, self.latency.spread / 2)
     }
 
     /// Next outgoing-message counter for `u` (keys the link/loss coins).
@@ -711,14 +667,7 @@ impl<P: Protocol> EventEngine<P> {
     /// is the payload's owner.
     #[inline]
     fn check_payload_budget(&self, node: NodeId, pl: &P::Payload) {
-        self.auditor.check_payload(
-            self.local_round[node as usize],
-            node as usize,
-            pl.uid_count(),
-            self.params.max_payload_uids,
-            pl.extra_bits(),
-            self.params.max_payload_bits,
-        );
+        self.auditor.check_payload(self.local_round[node as usize], node as usize, pl);
     }
 
     /// The conservation audit after a proposal was resolved: at most one
@@ -747,13 +696,7 @@ impl<P: Protocol> EventEngine<P> {
                 self.tags[ui] = tag;
                 self.started[ui] = true;
                 self.phase[ui] = Phase::Scanning;
-                let d = draw(
-                    self.scan_seed,
-                    node as u64,
-                    lr,
-                    self.latency.scan_min,
-                    self.latency.scan_spread,
-                );
+                let d = draw(self.scan_seed, node as u64, lr, SCAN_MIN, self.latency.spread);
                 self.schedule(d, node, Ev::Act);
                 false
             }
@@ -783,8 +726,8 @@ impl<P: Protocol> EventEngine<P> {
                             self.listen_seed,
                             node as u64,
                             lr,
-                            self.latency.listen_min,
-                            self.latency.listen_spread,
+                            LISTEN_MIN,
+                            self.latency.spread,
                         );
                         self.schedule(d, node, Ev::ListenEnd);
                     }
@@ -959,6 +902,7 @@ impl<P: Protocol + RumorView> EventEngine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::PayloadCost;
     use mtm_graph::gen;
     use rand::Rng;
 
@@ -1118,15 +1062,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(
-        expected = "scan latency spread 18446744073709551615 with minimum 4 is too large"
-    )]
-    fn overflowing_spread_rejected() {
-        let latency = LatencyModel { scan_spread: u64::MAX, ..LatencyModel::multipeer(0) };
-        engine_on(gen::clique(4), 0, latency);
-    }
-
-    #[test]
     #[should_panic(expected = "start spread 4 × spread overflows u64")]
     fn overflowing_multipeer_spread_rejected() {
         LatencyModel::multipeer(u64::MAX / 4 + 1);
@@ -1135,9 +1070,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "event time overflows u64 ticks")]
     fn event_time_overflow_caught() {
-        // Valid per phase, but the first listen window ends at
-        // u64::MAX - 1, so the next scan would end past u64::MAX.
-        let latency = LatencyModel { listen_min: u64::MAX - 5, ..LatencyModel::multipeer(0) };
+        // The largest spread `multipeer` accepts: every draw fits u64, but
+        // start jitter averages about 2^63 ticks and each scan or listen
+        // window about 2^61, so within a few rounds the next event would
+        // fall past u64::MAX.
+        let latency = LatencyModel::multipeer(u64::MAX / 4);
         engine_on(gen::clique(2), 0, latency).run_until(u64::MAX, |_| false);
     }
 

@@ -1,4 +1,5 @@
-//! Model parameters: tag length `b`, payload budget, connection policy.
+//! Model parameters: tag length `b` and connection policy, plus the payload
+//! budget every model shares.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -39,21 +40,6 @@ pub enum ConnectionPolicy {
     AcceptAll,
 }
 
-/// How the uniform acceptance choice is realized under
-/// [`ConnectionPolicy::SingleUniform`]. Both are distributionally
-/// identical; the permutation form exists because §VI's analysis phrases
-/// acceptance that way ("u first generates a random permutation of its
-/// neighbors… selects the proposal highest ranked"), and implementing it
-/// lets tests verify the equivalence rather than assume it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Acceptance {
-    /// Pick a uniformly random index into the incoming-proposal list.
-    UniformIndex,
-    /// Shuffle the receiver's full neighbor list and accept the incoming
-    /// proposal whose sender ranks first (Definition VI.2's device).
-    SelectionPermutation,
-}
-
 /// The uniform acceptance draw shared by every backend: a listener with
 /// `k ≥ 1` buffered proposals accepts index `gen_range(0..k)` from its own
 /// stream — except that `k = 1` consumes **no** randomness (part of the
@@ -69,51 +55,33 @@ pub fn uniform_accept_index(rng: &mut SmallRng, k: usize) -> usize {
     }
 }
 
+/// Maximum number of UIDs a single connection may carry (the paper allows
+/// O(1); our protocols need at most 2 — a UID and its ID tag travel
+/// together as an ID pair).
+pub const MAX_PAYLOAD_UIDS: u32 = 2;
+
+/// Maximum extra (non-UID) bits per connection; the paper allows
+/// `O(polylog N)`, and 256 is comfortably that.
+pub const MAX_PAYLOAD_BITS: u32 = 256;
+
 /// Static parameters of a model instance.
 #[derive(Clone, Copy, Debug)]
 pub struct ModelParams {
     /// Tag length `b ≥ 0` in bits.
     pub tag_bits: u32,
-    /// Maximum number of UIDs a single connection may carry (the paper
-    /// allows O(1); our protocols need at most 2 — a UID and its ID tag
-    /// travel together as an ID pair).
-    pub max_payload_uids: u32,
-    /// Maximum extra (non-UID) bits per connection; the paper allows
-    /// `O(polylog N)`.
-    pub max_payload_bits: u32,
     /// Proposal-acceptance policy.
     pub policy: ConnectionPolicy,
-    /// Realization of the uniform acceptance choice.
-    pub acceptance: Acceptance,
 }
 
 impl ModelParams {
-    /// Mobile telephone model with tag length `b` and the default payload
-    /// budget (2 UIDs + 256 extra bits, comfortably `O(polylog N)`).
+    /// Mobile telephone model with tag length `b`.
     pub fn mobile(tag_bits: u32) -> Self {
-        ModelParams {
-            tag_bits,
-            max_payload_uids: 2,
-            max_payload_bits: 256,
-            policy: ConnectionPolicy::SingleUniform,
-            acceptance: Acceptance::UniformIndex,
-        }
+        ModelParams { tag_bits, policy: ConnectionPolicy::SingleUniform }
     }
 
     /// Classical telephone model (`b = 0`, unbounded acceptance).
     pub fn classical() -> Self {
-        ModelParams {
-            tag_bits: 0,
-            max_payload_uids: 2,
-            max_payload_bits: 256,
-            policy: ConnectionPolicy::AcceptAll,
-            acceptance: Acceptance::UniformIndex,
-        }
-    }
-
-    /// Mobile model using the §VI selection-permutation acceptance device.
-    pub fn mobile_with_permutation(tag_bits: u32) -> Self {
-        ModelParams { acceptance: Acceptance::SelectionPermutation, ..Self::mobile(tag_bits) }
+        ModelParams { tag_bits: 0, policy: ConnectionPolicy::AcceptAll }
     }
 }
 

@@ -12,11 +12,10 @@
 
 use mtm_graph::NodeId;
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 
 use super::{Awake, Choices, Inbox, RoundCtx, Slot};
 use crate::metrics::Metrics;
-use crate::model::{uniform_accept_index, Acceptance, ConnectionPolicy, Tag};
+use crate::model::{uniform_accept_index, ConnectionPolicy, Tag};
 use crate::protocol::{Action, Protocol, Scan};
 
 /// How a round is cut into shards: `shards = clamp(threads, 1, n)`
@@ -63,7 +62,6 @@ impl ShardPlan {
 pub(super) struct ShardScratch {
     visible: Vec<NodeId>,
     visible_tags: Vec<Tag>,
-    accept_scratch: Vec<NodeId>,
     /// `(proposer, receiver)` pairs that survived loss, proposer-sorted.
     pub(super) proposed: Vec<(NodeId, NodeId)>,
     /// `(proposer, receiver)` connections, receiver-sorted.
@@ -210,31 +208,7 @@ pub(super) fn accept(
                 continue;
             }
             (Choices::Drawn, ConnectionPolicy::SingleUniform) => {
-                Some(match ctx.params.acceptance {
-                    Acceptance::UniformIndex => incoming[uniform_accept_index(rng, k)],
-                    Acceptance::SelectionPermutation => {
-                        // Definition VI.2's device: shuffle the neighbor list,
-                        // accept the proposer ranked first. Inactive neighbors
-                        // can never propose, so only active ones enter the
-                        // shuffle (a subset's relative order within a uniform
-                        // permutation is itself uniform).
-                        let nbrs = ctx.graph.neighbors(v);
-                        scratch.accept_scratch.clear();
-                        if ctx.awake.all() {
-                            scratch.accept_scratch.extend_from_slice(nbrs);
-                        } else {
-                            scratch.accept_scratch.extend(
-                                nbrs.iter().copied().filter(|&w| ctx.awake.is_active(w as usize)),
-                            );
-                        }
-                        scratch.accept_scratch.shuffle(rng);
-                        *scratch
-                            .accept_scratch
-                            .iter()
-                            .find(|cand| incoming.contains(cand))
-                            .expect("every proposer is a neighbor")
-                    }
-                })
+                Some(incoming[uniform_accept_index(rng, k)])
             }
         };
         match pick {

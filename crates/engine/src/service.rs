@@ -33,7 +33,7 @@
 
 use mtm_graph::{nid, DynamicTopology};
 
-use crate::engine::{Engine, StuckReport};
+use crate::engine::{Engine, StuckDetector, StuckReport};
 use crate::metrics::{Metrics, ServiceMetrics};
 use crate::protocol::{EpochView, LeaderView, Protocol};
 
@@ -177,11 +177,8 @@ where
             leader: None,
         }];
 
-        // Wedge-detector state, mirroring the engine's stuck detector.
-        let mut last_fp: Option<u64> = None;
-        let mut frozen_rounds = 0u64;
-        let mut frozen_since = start_round;
-        let mut connections_at_freeze = self.metrics().connections;
+        let mut wedge = (cfg.wedge_window > 0)
+            .then(|| StuckDetector::new(cfg.wedge_window, start_round, self.metrics().connections));
 
         let mut final_agreement: Option<(u64, u64)> = None;
         while self.round() < end_round {
@@ -220,28 +217,17 @@ where
 
             // Wedge diagnosis (see module docs). Barriers match the stuck
             // detector: a frozen state only evidences a dead end while the
-            // topology holds still and every node has activated.
-            if cfg.wedge_window > 0 {
+            // topology holds still and every node has activated. Agreement
+            // resets the window too.
+            if let Some(det) = &mut wedge {
                 if let Some(fp) = self.network_fingerprint() {
-                    let barrier = self.topology().may_change_at(round)
-                        || round <= self.schedule().last_activation();
-                    if barrier || last_fp != Some(fp) || s.agreement.is_some() {
-                        last_fp = Some(fp);
-                        frozen_rounds = 0;
-                        frozen_since = round;
-                        connections_at_freeze = self.metrics().connections;
-                    } else {
-                        frozen_rounds += 1;
-                        if frozen_rounds >= cfg.wedge_window {
-                            status = ServiceStatus::Wedged(StuckReport {
-                                fixed_since: frozen_since,
-                                detected_round: round,
-                                window: cfg.wedge_window,
-                                idle_connections: self.metrics().connections
-                                    - connections_at_freeze,
-                            });
-                            break;
-                        }
+                    let reset = self.topology().may_change_at(round)
+                        || round <= self.schedule().last_activation()
+                        || s.agreement.is_some();
+                    if let Some(report) = det.observe(round, fp, reset, self.metrics().connections)
+                    {
+                        status = ServiceStatus::Wedged(report);
+                        break;
                     }
                 }
             }

@@ -10,7 +10,7 @@
 //! is deliberately naive: it re-queries the activation schedule in every
 //! phase, filters visible neighbors into fresh `Vec`s, and keeps incoming
 //! proposals as one `Vec` per receiver. The property: across random
-//! (topology, schedule, tag_bits, loss, policy, acceptance, seed)
+//! (topology, schedule, tag_bits, loss, policy, seed)
 //! configurations — and at every thread count in {1, 2, 4, 8} — engine and
 //! reference produce identical counters after every round and identical
 //! final node states, each of which includes the node's connection
@@ -20,7 +20,6 @@
 // it should read like the model's pseudocode, not like optimized Rust.
 #![allow(clippy::needless_range_loop, clippy::manual_is_multiple_of)]
 
-use mtm_engine::model::Acceptance;
 use mtm_engine::{
     Action, ActivationSchedule, ConnectionPolicy, Engine, ModelParams, PayloadCost, Protocol, Scan,
     Tag,
@@ -28,7 +27,6 @@ use mtm_engine::{
 use mtm_graph::dynamic::RelabelingAdversary;
 use mtm_graph::{gen, DynamicTopology, Graph, NodeId, StaticTopology};
 use mtm_testkit::{run_cases, Rng, SmallRng};
-use rand::seq::SliceRandom;
 
 /// A protocol that draws randomness in every hook and folds everything it
 /// observes (tags, payloads, local rounds) into its state, so any deviation
@@ -259,31 +257,10 @@ impl<T: DynamicTopology> Reference<T> {
             let inc = &incoming[vi];
             match self.params.policy {
                 ConnectionPolicy::SingleUniform => {
-                    let u = match self.params.acceptance {
-                        Acceptance::UniformIndex => {
-                            let pick = if inc.len() == 1 {
-                                0
-                            } else {
-                                self.rngs[vi].gen_range(0..inc.len())
-                            };
-                            inc[pick]
-                        }
-                        Acceptance::SelectionPermutation => {
-                            let mut perm: Vec<NodeId> = graph
-                                .neighbors(v)
-                                .iter()
-                                .copied()
-                                .filter(|&w| active(w as usize))
-                                .collect();
-                            perm.shuffle(&mut self.rngs[vi]);
-                            *perm
-                                .iter()
-                                .find(|cand| inc.contains(cand))
-                                .expect("every proposer is an active neighbor")
-                        }
-                    };
+                    let pick =
+                        if inc.len() == 1 { 0 } else { self.rngs[vi].gen_range(0..inc.len()) };
                     self.rejected += inc.len() as u64 - 1;
-                    accepted.push((u, v));
+                    accepted.push((inc[pick], v));
                 }
                 ConnectionPolicy::AcceptAll => {
                     for &u in inc {
@@ -378,9 +355,10 @@ fn sample_config(rng: &mut SmallRng) -> Config {
     };
     let n = graph.node_count();
     let tag_bits = rng.gen_range(0..4u32);
+    // Cases 0 and 1 are both the mobile model: the three-way draw keeps
+    // every later draw of a case, and so the sampled configurations, fixed.
     let params = match rng.gen_range(0..3u32) {
-        0 => ModelParams::mobile(tag_bits),
-        1 => ModelParams::mobile_with_permutation(tag_bits),
+        0 | 1 => ModelParams::mobile(tag_bits),
         _ => ModelParams { tag_bits, ..ModelParams::classical() },
     };
     let schedule = match rng.gen_range(0..3u32) {

@@ -85,29 +85,6 @@ pub fn run(opts: &ExpOpts) -> Table {
     table
 }
 
-/// Mean bit-convergence rounds per τ (used by integration tests to check
-/// that more stability never hurts).
-pub fn bitconv_means_by_tau(opts: &ExpOpts, s: usize, taus: &[Option<u64>]) -> Vec<f64> {
-    let trials = opts.trials_or(4);
-    let n = s + s * s;
-    taus.iter()
-        .map(|&tau| {
-            let spec = match tau {
-                Some(t) => TopoSpec::StarShuffle { spine: s, points: s, tau: t },
-                None => TopoSpec::Static { family: mtm_graph::GraphFamily::LineOfStars, n },
-            };
-            let bc = summarize(&bit_convergence_rounds(
-                &spec,
-                trials,
-                opts.seed,
-                opts.threads,
-                100_000_000,
-            ));
-            bc.summary.expect("must stabilize").mean
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

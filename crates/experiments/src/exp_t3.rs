@@ -69,20 +69,6 @@ pub fn run(opts: &ExpOpts) -> Table {
     table
 }
 
-/// Log–log slope for one family's size sweep (integration-test hook).
-pub fn slope_for(opts: &ExpOpts, family: GraphFamily, sizes: &[usize]) -> f64 {
-    let trials = opts.trials_or(4);
-    let mut points = Vec::new();
-    for &n in sizes {
-        let spec = TopoSpec::Static { family, n };
-        let sample = spec.sample_graph(opts.seed);
-        let ts =
-            summarize(&bit_convergence_rounds(&spec, trials, opts.seed, opts.threads, 100_000_000));
-        points.push((sample.node_count() as f64, ts.summary.expect("must stabilize").mean));
-    }
-    log_log_fit(&points).slope
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,9 +2,7 @@
 //! trial runners, and summary helpers.
 
 use mtm_analysis::stats::Summary;
-use mtm_core::{
-    BitConvergence, BlindGossip, NonSyncBitConvergence, Ppush, PushPull, TagConfig, UidPool,
-};
+use mtm_core::{BitConvergence, BlindGossip, NonSyncBitConvergence, PushPull, TagConfig, UidPool};
 use mtm_engine::runner::run_trials;
 use mtm_engine::{ActivationSchedule, Engine, ModelParams};
 use mtm_graph::dynamic::{BoxedTopology, LineOfStarsShuffle, RelabelingAdversary, StaticTopology};
@@ -279,29 +277,6 @@ pub fn push_pull_rounds(
     })
 }
 
-/// Rounds for PPUSH (`b = 1`) rumor spreading to inform all nodes.
-pub fn ppush_rounds(
-    spec: &TopoSpec,
-    trials: usize,
-    base_seed: u64,
-    threads: usize,
-    max_rounds: u64,
-) -> Vec<Option<u64>> {
-    let spec = spec.clone();
-    run_trials(trials, base_seed, threads, move |_t, seed| {
-        let topo = spec.build(seed);
-        let n = topo.node_count();
-        let mut e = Engine::new(
-            topo,
-            ModelParams::mobile(1),
-            ActivationSchedule::synchronized(n),
-            Ppush::spawn(n, 1),
-            derive_seed(seed, 11),
-        );
-        e.run_to_full_information(max_rounds).stabilized_round
-    })
-}
-
 /// Summarize trial results, counting timeouts separately.
 pub struct TrialSummary {
     /// Summary over the trials that finished.
@@ -426,8 +401,6 @@ mod tests {
         let spec = TopoSpec::Static { family: GraphFamily::Clique, n: 16 };
         let pp = push_pull_rounds(&spec, ModelParams::mobile(0), 2, 5, 2, 200_000);
         assert!(pp.iter().all(|r| r.is_some()));
-        let pr = ppush_rounds(&spec, 2, 5, 2, 200_000);
-        assert!(pr.iter().all(|r| r.is_some()));
     }
 
     #[test]

@@ -68,11 +68,6 @@ pub mod exp_v1;
 pub use harness::{SchedSpec, TopoSpec};
 pub use opts::ExpOpts;
 
-/// Run one experiment by id (resolved through [`registry::REGISTRY`]).
-pub fn run_by_id(id: &str, opts: &ExpOpts) -> Option<mtm_analysis::table::Table> {
-    registry::find(id).map(|e| (e.run)(opts))
-}
-
 /// Experiment ids in presentation order (paper claims T*/F*, ablations A*,
 /// service-mode churn scenarios C*).
 /// Kept in lockstep with [`registry::REGISTRY`] by its unit tests.

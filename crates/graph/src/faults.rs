@@ -8,12 +8,11 @@
 //!
 //! * [`FaultyTopology`] — seed-derived random faults: each node flips
 //!   between up and down via a per-round Markov chain (crash with
-//!   probability `crash`, recover with probability `recover`), and each
-//!   surviving link is independently severed with probability `link_loss`
-//!   that round. A down node keeps its protocol state but its radio is
-//!   off: all incident edges vanish, so it neither appears in scans nor
-//!   forms connections — exactly how the engine already treats isolated
-//!   nodes, which is why no engine change is needed.
+//!   probability `crash`, recover with probability `recover`). A down node
+//!   keeps its protocol state but its radio is off: all incident edges
+//!   vanish, so it neither appears in scans nor forms connections — exactly
+//!   how the engine already treats isolated nodes, which is why no engine
+//!   change is needed.
 //! * [`ScheduledCrashes`] — explicit outage windows `(node, from, to)` for
 //!   hand-computable tests and repeatable failure scenarios.
 //!
@@ -40,35 +39,25 @@ pub struct FaultConfig {
     /// nonzero the long-run fraction of down nodes is
     /// `crash / (crash + recover)`.
     pub recover: f64,
-    /// Per-round probability that each individual surviving link is down
-    /// this round (interference / range flutter).
-    pub link_loss: f64,
 }
 
 impl FaultConfig {
     /// No faults at all — [`FaultyTopology`] becomes a transparent
     /// pass-through.
-    pub const NONE: FaultConfig = FaultConfig { crash: 0.0, recover: 0.0, link_loss: 0.0 };
+    pub const NONE: FaultConfig = FaultConfig { crash: 0.0, recover: 0.0 };
 
-    /// Crash/recover churn with perfect links.
+    /// Crash/recover churn.
     pub fn crashes(crash: f64, recover: f64) -> FaultConfig {
-        FaultConfig { crash, recover, link_loss: 0.0 }
-    }
-
-    /// Link flutter only, with all nodes permanently up.
-    pub fn link_loss(p: f64) -> FaultConfig {
-        FaultConfig { crash: 0.0, recover: 0.0, link_loss: p }
+        FaultConfig { crash, recover }
     }
 
     /// True iff every fault probability is zero.
     pub fn is_none(&self) -> bool {
-        self.crash == 0.0 && self.recover == 0.0 && self.link_loss == 0.0
+        self.crash == 0.0 && self.recover == 0.0
     }
 
     fn validate(&self) {
-        for (name, p) in
-            [("crash", self.crash), ("recover", self.recover), ("link_loss", self.link_loss)]
-        {
+        for (name, p) in [("crash", self.crash), ("recover", self.recover)] {
             assert!((0.0..=1.0).contains(&p), "{name} probability must be in [0, 1], got {p}");
         }
     }
@@ -90,23 +79,22 @@ fn base_held_still<T: DynamicTopology>(base: &T, built: u64, round: u64) -> bool
         && (built + 1..=round).all(|r| !base.may_change_at(r))
 }
 
-/// Seed-derived random crash/recover and link-failure adversary over any
-/// base topology. See the module docs for the fault model.
+/// Seed-derived random crash/recover adversary over any base topology. See
+/// the module docs for the fault model.
 ///
 /// Note the faulted graph is usually *disconnected* — a crashed node is
 /// isolated by construction — which deliberately steps outside the paper's
 /// connectivity assumption; F8 measures how gracefully the algorithms
 /// degrade anyway.
 ///
-/// Without link loss a round's graph is patched from the previous one
-/// around the nodes that flipped (DESIGN.md, "Fault stack cost model").
+/// A round's graph is patched from the previous one around the nodes that
+/// flipped (DESIGN.md, "Fault stack cost model").
 pub struct FaultyTopology<T> {
     base: T,
     cfg: FaultConfig,
     seed: u64,
     /// Crash-chain coins, indexed by `!up`: `[crash, recover]`.
     flip: [Option<Bernoulli>; 2],
-    link: Option<Bernoulli>,
     up: Vec<bool>,
     /// Nodes the chain flipped since `current` was built, maybe repeated.
     flipped: Vec<NodeId>,
@@ -128,7 +116,6 @@ impl<T: DynamicTopology> FaultyTopology<T> {
             cfg,
             seed,
             flip: [coin(cfg.crash), coin(cfg.recover)],
-            link: coin(cfg.link_loss),
             up: vec![true; n],
             flipped: Vec::new(),
             chain_round: 0,
@@ -144,8 +131,8 @@ impl<T: DynamicTopology> FaultyTopology<T> {
     fn advance_chain(&mut self, round: u64) {
         while self.chain_round < round {
             self.chain_round += 1;
-            // Even streams drive the crash chain; odd streams (used in
-            // `build`) drive link loss for the same round.
+            // Round r draws from stream 2r: renumbering the streams would
+            // change every recorded churn run.
             let mut rng = stream_rng(self.seed, 2 * self.chain_round);
             for (u, up) in self.up.iter_mut().enumerate() {
                 if let Some(coin) = &self.flip[usize::from(!*up)] {
@@ -159,17 +146,11 @@ impl<T: DynamicTopology> FaultyTopology<T> {
     }
 
     /// Build the effective graph for `round`: base edges minus edges with
-    /// a down endpoint, minus this round's link-loss draws.
+    /// a down endpoint.
     fn build(&mut self, round: u64) {
         let held_still = base_held_still(&self.base, self.built_round, round);
         let base = self.base.graph_at(round);
-        if let Some(coin) = self.link {
-            // One link coin per base edge, drawn whatever the endpoints'
-            // state, so the stream position depends only on the base edge
-            // list, not on crash outcomes.
-            let mut link_rng = stream_rng(self.seed, 2 * round + 1);
-            base.retain_into(&self.up, || coin.sample(&mut link_rng), &mut self.current);
-        } else if held_still {
+        if held_still {
             // Only rows at or next to a flipped node can differ.
             base.patch_into(&self.up, &self.flipped, &self.current, &mut self.spare);
             std::mem::swap(&mut self.current, &mut self.spare);
@@ -211,7 +192,7 @@ impl<T: DynamicTopology> DynamicTopology for FaultyTopology<T> {
         !self.cfg.is_none() || self.base.may_change_at(round)
     }
     fn is_node_up(&self, u: NodeId, round: u64) -> bool {
-        if self.cfg.crash == 0.0 && self.cfg.recover == 0.0 {
+        if self.cfg.is_none() {
             return self.base.is_node_up(u, round);
         }
         // The chain is advanced by `graph_at`; the trait contract requires
@@ -348,7 +329,7 @@ mod tests {
 
     #[test]
     fn same_seed_same_fault_history() {
-        let cfg = FaultConfig { crash: 0.1, recover: 0.2, link_loss: 0.15 };
+        let cfg = FaultConfig::crashes(0.1, 0.2);
         let mut a = faulty(cfg, 42);
         let mut b = faulty(cfg, 42);
         for round in 1..=50 {
@@ -372,7 +353,7 @@ mod tests {
 
     #[test]
     fn repeated_query_is_stable() {
-        let cfg = FaultConfig { crash: 0.3, recover: 0.3, link_loss: 0.3 };
+        let cfg = FaultConfig::crashes(0.3, 0.3);
         let mut t = faulty(cfg, 3);
         let g = t.graph_at(4).clone();
         assert_eq!(t.graph_at(4), &g);
@@ -407,24 +388,6 @@ mod tests {
             }
         }
         assert!(saw_mixed, "crash chain never produced a mixed up/down population");
-    }
-
-    #[test]
-    fn link_loss_only_keeps_all_nodes_up() {
-        let mut t = faulty(FaultConfig::link_loss(0.5), 8);
-        let full_edges = gen::clique(12).edge_count();
-        let mut total = 0usize;
-        for round in 1..=40 {
-            let g = t.graph_at(round);
-            assert_eq!(g.node_count(), 12);
-            total += g.edge_count();
-        }
-        assert!((0..12).all(|u| t.is_node_up(u, 40)));
-        let mean = total as f64 / 40.0;
-        assert!(
-            mean > 0.3 * full_edges as f64 && mean < 0.7 * full_edges as f64,
-            "p=0.5 link loss should keep ~half the edges, kept {mean:.1}/{full_edges}"
-        );
     }
 
     #[test]

@@ -188,9 +188,9 @@ fn from_edges_respects_input() {
     });
 }
 
-/// Reference for [`FaultyTopology`]: the documented crash chain (even
-/// streams) and link coins (odd streams, one per base edge in `edges()`
-/// order), with each round's graph pushed through [`GraphBuilder`].
+/// Reference for [`FaultyTopology`]: the documented crash chain (round `r`
+/// draws from stream `2r`), with each round's graph pushed through
+/// [`GraphBuilder`].
 struct ReferenceFaults {
     cfg: FaultConfig,
     seed: u64,
@@ -215,11 +215,9 @@ impl ReferenceFaults {
                 }
             }
         }
-        let mut link_rng = stream_rng(self.seed, 2 * round + 1);
         let mut b = GraphBuilder::new(base.node_count());
         for (u, v) in base.edges() {
-            let link_down = self.cfg.link_loss > 0.0 && link_rng.gen_bool(self.cfg.link_loss);
-            if self.up[u as usize] && self.up[v as usize] && !link_down {
+            if self.up[u as usize] && self.up[v as usize] {
                 b.add_edge(u, v);
             }
         }
@@ -256,12 +254,11 @@ fn fault_base(rng: &mut SmallRng) -> Graph {
 }
 
 /// Each rate is zero in about a third of the cases, so crash-only,
-/// loss-only and fault-free stacks all occur; `link_loss` otherwise lies
-/// in (0, 0.5].
+/// recover-only and fault-free stacks all occur.
 fn fault_config(rng: &mut SmallRng) -> FaultConfig {
     let mut rate =
         |max: f64| if rng.gen_range(0..3) == 0 { 0.0 } else { max * (1.0 - rng.gen::<f64>()) };
-    FaultConfig { crash: rate(0.3), recover: rate(0.5), link_loss: rate(0.5) }
+    FaultConfig::crashes(rate(0.3), rate(0.5))
 }
 
 /// Up to `max` random outage windows within `1..=horizon + 3`, a fifth of
@@ -356,8 +353,8 @@ fn fault_stack_matches_graph_builder_reference() {
 }
 
 /// The service workload's regime: a few flips per round among hundreds of
-/// nodes, no link loss, so nearly every round patches a handful of rows
-/// and copies the rest in long spans.
+/// nodes, so nearly every round patches a handful of rows and copies the
+/// rest in long spans.
 #[test]
 fn fault_stack_patches_match_reference_at_service_rates() {
     run_cases(0x5E7E, 4, |_case, rng| {
@@ -374,7 +371,7 @@ fn fault_stack_patches_match_reference_at_service_rates() {
 }
 
 /// Rates of exactly 0 and 1: at 1 every node flips each round without a
-/// draw, and a link-loss rate of 1 empties the graph.
+/// draw.
 #[test]
 fn fault_stack_matches_reference_at_rates_zero_and_one() {
     const HORIZON: u64 = 24;
@@ -385,7 +382,7 @@ fn fault_stack_matches_reference_at_rates_zero_and_one() {
             1 => 1.0,
             _ => rng.gen::<f64>(),
         };
-        let cfg = FaultConfig { crash: rate(), recover: rate(), link_loss: rate() };
+        let cfg = FaultConfig::crashes(rate(), rate());
         let seed = rng.gen::<u64>();
         let outages = random_outages(rng, base.node_count(), 4, HORIZON);
         let rounds = round_sequence(rng, HORIZON);

@@ -55,13 +55,6 @@ pub fn vec_f64(rng: &mut SmallRng, len: (usize, usize), lo: f64, hi: f64) -> Vec
     (0..n).map(|_| rng.gen_range(lo..hi)).collect()
 }
 
-/// A random `Vec<u64>` with entries in `[lo, hi)` and a length drawn from
-/// `len` (inclusive bounds).
-pub fn vec_u64(rng: &mut SmallRng, len: (usize, usize), lo: u64, hi: u64) -> Vec<u64> {
-    let n = rng.gen_range(len.0..=len.1);
-    (0..n).map(|_| rng.gen_range(lo..hi)).collect()
-}
-
 /// A random ASCII-alphanumeric string with length in `[0, max_len]`.
 pub fn ascii_string(rng: &mut SmallRng, max_len: usize) -> String {
     const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 _-";
@@ -117,9 +110,6 @@ mod tests {
             let v = vec_f64(rng, (1, 30), -5.0, 5.0);
             assert!((1..=30).contains(&v.len()));
             assert!(v.iter().all(|x| (-5.0..5.0).contains(x)));
-            let u = vec_u64(rng, (0, 10), 3, 9);
-            assert!(u.len() <= 10);
-            assert!(u.iter().all(|x| (3..9).contains(x)));
             let s = ascii_string(rng, 12);
             assert!(s.len() <= 12);
         });

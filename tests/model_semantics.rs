@@ -180,10 +180,11 @@ fn rumor_spreading_monotone_informed_count() {
 #[test]
 fn selection_permutation_equivalent_to_uniform_choice() {
     // §VI specifies acceptance via a random neighbor permutation; the
-    // engine's default picks a uniform incoming index. Both must induce
-    // the uniform distribution over proposers. On a star, all leaves
-    // propose to the hub every round; count how often each leaf wins.
+    // engine picks a uniform incoming index. Both must induce the uniform
+    // distribution over proposers. On a star, all leaves propose to the
+    // hub every round; count how often each leaf wins.
     use mobile_telephone::engine::protocol::PayloadCost;
+    use rand::seq::SliceRandom;
 
     struct AlwaysProposeHub {
         is_hub: bool,
@@ -228,27 +229,33 @@ fn selection_permutation_equivalent_to_uniform_choice() {
 
     let n = 9; // hub + 8 leaves
     let rounds = 8_000u64;
-    let run = |params: ModelParams| -> Vec<u64> {
-        let nodes: Vec<AlwaysProposeHub> = (0..n)
-            .map(|u| AlwaysProposeHub { is_hub: u == 0, accepted_from: Vec::new(), uid: u as u64 })
-            .collect();
-        let mut e = Engine::new(
-            StaticTopology::new(gen::star(n)),
-            params,
-            ActivationSchedule::synchronized(n),
-            nodes,
-            77,
-        );
-        e.run_rounds(rounds);
-        let mut counts = vec![0u64; n];
-        for &from in &e.node(0).accepted_from {
-            counts[from as usize] += 1;
-        }
-        counts
-    };
+    let nodes: Vec<AlwaysProposeHub> = (0..n)
+        .map(|u| AlwaysProposeHub { is_hub: u == 0, accepted_from: Vec::new(), uid: u as u64 })
+        .collect();
+    let mut e = Engine::new(
+        StaticTopology::new(gen::star(n)),
+        ModelParams::mobile(0),
+        ActivationSchedule::synchronized(n),
+        nodes,
+        77,
+    );
+    e.run_rounds(rounds);
+    let mut uniform = vec![0u64; n];
+    for &from in &e.node(0).accepted_from {
+        uniform[from as usize] += 1;
+    }
 
-    let uniform = run(ModelParams::mobile(0));
-    let permuted = run(ModelParams::mobile_with_permutation(0));
+    // Definition VI.2's device, drawn here: the hub shuffles its neighbor
+    // list and accepts the proposer ranked first. Every leaf proposes, so
+    // that is the first leaf of the permutation.
+    let mut rng = mobile_telephone::graph::rng::stream_rng(77, 0);
+    let mut leaves: Vec<usize> = (1..n).collect();
+    let mut permuted = vec![0u64; n];
+    for _ in 0..rounds {
+        leaves.shuffle(&mut rng);
+        permuted[leaves[0]] += 1;
+    }
+
     let expected = rounds as f64 / 8.0;
     for leaf in 1..n {
         for (name, counts) in [("uniform", &uniform), ("permutation", &permuted)] {

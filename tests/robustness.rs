@@ -83,15 +83,15 @@ fn timeout_without_detection_stays_timed_out() {
     assert_eq!(out.stabilized_round, None);
 }
 
-/// Engine under the full fault stack: crash churn, link flutter, and
-/// proposal loss, all switched on at once.
+/// Engine under the full fault stack: crash churn and proposal loss, both
+/// switched on at once.
 fn faulty_engine(seed: u64) -> Engine<NonSyncBitConvergence, FaultyTopology<StaticTopology>> {
     let g = GraphFamily::Expander8.build(24, derive_seed(seed, 0));
     let n = g.node_count();
     let config = TagConfig::for_network(n, g.max_degree());
     let uids = UidPool::random(n, derive_seed(seed, 10));
     let nodes = NonSyncBitConvergence::spawn(&uids, config, derive_seed(seed, 12));
-    let cfg = FaultConfig { crash: 0.05, recover: 0.2, link_loss: 0.1 };
+    let cfg = FaultConfig::crashes(0.05, 0.2);
     let topo = FaultyTopology::new(StaticTopology::new(g), cfg, derive_seed(seed, 13));
     let mut e = Engine::new(
         topo,

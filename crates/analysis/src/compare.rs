@@ -1,56 +1,6 @@
-//! Distribution comparison utilities: histograms, bootstrap confidence
-//! intervals, and a Mann–Whitney U test. Used by experiments that claim
-//! one algorithm *reliably* beats another (not just on the mean of a few
-//! trials).
-
-/// An equal-width histogram over a sample.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Histogram {
-    /// Left edge of the first bucket.
-    pub min: f64,
-    /// Width of each bucket.
-    pub width: f64,
-    /// Counts per bucket.
-    pub counts: Vec<usize>,
-}
-
-impl Histogram {
-    /// Build a histogram with `buckets` equal-width buckets spanning the
-    /// sample range. Panics on an empty sample or zero buckets; a constant
-    /// sample produces one full bucket.
-    pub fn of(samples: &[f64], buckets: usize) -> Histogram {
-        assert!(!samples.is_empty(), "cannot histogram an empty sample");
-        assert!(buckets > 0, "need at least one bucket");
-        let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let span = (max - min).max(f64::MIN_POSITIVE);
-        let width = span / buckets as f64;
-        let mut counts = vec![0usize; buckets];
-        for &x in samples {
-            let idx = (((x - min) / width) as usize).min(buckets - 1);
-            counts[idx] += 1;
-        }
-        Histogram { min, width, counts }
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> usize {
-        self.counts.iter().sum()
-    }
-
-    /// Render as a compact ASCII sparkline-style bar chart.
-    pub fn render(&self, bar_width: usize) -> String {
-        let max = self.counts.iter().copied().max().unwrap_or(1).max(1);
-        let mut out = String::new();
-        for (i, &c) in self.counts.iter().enumerate() {
-            let lo = self.min + self.width * i as f64;
-            let hi = lo + self.width;
-            let bar = "#".repeat(c * bar_width / max);
-            out.push_str(&format!("[{lo:>10.1}, {hi:>10.1})  {c:>6}  {bar}\n"));
-        }
-        out
-    }
-}
+//! Distribution comparison utilities: bootstrap confidence intervals and a
+//! Mann–Whitney U test. Used by experiments that claim one algorithm
+//! *reliably* beats another (not just on the mean of a few trials).
 
 /// Percentile bootstrap confidence interval for the mean: resample the
 /// sample with replacement `resamples` times and take the (α/2, 1-α/2)
@@ -135,27 +85,6 @@ pub fn normal_cdf(z: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_basic() {
-        let h = Histogram::of(&[0.0, 1.0, 2.0, 3.0, 4.0, 4.0], 5);
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.counts.len(), 5);
-        assert_eq!(h.counts[4], 2, "both 4.0s land in the last bucket");
-    }
-
-    #[test]
-    fn histogram_constant_sample() {
-        let h = Histogram::of(&[7.0; 10], 4);
-        assert_eq!(h.total(), 10);
-        assert_eq!(h.counts[0], 10);
-    }
-
-    #[test]
-    fn histogram_render_has_line_per_bucket() {
-        let h = Histogram::of(&[1.0, 2.0, 3.0], 3);
-        assert_eq!(h.render(10).lines().count(), 3);
-    }
 
     #[test]
     fn bootstrap_ci_contains_mean_and_shrinks() {

@@ -3,8 +3,8 @@
 //! * [`stats`] — sample summaries (mean/median/percentiles/CI).
 //! * [`fit`] — least-squares fits in linear, log-log, and log-polylog
 //!   space, the instruments for checking asymptotic *shapes*.
-//! * [`compare`] — histograms, bootstrap confidence intervals, and the
-//!   Mann-Whitney U test for "A reliably beats B" claims.
+//! * [`compare`] — bootstrap confidence intervals and the Mann-Whitney U
+//!   test for "A reliably beats B" claims.
 //! * [`table`] — aligned-text and CSV table rendering.
 //! * [`json`] — minimal JSON value, parser, and renderer (the offline
 //!   build has no serde; shared by the bench harness and the results

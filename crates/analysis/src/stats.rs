@@ -63,14 +63,6 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Geometric mean of strictly positive samples.
-pub fn geometric_mean(samples: &[f64]) -> f64 {
-    assert!(!samples.is_empty());
-    assert!(samples.iter().all(|&x| x > 0.0), "geometric mean needs positive samples");
-    let log_sum: f64 = samples.iter().map(|x| x.ln()).sum();
-    (log_sum / samples.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,11 +118,5 @@ mod tests {
     fn of_u64_converts() {
         let s = Summary::of_u64(&[2, 4, 6]);
         assert!((s.mean - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geometric_mean_examples() {
-        assert!((geometric_mean(&[1.0, 100.0]) - 10.0).abs() < 1e-9);
-        assert!((geometric_mean(&[4.0]) - 4.0).abs() < 1e-12);
     }
 }

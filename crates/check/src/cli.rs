@@ -1,5 +1,4 @@
-//! Command-line driver, shared by the `mtm-check` binary and the `mtm check`
-//! subcommand.
+//! Command-line driver behind the `mtm check` subcommand.
 
 use mtm_core::TagConfig;
 use mtm_engine::Action;
@@ -14,11 +13,11 @@ use crate::spec::{
 };
 
 const USAGE: &str = "\
-mtm-check: exhaustive adversarial-schedule model checker (n <= 6)
+mtm check: exhaustive adversarial-schedule model checker (n <= 6)
 
 USAGE:
-    mtm-check --certify
-    mtm-check --protocol <name> [options]
+    mtm check --certify
+    mtm check --protocol <name> [options]
 
 PROTOCOLS:
     blind-gossip | bit-convergence | nonsync | push-pull | ppush |
@@ -369,7 +368,7 @@ fn sampled_tags(n: usize, k: u32, seed: u64) -> Vec<u64> {
     (0..n).map(|_| rng.gen_range(0..(1u64 << k))).collect()
 }
 
-/// Entry point shared by the `mtm-check` binary and `mtm check`.
+/// Entry point of `mtm check`; `args` follow the subcommand.
 pub fn run(args: &[String]) -> i32 {
     let Some(opts) = parse_opts(args) else {
         return usage();

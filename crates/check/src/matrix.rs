@@ -128,8 +128,9 @@ fn empty_row(protocol: &'static str) -> MatrixRow {
     }
 }
 
-/// Run the full n = 4 certification matrix. Deterministic; used by the CI
-/// `check-smoke` job, the `mtm check --certify` command, and experiment V1.
+/// Run the full n = 4 certification matrix. Deterministic; used by the
+/// `mtm check --certify` command (pinned in `crates/cli/tests/pins.txt`)
+/// and experiment V1.
 pub fn certification_matrix() -> Vec<MatrixRow> {
     let graphs = connected_graphs_4();
     let mut rows = Vec::new();

@@ -149,11 +149,6 @@ impl MaintainedGossip {
         self.age
     }
 
-    /// True iff this node currently believes it is the leader.
-    pub fn claims_leadership(&self) -> bool {
-        self.cand == self.uid
-    }
-
     /// Merge a peer view into this node's state: higher epoch supersedes,
     /// min UID wins within an epoch, equal candidates keep the freshest
     /// evidence.
@@ -334,7 +329,7 @@ mod tests {
         assert_eq!((node.epoch, node.cand), (0, 1));
         tick_connected(&mut node); // age 3 = timeout → re-elect
         assert_eq!((node.epoch, node.cand, node.age), (1, 7, 0));
-        assert!(node.claims_leadership());
+        assert_eq!(node.cand, node.uid);
     }
 
     #[test]

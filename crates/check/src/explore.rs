@@ -29,7 +29,7 @@
 //! words, crash mask)`; the stored representative keeps the *raw* first
 //! reached configuration plus a predecessor edge carrying the exact
 //! [`RoundSchedule`], so any state's shortest schedule replays as one
-//! continuous engine run via [`crate::replay`].
+//! continuous engine run via [`crate::replay()`].
 
 use std::collections::BTreeMap;
 
@@ -223,8 +223,8 @@ pub fn explore<S: CheckSpec>(spec: &S, graph: &Graph, cfg: &CheckConfig) -> Expl
     let init = spec.initial();
     assert_eq!(init.len(), n, "spec initial() size does not match graph");
     assert!(
-        init.iter().all(Protocol::supports_check),
-        "protocol does not implement the check interface"
+        init.iter().all(|p| !raw_words(std::slice::from_ref(p)).is_empty()),
+        "model checking needs every node to push state words"
     );
 
     let mut states: Vec<StateNode<S::P>> = Vec::new();

@@ -23,7 +23,7 @@
 //! [`mtm_engine::Engine::step_scripted`], model audits included: the checker
 //! certifies the round pipeline the simulations run. Counterexample
 //! schedules are also replayed as one continuous engine run from round 0
-//! ([`replay`]), which must reproduce the checker's end state exactly; this
+//! ([`replay()`]), which must reproduce the checker's end state exactly; this
 //! checks that merging states modulo the protocol's period, and crash masks
 //! in place of crash rounds, lose nothing.
 //!

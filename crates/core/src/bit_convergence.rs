@@ -116,27 +116,11 @@ impl Protocol for BitConvergence {
         self.pending = self.pending.min(*peer);
     }
 
-    fn state_fingerprint(&self) -> Option<u64> {
+    fn state_words(&self, out: &mut Vec<u64>) {
         // Durable state only: active + pending pairs and the derived
         // leader. `current_bit` is per-round scratch recomputed from
         // `active` each advertise — at a fixed point it cycles through the
         // same sequence and must not register as progress.
-        Some(mtm_engine::fingerprint::of_words(&[
-            self.active.tag,
-            self.active.uid,
-            self.pending.tag,
-            self.pending.uid,
-            self.leader,
-        ]))
-    }
-
-    fn supports_check(&self) -> bool {
-        true
-    }
-
-    fn state_words(&self, out: &mut Vec<u64>) {
-        // Same words as the fingerprint, unhashed: `current_bit` is scratch
-        // recomputed from `active` by every advertise.
         out.extend_from_slice(&[
             self.active.tag,
             self.active.uid,

@@ -74,14 +74,6 @@ impl Protocol for BlindGossip {
         self.best = self.best.min(peer.0);
     }
 
-    fn state_fingerprint(&self) -> Option<u64> {
-        Some(mtm_engine::fingerprint::of_words(&[self.best]))
-    }
-
-    fn supports_check(&self) -> bool {
-        true
-    }
-
     fn state_words(&self, out: &mut Vec<u64>) {
         out.push(self.best);
     }

@@ -231,27 +231,23 @@ impl Protocol for MaintainedGossip {
         }
     }
 
-    /// Durable state only: `(epoch, cand)`. `age` is deliberately excluded
+    fn state_words(&self, out: &mut Vec<u64>) {
+        // The exact-state key needs the full detector state: `age` and
+        // `grace` are durable counters (deliberately excluded from the
+        // progress words) that determine when the detector may fire.
+        // `saw_neighbors` is per-round scratch rewritten by every act.
+        out.extend_from_slice(&[self.epoch, self.cand, self.age, self.grace]);
+    }
+
+    /// Progress is `(epoch, cand)` only. `age` is deliberately excluded
     /// — it ticks every connected round, so including it would make any
     /// network look permanently busy and blind both the engine's stuck
     /// detector and service-mode wedge diagnosis. The price is that a
     /// frozen fingerprint only proves a fixed point over windows longer
     /// than `timeout` (a pending detector is a ticking state change);
     /// wedge windows must be sized accordingly.
-    fn state_fingerprint(&self) -> Option<u64> {
-        Some(mtm_engine::fingerprint::of_words(&[self.epoch, self.cand]))
-    }
-
-    fn supports_check(&self) -> bool {
-        true
-    }
-
-    fn state_words(&self, out: &mut Vec<u64>) {
-        // The exact-state key needs the full detector state: `age` and
-        // `grace` are durable counters (deliberately excluded from the
-        // fingerprint) that determine when the detector may fire.
-        // `saw_neighbors` is per-round scratch rewritten by every act.
-        out.extend_from_slice(&[self.epoch, self.cand, self.age, self.grace]);
+    fn progress_words(&self, out: &mut Vec<u64>) {
+        out.extend_from_slice(&[self.epoch, self.cand]);
     }
 }
 
@@ -273,6 +269,7 @@ impl EpochView for MaintainedGossip {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mtm_engine::fingerprint::of_node;
     use mtm_engine::service::ServiceConfig;
     use mtm_engine::{ActivationSchedule, Engine, ModelParams};
     use mtm_graph::{gen, NodeId, ScheduledCrashes, StaticTopology};
@@ -413,13 +410,14 @@ mod tests {
 
     #[test]
     fn fingerprint_covers_epoch_and_cand_but_not_age() {
+        let digest = |node: &MaintainedGossip| of_node(node, &mut Vec::new());
         let mut a = MaintainedGossip::new(4, cfg(9));
         let mut b = MaintainedGossip::new(4, cfg(9));
         a.merge(&Heartbeat { epoch: 0, cand: 2, age: 1 });
         b.merge(&Heartbeat { epoch: 0, cand: 2, age: 7 });
-        assert_eq!(a.state_fingerprint(), b.state_fingerprint());
+        assert_eq!(digest(&a), digest(&b));
         b.merge(&Heartbeat { epoch: 1, cand: 2, age: 0 });
-        assert_ne!(a.state_fingerprint(), b.state_fingerprint());
+        assert_ne!(digest(&a), digest(&b));
     }
 
     #[test]

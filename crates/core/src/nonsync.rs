@@ -117,17 +117,6 @@ impl Protocol for NonSyncBitConvergence {
         self.best = self.best.min(*peer);
     }
 
-    fn state_fingerprint(&self) -> Option<u64> {
-        // Only `best` is durable. `position` is re-randomized at every
-        // group start and `current_bit` follows it — both keep changing at
-        // a fixed point and would mask a deadlock if digested.
-        Some(mtm_engine::fingerprint::of_words(&[self.best.tag, self.best.uid]))
-    }
-
-    fn supports_check(&self) -> bool {
-        true
-    }
-
     fn enumerate_choices(&self, local_round: u64) -> Vec<u32> {
         // The only advertise-phase randomness in the workspace: a fresh
         // uniform bit position at every local group start. Mid-group the
@@ -152,10 +141,17 @@ impl Protocol for NonSyncBitConvergence {
     }
 
     fn state_words(&self, out: &mut Vec<u64>) {
-        // Unlike the fingerprint, the exact-state key must include
-        // `position`: it is durable across the rounds of a group and
-        // shapes which connections can form mid-group.
+        // The exact-state key must include `position`: it is durable
+        // across the rounds of a group and shapes which connections can
+        // form mid-group.
         out.extend_from_slice(&[self.best.tag, self.best.uid, self.position as u64]);
+    }
+
+    fn progress_words(&self, out: &mut Vec<u64>) {
+        // Only `best` is progress. `position` is re-randomized at every
+        // group start and `current_bit` follows it — both keep changing at
+        // a fixed point and would mask a deadlock if digested.
+        out.extend_from_slice(&[self.best.tag, self.best.uid]);
     }
 }
 
@@ -171,6 +167,7 @@ impl LeaderView for NonSyncBitConvergence {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mtm_engine::fingerprint::of_node;
     use mtm_engine::{Action, ActivationSchedule, Engine, ModelParams, Scan};
     use mtm_graph::{gen, StaticTopology};
 
@@ -263,6 +260,30 @@ mod tests {
             let window = &positions[g * 6..(g + 1) * 6];
             assert!(window.iter().all(|&p| p == window[0]), "group {g}: {window:?}");
         }
+    }
+
+    #[test]
+    fn progress_words_leave_out_position() {
+        // `position` is re-drawn at every group start, so a stuck detector
+        // that digested it would never see a wedged network freeze (T4's
+        // wedged trial: two UIDs drew the same minimum tag).
+        let digest = |node: &NonSyncBitConvergence| of_node(node, &mut Vec::new());
+        let words = |node: &NonSyncBitConvergence| {
+            let mut out = Vec::new();
+            node.state_words(&mut out);
+            out
+        };
+        let config = TagConfig { k: 8, group_len: 4 };
+        let mut a = NonSyncBitConvergence::new(7, 0b1010, config);
+        let mut b = a.clone();
+        a.apply_choice(1, 2);
+        b.apply_choice(1, 5);
+        assert_eq!(digest(&a), digest(&b));
+        assert_ne!(words(&a), words(&b));
+        let mut smaller = a.clone();
+        smaller.on_connect(&IdPair { tag: 0b0001, uid: 3 }, &mut mtm_graph::rng::stream_rng(0, 4));
+        assert_ne!(digest(&smaller), digest(&a));
+        assert_ne!(words(&smaller), words(&a));
     }
 
     #[test]

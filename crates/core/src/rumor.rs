@@ -6,7 +6,7 @@
 //!   (`O((1/α)·Δ²·log²n)`); run under the classical
 //!   [`mtm_engine::ConnectionPolicy::AcceptAll`] policy it is the textbook
 //!   baseline for the model-gap experiment.
-//! * [`Ppush`] — *productive push*, `b = 1` (from [1], Theorem V.2):
+//! * [`Ppush`] — *productive push*, `b = 1` (from \[1\], Theorem V.2):
 //!   informed nodes advertise `0`, uninformed advertise `1`; an informed
 //!   node proposes to a uniformly random neighbor advertising `1` (if any),
 //!   an uninformed node listens. The bit makes every connection productive.
@@ -63,14 +63,6 @@ impl Protocol for PushPull {
 
     fn on_connect(&mut self, peer: &RumorBit, _rng: &mut SmallRng) {
         self.informed |= peer.0;
-    }
-
-    fn state_fingerprint(&self) -> Option<u64> {
-        Some(self.informed as u64)
-    }
-
-    fn supports_check(&self) -> bool {
-        true
     }
 
     fn state_words(&self, out: &mut Vec<u64>) {
@@ -135,14 +127,6 @@ impl Protocol for Ppush {
 
     fn on_connect(&mut self, peer: &RumorBit, _rng: &mut SmallRng) {
         self.informed |= peer.0;
-    }
-
-    fn state_fingerprint(&self) -> Option<u64> {
-        Some(self.informed as u64)
-    }
-
-    fn supports_check(&self) -> bool {
-        true
     }
 
     fn state_words(&self, out: &mut Vec<u64>) {

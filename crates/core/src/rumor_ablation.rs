@@ -75,10 +75,6 @@ impl Protocol for PushOnly {
         }
     }
 
-    fn supports_check(&self) -> bool {
-        true
-    }
-
     fn state_words(&self, out: &mut Vec<u64>) {
         // `absorbing` is per-round scratch rewritten by every act.
         out.push(self.informed as u64);
@@ -142,10 +138,6 @@ impl Protocol for PullOnly {
         if self.pulling {
             self.informed |= peer.0;
         }
-    }
-
-    fn supports_check(&self) -> bool {
-        true
     }
 
     fn state_words(&self, out: &mut Vec<u64>) {

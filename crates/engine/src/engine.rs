@@ -318,8 +318,8 @@ pub enum RunStatus {
     /// The round budget ran out with no evidence that further progress is
     /// impossible — the run may just be slow.
     TimedOut,
-    /// The stuck-run detector fired: no node's state fingerprint changed
-    /// for a full window of rounds (see [`StuckReport`]). Requires
+    /// The stuck-run detector fired: no node's progress words changed for
+    /// a full window of rounds (see [`StuckReport`]). Requires
     /// [`Engine::enable_stuck_detection`].
     Stuck(StuckReport),
 }
@@ -327,7 +327,7 @@ pub enum RunStatus {
 /// Evidence captured when the stuck-run detector fires.
 ///
 /// The detector watches the network fingerprint — the fold of every node's
-/// [`Protocol::state_fingerprint`] — and fires after `window` consecutive
+/// [`Protocol::progress_words`] digest — and fires after `window` consecutive
 /// rounds without change, with the topology static over the window and all
 /// activations complete. When `idle_connections == 0` this is a *provable*
 /// fixed point for the paper's algorithms: their durable state changes only
@@ -473,8 +473,10 @@ pub struct Engine<P: Protocol, T: DynamicTopology> {
     all_active: bool,
     inbox: Inbox,
     // Per-node fingerprint cache for the stuck detector (empty until the
-    // first detector update; thereafter only active nodes are re-hashed).
+    // first detector update; thereafter only active nodes are re-hashed),
+    // and the scratch their progress words are pushed into.
     fp_cache: Vec<u64>,
+    fp_words: Vec<u64>,
     auditor: crate::audit::Auditor,
 }
 
@@ -517,6 +519,7 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
             all_active: false,
             inbox: Inbox::default(),
             fp_cache: Vec::new(),
+            fp_words: Vec::new(),
             auditor: crate::audit::Auditor::default(),
         }
     }
@@ -525,7 +528,7 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
     /// rounds (≥ 1).
     ///
     /// After every round the engine digests all node states (see
-    /// [`Protocol::state_fingerprint`]); once the digest has stayed
+    /// [`Protocol::progress_words`]); once the digest has stayed
     /// unchanged for `window` consecutive rounds — counted only while the
     /// topology holds still and all activations are complete — the run is
     /// declared stuck: `run_until` and the run-to-* helpers return early
@@ -538,12 +541,12 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
     /// generous constant (a frozen window there is probabilistic evidence
     /// unless [`StuckReport::idle_connections`] is 0).
     ///
-    /// Panics if the protocol does not implement `state_fingerprint`.
+    /// Panics if the protocol pushes no progress words.
     pub fn enable_stuck_detection(&mut self, window: u64) {
         assert!(window >= 1, "stuck-detection window must be ≥ 1");
         assert!(
             self.network_fingerprint().is_some() || self.nodes.is_empty(),
-            "stuck detection requires the protocol to implement state_fingerprint"
+            "stuck detection requires the protocol to push progress words"
         );
         self.stuck = Some(StuckDetector::new(window, self.round, self.metrics.connections));
     }
@@ -560,8 +563,9 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
         self.stuck.as_ref().map(|d| d.last_change_round)
     }
 
-    /// Fold of every node's [`Protocol::state_fingerprint`] in node order,
-    /// or `None` if the protocol does not support fingerprinting.
+    /// Fold of every node's [`Protocol::progress_words`] digest in node
+    /// order ([`crate::fingerprint::of_nodes`]), or `None` if the protocol
+    /// pushes no progress words.
     pub fn network_fingerprint(&self) -> Option<u64> {
         crate::fingerprint::of_nodes(&self.nodes)
     }
@@ -848,21 +852,19 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
     /// re-hashed. The fold over the cache stays in node order, matching
     /// [`Engine::network_fingerprint`] exactly.
     fn update_stuck_detector(&mut self, topo_may_change: bool) {
+        const SUPPORTED: &str = "progress-word support is constant and was checked at enable time";
         let n = self.nodes.len();
+        let words = &mut self.fp_words;
         if self.fp_cache.len() != n {
             self.fp_cache.clear();
             for node in &self.nodes {
-                self.fp_cache.push(
-                    node.state_fingerprint()
-                        .expect("fingerprint support is constant and was checked at enable time"),
-                );
+                self.fp_cache.push(crate::fingerprint::of_node(node, words).expect(SUPPORTED));
             }
         } else {
             for u in 0..n {
                 if self.all_active || self.active[u] {
-                    self.fp_cache[u] = self.nodes[u]
-                        .state_fingerprint()
-                        .expect("fingerprint support is constant and was checked at enable time");
+                    self.fp_cache[u] =
+                        crate::fingerprint::of_node(&self.nodes[u], words).expect(SUPPORTED);
                 }
             }
         }
@@ -1033,8 +1035,8 @@ mod tests {
         fn on_connect(&mut self, peer: &U64Payload, _rng: &mut SmallRng) {
             self.best = self.best.min(peer.0);
         }
-        fn state_fingerprint(&self) -> Option<u64> {
-            Some(crate::fingerprint::of_words(&[self.best]))
+        fn progress_words(&self, out: &mut Vec<u64>) {
+            out.push(self.best);
         }
     }
 

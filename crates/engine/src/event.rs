@@ -31,10 +31,10 @@
 //! # Determinism contract
 //!
 //! An execution is a pure function of `(graph, protocols, seed, latency
-//! model, loss)`:
+//! model)`:
 //!
-//! * **All latency draws are counter-based** (like the v2 loss coins): a
-//!   duration is `min + ⌊coin · (spread+1)⌋` with
+//! * **All latency draws are counter-based** (like the lockstep engine's
+//!   loss coins): a duration is `min + ⌊coin · (spread+1)⌋` with
 //!   `coin = counter_coin(stream_seed, key, counter)` — a pure function of
 //!   its keys, independent of event-processing order. Scan and listen
 //!   windows are keyed on `(node, local round)`; link latencies on
@@ -87,11 +87,9 @@
 //! [`EventEngine::run_until`] stops before an event past its budget,
 //! leaving it queued, so a later call resumes the same execution.
 //!
-//! Proposal loss (`set_proposal_loss`) drops the proposal message itself;
-//! the proposer is unblocked by a timeout scheduled at the instant the
-//! reject would have arrived (one round trip), so loss never deadlocks the
-//! run. Crash/churn fault layers are a lockstep-only feature for now — the
-//! backend runs on a static [`Graph`].
+//! Proposal loss and the crash/churn fault layers are lockstep-only
+//! features — the backend runs on a static [`Graph`] and delivers every
+//! message.
 //!
 //! The backend runs the lockstep conformance checks through the same
 //! [`Auditor`](crate::audit::Auditor), in every build profile — tag width,
@@ -205,8 +203,7 @@ enum Ev<PL> {
     },
     ListenEnd,
     /// The response to this node's pending proposal: `Some(payload)` =
-    /// accepted (the responder's payload snapshot), `None` = rejected or
-    /// the loss timeout.
+    /// accepted (the responder's payload snapshot), `None` = rejected.
     Response {
         accepted: Option<PL>,
     },
@@ -327,7 +324,7 @@ fn all_from<P>(holdout: &mut usize, nodes: &[P], ok: impl Fn(&P) -> bool) -> boo
     }
 }
 
-/// Directed-link key for latency/loss coins.
+/// Directed-link key for latency coins.
 #[inline]
 fn link_key(from: NodeId, to: NodeId) -> u64 {
     ((from as u64) << 32) | to as u64
@@ -341,13 +338,11 @@ pub struct EventEngine<P: Protocol> {
     latency: LatencyModel,
     nodes: Vec<P>,
     rngs: Vec<SmallRng>,
-    loss_prob: f64,
     // Dedicated counter-coin streams (derived far from the node range).
     start_seed: u64,
     scan_seed: u64,
     listen_seed: u64,
     link_seed: u64,
-    loss_seed: u64,
     now: u64,
     /// Each node's one pending event, indexed by owner, or `None` while it
     /// owns none.
@@ -395,7 +390,7 @@ impl<P: Protocol> EventEngine<P> {
     /// Build an event backend for `protocols` over the static `graph`.
     ///
     /// `seed` plays the same role as for the lockstep engine: node `u`
-    /// executes on `stream_rng(seed, u)`, and the latency/loss coin streams
+    /// executes on `stream_rng(seed, u)`, and the latency coin streams
     /// are derived from dedicated sub-streams. Only
     /// [`ConnectionPolicy::SingleUniform`] is modeled — the mobile telephone
     /// model's acceptance rule.
@@ -423,12 +418,10 @@ impl<P: Protocol> EventEngine<P> {
             latency,
             nodes: protocols,
             rngs: crate::engine::node_streams(seed, n),
-            loss_prob: 0.0,
             start_seed: derive_seed(base, 0),
             scan_seed: derive_seed(base, 1),
             listen_seed: derive_seed(base, 2),
             link_seed: derive_seed(base, 3),
-            loss_seed: derive_seed(base, 4),
             now: 0,
             pending: (0..n).map(|_| None).collect(),
             links: vec![Link { at: NIL, next: NIL }; n],
@@ -458,15 +451,6 @@ impl<P: Protocol> EventEngine<P> {
             engine.schedule(jitter, u as NodeId, Ev::RoundStart);
         }
         engine
-    }
-
-    /// Inject message loss: each proposal message is independently dropped
-    /// with probability `prob` (counter-based coin on the directed link and
-    /// the sender's message counter). The proposer is unblocked by a
-    /// timeout at reject-round-trip time, so a lossy run cannot deadlock.
-    pub fn set_proposal_loss(&mut self, prob: f64) {
-        assert!((0.0..=1.0).contains(&prob), "loss probability must be in [0, 1], got {prob}");
-        self.loss_prob = prob;
     }
 
     /// Record an [`EventRecord`] for every processed event.
@@ -655,7 +639,7 @@ impl<P: Protocol> EventEngine<P> {
         draw(self.link_seed, link_key(from, to), counter, LINK_MIN, self.latency.spread / 2)
     }
 
-    /// Next outgoing-message counter for `u` (keys the link/loss coins).
+    /// Next outgoing-message counter for `u` (keys the link coins).
     #[inline]
     fn next_msg(&mut self, u: NodeId) -> u64 {
         let s = self.msg_seq[u as usize];
@@ -737,21 +721,9 @@ impl<P: Protocol> EventEngine<P> {
                         self.phase[ui] = Phase::Waiting;
                         let s = self.next_msg(node);
                         let d = self.link_delay(node, v, s);
-                        if self.loss_prob > 0.0
-                            && counter_coin(self.loss_seed, link_key(node, v), s) < self.loss_prob
-                        {
-                            // The message vanishes; unblock the proposer at
-                            // the instant an immediate reject would have
-                            // arrived (one full round trip).
-                            self.metrics.dropped_proposals += 1;
-                            let back = self.link_delay(v, node, s);
-                            let round_trip = d.checked_add(back).expect(TIME_OVERFLOW);
-                            self.schedule(round_trip, node, Ev::Response { accepted: None });
-                        } else {
-                            let pl = self.nodes[ui].payload();
-                            self.check_payload_budget(node, &pl);
-                            self.schedule(d, v, Ev::Proposal { from: node, payload: pl });
-                        }
+                        let pl = self.nodes[ui].payload();
+                        self.check_payload_budget(node, &pl);
+                        self.schedule(d, v, Ev::Proposal { from: node, payload: pl });
                     }
                 }
                 false
@@ -1263,18 +1235,6 @@ mod tests {
         let mut e = engine_on(gen::clique(8), 3, LatencyModel::multipeer(0));
         let out = e.run_to_stabilization(1_000_000);
         assert_eq!(out.winner, Some(100));
-    }
-
-    #[test]
-    fn proposal_loss_never_deadlocks() {
-        // Loss reshuffles the whole timing schedule, so completion time is
-        // not monotone in the loss rate on a small instance — the invariant
-        // worth pinning is that drops happen and the run still completes.
-        let mut lossy = engine_on(gen::clique(10), 5, LatencyModel::multipeer(4));
-        lossy.set_proposal_loss(0.5);
-        let out = lossy.run_to_stabilization(4_000_000);
-        assert_eq!(out.winner, Some(100), "loss must not prevent completion");
-        assert!(out.metrics.dropped_proposals > 0, "at half loss some proposals must drop");
     }
 
     #[test]

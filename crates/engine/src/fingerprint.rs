@@ -2,11 +2,11 @@
 //!
 //! The stuck-run detector (see [`crate::Engine::enable_stuck_detection`])
 //! needs a cheap, deterministic digest of the whole network's protocol
-//! state each round. Protocols digest their own durable state with
-//! [`of_words`]; [`of_nodes`] folds the per-node digests together in node
-//! order. The construction is SplitMix64-based, so it is a pure function
-//! of its inputs on every platform — no `Hasher` with process-random keys
-//! is involved.
+//! state each round. [`of_node`] digests one node's
+//! [`Protocol::progress_words`] with [`of_words`]; [`of_nodes`] folds the
+//! per-node digests together in node order. The construction is
+//! SplitMix64-based, so it is a pure function of its inputs on every
+//! platform — no `Hasher` with process-random keys is involved.
 //!
 //! This is a progress signal, not a cryptographic hash: collisions are
 //! possible but irrelevant in practice (a collision can only delay
@@ -27,17 +27,27 @@ pub fn mix(acc: u64, word: u64) -> u64 {
     splitmix64(acc.rotate_left(23) ^ word)
 }
 
-/// Digest a slice of state words (convenience for protocol
-/// implementations).
+/// Digest a slice of words.
 pub fn of_words(words: &[u64]) -> u64 {
     words.iter().fold(SEED, |acc, &w| mix(acc, w))
 }
 
-/// The network fingerprint: every node's [`Protocol::state_fingerprint`]
-/// folded in node order, or `None` if the protocol does not support
-/// fingerprinting. Equals [`of_words`] over the per-node digests.
+/// One node's digest: [`of_words`] over its [`Protocol::progress_words`],
+/// or `None` when it pushes none (the protocol does not support progress
+/// tracking). `scratch` is cleared and left holding the words, so a caller
+/// that reuses it allocates nothing.
+pub fn of_node<P: Protocol>(node: &P, scratch: &mut Vec<u64>) -> Option<u64> {
+    scratch.clear();
+    node.progress_words(scratch);
+    (!scratch.is_empty()).then(|| of_words(scratch))
+}
+
+/// The network fingerprint: every node's [`of_node`] digest folded in node
+/// order, or `None` if the protocol does not support progress tracking.
+/// Equals [`of_words`] over the per-node digests.
 pub fn of_nodes<P: Protocol>(nodes: &[P]) -> Option<u64> {
-    nodes.iter().try_fold(SEED, |acc, node| Some(mix(acc, node.state_fingerprint()?)))
+    let mut scratch = Vec::new();
+    nodes.iter().try_fold(SEED, |acc, node| Some(mix(acc, of_node(node, &mut scratch)?)))
 }
 
 #[cfg(test)]

@@ -211,26 +211,6 @@ pub trait Protocol: Send {
     /// pending ID pairs at phase boundaries). Default: nothing.
     fn end_round(&mut self, _local_round: u64, _rng: &mut SmallRng) {}
 
-    /// A digest of this node's *durable* state, or `None` (the default)
-    /// when the protocol does not support progress tracking.
-    ///
-    /// Consumed by the engine's stuck-run detector (see
-    /// [`Engine::enable_stuck_detection`]): a window of rounds in which no
-    /// node's fingerprint changes is evidence the run can no longer make
-    /// progress. The digest must cover exactly the state whose change
-    /// constitutes progress (e.g. the smallest ID pair seen so far) and
-    /// must *exclude* per-round scratch that is re-randomized without
-    /// reflecting progress (e.g. which bit position a node happens to be
-    /// advertising this group) — including such scratch would make a
-    /// deadlocked network look permanently busy. Build the digest with
-    /// [`crate::fingerprint::of_words`]. Support must be constant over a
-    /// node's lifetime: return `Some` always or `None` always.
-    ///
-    /// [`Engine::enable_stuck_detection`]: crate::Engine::enable_stuck_detection
-    fn state_fingerprint(&self) -> Option<u64> {
-        None
-    }
-
     // ─── Model-checking interface (consumed by `mtm-check`) ──────────────
     //
     // The checker (crates/check) explores the protocol × topology product
@@ -240,19 +220,8 @@ pub trait Protocol: Send {
     // promise by hand: `act` and `enumerate_actions` both derive from
     // `act_rule`, and `act` runs `apply_action` after its draw, so a drawn
     // action is an enumerated one and replaying it reaches the same state.
-    // The one requirement a protocol that opts in must keep by hand is that
-    // `on_connect` and `end_round` read no RNG (true of every protocol in
-    // `crates/core`): the checker has no branch for their draws. (An
-    // `advertise` that draws must also override `enumerate_choices` and
-    // `apply_choice`. `NonSyncBitConvergence`, the only one, draws just the
-    // choice in `advertise` and hands it to `apply_choice`.)
-
-    /// True iff this protocol implements the model-checking interface
-    /// (`enumerate_choices` / `apply_choice` / `state_words`) and meets its
-    /// determinism requirements. Default: not checkable.
-    fn supports_check(&self) -> bool {
-        false
-    }
+    // A protocol opts in by pushing `state_words`; the promises it then
+    // keeps by hand are listed there.
 
     /// Every alternative the advertise phase (phase 1) can randomize over
     /// this round. Most protocols advertise deterministically and return
@@ -287,15 +256,31 @@ pub trait Protocol: Send {
     /// per-round receptivity flags. Default: no side effects.
     fn apply_action(&mut self, _scan: &Scan<'_>, _action: Action) {}
 
-    /// Push this node's *exact* durable state onto `out`, as words. Unlike
-    /// [`Protocol::state_fingerprint`] (a hash, collisions tolerable) the
+    /// Push this node's *exact* durable state onto `out`, as words. The
     /// checker keys its visited-state set on these words, so they must
     /// determine all future behaviour together with the round counter
-    /// modulo the protocol's period — include durable counters the
-    /// fingerprint elides (e.g. maintenance age/grace, the non-synchronized
-    /// protocol's current bit position) and exclude per-round scratch that
-    /// is rewritten before use. Default: pushes nothing (unsupported).
+    /// modulo the protocol's period: include every durable counter (e.g.
+    /// maintenance age/grace, the non-synchronized protocol's bit
+    /// position) and exclude per-round scratch rewritten before use.
+    ///
+    /// Pushing words (always, or never) opts the protocol into the model
+    /// checker, which relies on two promises kept by hand: `on_connect`
+    /// and `end_round` read no RNG (the checker has no branch for their
+    /// draws), and an `advertise` that draws also overrides
+    /// `enumerate_choices` and `apply_choice`. Default: pushes nothing.
     fn state_words(&self, _out: &mut Vec<u64>) {}
+
+    /// Push the words whose change counts as progress onto `out`: what the
+    /// stuck-run and wedge detectors digest
+    /// ([`crate::fingerprint::of_node`]). Default: every
+    /// [`Protocol::state_words`] word. Override to leave out a durable word
+    /// that keeps changing at a fixed point (e.g. the bit position a node
+    /// advertises this group), which would make a deadlocked network look
+    /// busy, or to support stuck detection outside the checker. Push words
+    /// always or never.
+    fn progress_words(&self, out: &mut Vec<u64>) {
+        self.state_words(out);
+    }
 }
 
 /// Read access to a leader-election protocol's current `leader` variable.

@@ -23,8 +23,8 @@
 //! steady state and a permanently split network both just keep executing
 //! rounds. The loop therefore reuses the stuck-run fingerprint machinery:
 //! if the network's durable state (the fold of every node's
-//! [`state_fingerprint`](crate::Protocol::state_fingerprint)) freezes for a
-//! full window of rounds *while the up participants disagree* and the
+//! [`progress_words`](crate::Protocol::progress_words) digest) freezes for
+//! a full window of rounds *while the up participants disagree* and the
 //! topology holds still, no future round can differ from the last one and
 //! the run is diagnosed [`ServiceStatus::Wedged`] with the same
 //! [`StuckReport`] evidence the single-shot path produces. Agreement

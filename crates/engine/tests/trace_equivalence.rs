@@ -110,10 +110,6 @@ impl Protocol for Chatty {
             self.state ^= rng.gen::<u64>();
         }
     }
-
-    fn state_fingerprint(&self) -> Option<u64> {
-        Some(self.state)
-    }
 }
 
 /// Everything observable about one execution: after every round, the

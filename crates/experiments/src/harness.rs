@@ -210,7 +210,7 @@ const NONSYNC_STUCK_WINDOW: u64 = 100_000;
 
 /// Stabilization rounds (after the last activation) of non-synchronized bit
 /// convergence (`b = log log n + O(1)`); `None` for a trial that ran out of
-/// rounds or stayed stuck for [`NONSYNC_STUCK_WINDOW`] rounds.
+/// rounds or stayed stuck for `NONSYNC_STUCK_WINDOW` (100,000) rounds.
 pub fn nonsync_rounds(
     spec: &TopoSpec,
     sched: SchedSpec,

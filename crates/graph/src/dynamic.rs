@@ -36,35 +36,26 @@ use rand::{Rng, SeedableRng};
 ///
 /// `graph_at(round)` may be called with any non-decreasing round sequence
 /// starting at 1. Implementations must return graphs over a fixed node set
-/// and must keep the topology constant for at least `tau()` consecutive
-/// rounds between changes.
+/// and may change the graph only at the rounds where
+/// [`may_change_at`](DynamicTopology::may_change_at) answers true: a
+/// τ-stable topology answers true at most once in any `τ` consecutive
+/// rounds after round 1.
 pub trait DynamicTopology {
     /// Number of nodes (constant across rounds).
     fn node_count(&self) -> usize;
-
-    /// Stability factor; `None` means `τ = ∞` (never changes).
-    fn tau(&self) -> Option<u64>;
 
     /// The topology for round `round` (1-based).
     fn graph_at(&mut self, round: u64) -> &Graph;
 
     /// True iff the graph at `round` may differ from the graph at
     /// `round - 1`. Round 1 (the initial graph) always counts as a change.
+    /// A conservative `true` is always correct; a `false` is a promise.
     ///
     /// Consumed by the engine's stuck-run detector: a frozen protocol
     /// state only evidences a fixed point over rounds where the topology
-    /// also held still. The default derives a conservative answer from
-    /// [`tau`](DynamicTopology::tau) — epoch boundaries `1, τ+1, 2τ+1, …`
-    /// may change, `τ = ∞` never changes after round 1. Implementations
-    /// with sparser schedules (e.g. a single join round) should override
-    /// for earlier detection; implementations that change off the epoch
-    /// grid must override for correctness.
-    fn may_change_at(&self, round: u64) -> bool {
-        match self.tau() {
-            None => round <= 1,
-            Some(tau) => round <= 1 || (round - 1).is_multiple_of(tau),
-        }
-    }
+    /// also held still. The fault wrappers read it to reuse last round's
+    /// filtered graph.
+    fn may_change_at(&self, round: u64) -> bool;
 
     /// True iff node `u` is up (radio on) at `round`. Plain topologies have
     /// no notion of node failure and report every node up; fault wrappers
@@ -100,11 +91,11 @@ impl DynamicTopology for StaticTopology {
     fn node_count(&self) -> usize {
         self.graph.node_count()
     }
-    fn tau(&self) -> Option<u64> {
-        None
-    }
     fn graph_at(&mut self, _round: u64) -> &Graph {
         &self.graph
+    }
+    fn may_change_at(&self, round: u64) -> bool {
+        round <= 1
     }
 }
 
@@ -118,6 +109,11 @@ impl EpochClock {
     fn new(tau: u64) -> Self {
         assert!(tau >= 1, "τ must be ≥ 1");
         EpochClock { tau, current_epoch: None }
+    }
+
+    /// True iff `round` may start a new epoch: rounds `1, τ+1, 2τ+1, …`.
+    fn may_change_at(&self, round: u64) -> bool {
+        round <= 1 || (round - 1).is_multiple_of(self.tau)
     }
 
     /// Returns `Some(epoch)` when `round` enters a new epoch, else `None`.
@@ -167,14 +163,14 @@ impl DynamicTopology for RelabelingAdversary {
     fn node_count(&self) -> usize {
         self.base.node_count()
     }
-    fn tau(&self) -> Option<u64> {
-        Some(self.clock.tau)
-    }
     fn graph_at(&mut self, round: u64) -> &Graph {
         if let Some(epoch) = self.clock.tick(round) {
             self.current = self.relabel(epoch);
         }
         &self.current
+    }
+    fn may_change_at(&self, round: u64) -> bool {
+        self.clock.may_change_at(round)
     }
 }
 
@@ -217,9 +213,6 @@ impl DynamicTopology for LineOfStarsShuffle {
     fn node_count(&self) -> usize {
         self.spine + self.spine * self.points
     }
-    fn tau(&self) -> Option<u64> {
-        Some(self.clock.tau)
-    }
     fn graph_at(&mut self, round: u64) -> &Graph {
         if let Some(epoch) = self.clock.tick(round) {
             if epoch > 0 {
@@ -227,6 +220,9 @@ impl DynamicTopology for LineOfStarsShuffle {
             }
         }
         &self.current
+    }
+    fn may_change_at(&self, round: u64) -> bool {
+        self.clock.may_change_at(round)
     }
 }
 
@@ -339,9 +335,6 @@ impl DynamicTopology for WaypointMobility {
     fn node_count(&self) -> usize {
         self.positions.len()
     }
-    fn tau(&self) -> Option<u64> {
-        Some(self.clock.tau)
-    }
     fn graph_at(&mut self, round: u64) -> &Graph {
         if let Some(epoch) = self.clock.tick(round) {
             if epoch > 0 {
@@ -350,6 +343,9 @@ impl DynamicTopology for WaypointMobility {
             }
         }
         &self.current
+    }
+    fn may_change_at(&self, round: u64) -> bool {
+        self.clock.may_change_at(round)
     }
 }
 
@@ -381,11 +377,6 @@ impl DynamicTopology for JoinSchedule {
     fn node_count(&self) -> usize {
         self.before.node_count()
     }
-    fn tau(&self) -> Option<u64> {
-        // Exactly one change at join_round; between changes stability is
-        // unbounded, so report the distance to the single change.
-        Some(self.join_round.max(1))
-    }
     fn graph_at(&mut self, round: u64) -> &Graph {
         if round < self.join_round {
             &self.before
@@ -404,9 +395,6 @@ pub type BoxedTopology = Box<dyn DynamicTopology + Send>;
 impl<T: DynamicTopology + ?Sized> DynamicTopology for Box<T> {
     fn node_count(&self) -> usize {
         (**self).node_count()
-    }
-    fn tau(&self) -> Option<u64> {
-        (**self).tau()
     }
     fn graph_at(&mut self, round: u64) -> &Graph {
         (**self).graph_at(round)
@@ -430,7 +418,7 @@ mod tests {
         let g1 = t.graph_at(1).clone();
         let g2 = t.graph_at(100).clone();
         assert_eq!(g1, g2);
-        assert_eq!(t.tau(), None);
+        assert!(!t.may_change_at(2) && !t.may_change_at(100));
     }
 
     #[test]

@@ -170,13 +170,6 @@ impl<T: DynamicTopology> DynamicTopology for FaultyTopology<T> {
     fn node_count(&self) -> usize {
         self.base.node_count()
     }
-    fn tau(&self) -> Option<u64> {
-        if self.cfg.is_none() {
-            self.base.tau()
-        } else {
-            Some(1) // faults may rewire the effective graph every round
-        }
-    }
     fn graph_at(&mut self, round: u64) -> &Graph {
         assert!(round >= 1, "rounds are 1-based");
         if self.cfg.is_none() {
@@ -256,13 +249,6 @@ impl<T: DynamicTopology> DynamicTopology for ScheduledCrashes<T> {
     fn node_count(&self) -> usize {
         self.base.node_count()
     }
-    fn tau(&self) -> Option<u64> {
-        if self.outages.is_empty() {
-            self.base.tau()
-        } else {
-            Some(1)
-        }
-    }
     fn graph_at(&mut self, round: u64) -> &Graph {
         assert!(round >= 1, "rounds are 1-based");
         if round == self.built_round {
@@ -323,7 +309,6 @@ mod tests {
         let mut t = FaultyTopology::new(StaticTopology::new(base.clone()), FaultConfig::NONE, 7);
         assert_eq!(t.graph_at(1), &base);
         assert_eq!(t.graph_at(500), &base);
-        assert_eq!(t.tau(), None);
         assert!(!t.may_change_at(2));
     }
 

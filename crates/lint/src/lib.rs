@@ -644,7 +644,7 @@ mod tests {
     #[test]
     fn exempt_paths() {
         assert!(is_exempt_path("crates/engine/tests/proptests.rs"));
-        assert!(is_exempt_path("crates/bench/benches/engine_micro.rs"));
+        assert!(is_exempt_path("crates/graph/benches/build.rs"));
         assert!(!is_exempt_path("crates/engine/src/engine.rs"));
     }
 

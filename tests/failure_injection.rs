@@ -136,15 +136,15 @@ fn topology_node_count_change_rejected() {
         fn node_count(&self) -> usize {
             self.big.node_count()
         }
-        fn tau(&self) -> Option<u64> {
-            Some(1)
-        }
         fn graph_at(&mut self, round: u64) -> &Graph {
             if round == 1 {
                 &self.big
             } else {
                 &self.small
             }
+        }
+        fn may_change_at(&self, _round: u64) -> bool {
+            true
         }
     }
     let topo = Shrinking { big: gen::clique(4), small: gen::clique(3) };

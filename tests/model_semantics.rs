@@ -110,9 +110,6 @@ fn tau_stability_is_respected_end_to_end() {
         fn node_count(&self) -> usize {
             self.inner.node_count()
         }
-        fn tau(&self) -> Option<u64> {
-            self.inner.tau()
-        }
         fn graph_at(&mut self, round: u64) -> &Graph {
             let g = self.inner.graph_at(round);
             let hash: usize = g.edges().map(|(u, v)| (u as usize) * 31 + v as usize).sum();
@@ -128,6 +125,9 @@ fn tau_stability_is_respected_end_to_end() {
             }
             self.last = Some((round, hash));
             g
+        }
+        fn may_change_at(&self, round: u64) -> bool {
+            self.inner.may_change_at(round)
         }
     }
     let base = gen::cycle(16);

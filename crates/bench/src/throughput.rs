@@ -8,7 +8,7 @@
 //! change. Labels let one file carry a trajectory: the convention is a
 //! `before` and an `after` series per perf PR.
 
-use mtm_core::{BitConvergence, BlindGossip, Ppush, TagConfig, UidPool};
+use mtm_core::{BitConvergence, BlindGossip, Rumor, Strategy, TagConfig, UidPool};
 use mtm_engine::protocol::Protocol;
 use mtm_engine::{ActivationSchedule, Engine, ModelParams};
 use mtm_experiments::perf::{RssSampler, Stopwatch};
@@ -138,9 +138,9 @@ fn ppush_entry(name: &str, graph: &Graph, rounds: u64, reps: u32, threads: usize
         &|| {
             Engine::new(
                 StaticTopology::new(graph.clone()),
-                ModelParams::mobile(1),
+                ModelParams::mobile(Strategy::Ppush.tag_bits()),
                 ActivationSchedule::synchronized(n),
-                Ppush::spawn(n, 1),
+                Rumor::spawn(Strategy::Ppush, n, 1),
                 5,
             )
         },

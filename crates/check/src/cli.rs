@@ -1,6 +1,6 @@
 //! Command-line driver behind the `mtm check` subcommand.
 
-use mtm_core::TagConfig;
+use mtm_core::{Strategy, TagConfig};
 use mtm_engine::Action;
 use mtm_graph::static_graph::from_edges;
 use mtm_graph::{gen, Graph, NodeId};
@@ -268,16 +268,10 @@ fn run_spec<S: CheckSpec>(spec: &S, graph: &Graph, cfg: &CheckConfig) -> i32 {
             }
             println!("  wedged state: {}", spec.summarize(ex.nodes_of(s)));
             match replay_state(spec, graph, &ex, s) {
-                Ok(out) => match out.fingerprint {
-                    Some(fp) => println!(
-                        "  engine replay confirms: {} scripted rounds reach the same stuck state (fingerprint {fp:#018x})",
-                        out.rounds
-                    ),
-                    None => println!(
-                        "  engine replay confirms: {} scripted rounds reach the same stuck state (word-for-word)",
-                        out.rounds
-                    ),
-                },
+                Ok(out) => println!(
+                    "  engine replay confirms: {} scripted rounds reach the same stuck state (word-for-word)",
+                    out.rounds
+                ),
                 Err(e) => {
                     println!("  ENGINE REPLAY DIVERGED: {e}");
                     return 1;
@@ -399,10 +393,12 @@ pub fn run(args: &[String]) -> i32 {
         protocol = "bit-convergence".to_string();
     }
 
-    let rumor = matches!(protocol.as_str(), "push-pull" | "ppush" | "push-only" | "pull-only");
-    if rumor && !(1..=n).contains(&opts.sources) {
-        eprintln!("error: --sources must be between 1 and {n} (got {})", opts.sources);
-        return 2;
+    if let Some(strategy) = Strategy::parse(&protocol) {
+        if !(1..=n).contains(&opts.sources) {
+            eprintln!("error: --sources must be between 1 and {n} (got {})", opts.sources);
+            return 2;
+        }
+        return run_spec(&RumorSpec { strategy, n, sources: opts.sources }, &graph, &opts.cfg);
     }
 
     match protocol.as_str() {
@@ -456,10 +452,6 @@ pub fn run(args: &[String]) -> i32 {
                 run_spec(&BitConvergenceSpec { uids, tags, config }, &graph, &opts.cfg)
             }
         }
-        "push-pull" => run_spec(&RumorSpec::push_pull(n, opts.sources), &graph, &opts.cfg),
-        "ppush" => run_spec(&RumorSpec::ppush(n, opts.sources), &graph, &opts.cfg),
-        "push-only" => run_spec(&RumorSpec::push_only(n, opts.sources), &graph, &opts.cfg),
-        "pull-only" => run_spec(&RumorSpec::pull_only(n, opts.sources), &graph, &opts.cfg),
         "maintained-gossip" | "maintained" => {
             if opts.timeout < 2 {
                 eprintln!("error: --timeout must be >= 2");

@@ -570,7 +570,7 @@ mod tests {
     use crate::spec::{
         BitConvergenceSpec, BlindGossipSpec, MaintainedGossipSpec, NonSyncSpec, RumorSpec,
     };
-    use mtm_core::{Ppush, TagConfig};
+    use mtm_core::{Rumor, Strategy, TagConfig};
     use mtm_engine::{ModelParams, RumorView};
     use mtm_graph::gen;
 
@@ -624,7 +624,7 @@ mod tests {
 
     #[test]
     fn proposal_loss_does_not_break_push_pull_liveness() {
-        let spec = RumorSpec::push_pull(3, 1);
+        let spec = RumorSpec { strategy: Strategy::PushPull, n: 3, sources: 1 };
         let cfg = CheckConfig { loss: true, ..CheckConfig::default() };
         let ex = explore(&spec, &gen::path(3), &cfg);
         assert!(ex.closed);
@@ -673,7 +673,7 @@ mod tests {
         assert_eq!((an.agreed.len(), an.agreed_count), (163, 0));
         assert_eq!((an.doomed, an.deadlocks), (163, 32));
 
-        let push_pull = RumorSpec::push_pull(3, 1);
+        let push_pull = RumorSpec { strategy: Strategy::PushPull, n: 3, sources: 1 };
         let cfg = CheckConfig { loss: true, ..CheckConfig::default() };
         let an = distinct_successors(&push_pull, &gen::clique(3), &cfg);
         assert_eq!((an.doomed, an.deadlocks), (0, 0));
@@ -697,7 +697,7 @@ mod tests {
     struct NarrowPpush;
 
     impl CheckSpec for NarrowPpush {
-        type P = Ppush;
+        type P = Rumor;
 
         fn name(&self) -> &'static str {
             "ppush-b0"
@@ -707,15 +707,15 @@ mod tests {
             ModelParams::mobile(0)
         }
 
-        fn initial(&self) -> Vec<Ppush> {
-            Ppush::spawn(3, 1)
+        fn initial(&self) -> Vec<Rumor> {
+            Rumor::spawn(Strategy::Ppush, 3, 1)
         }
 
-        fn agreed(&self, nodes: &[Ppush], _crashed: u64) -> bool {
+        fn agreed(&self, nodes: &[Rumor], _crashed: u64) -> bool {
             nodes.iter().all(RumorView::informed)
         }
 
-        fn summarize(&self, _nodes: &[Ppush]) -> String {
+        fn summarize(&self, _nodes: &[Rumor]) -> String {
             String::new()
         }
     }

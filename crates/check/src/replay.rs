@@ -7,9 +7,9 @@
 //! resolved [`mtm_engine::RoundScript`]s). Replaying it as one run from
 //! round 0, with each crash window opening at its own round, must land on
 //! exactly the state the chain of restored transitions reached, word for
-//! word and fingerprint for fingerprint. A mismatch means the explorer's
-//! abstraction is unsound: a protocol that reads more of the round counter
-//! than its period, or a crash that matters before its own round.
+//! word. A mismatch means the explorer's abstraction is unsound: a
+//! protocol that reads more of the round counter than its period, or a
+//! crash that matters before its own round.
 
 use mtm_engine::{ActivationSchedule, Engine};
 use mtm_graph::faults::ScheduledCrashes;
@@ -20,9 +20,6 @@ use crate::spec::CheckSpec;
 
 /// End state of a scripted Engine replay.
 pub struct ReplayOutcome {
-    /// `Engine::network_fingerprint()` after the last scripted round (`None`
-    /// for protocols without a state fingerprint).
-    pub fingerprint: Option<u64>,
     /// Concatenated per-node raw state words after the last scripted round.
     pub words: Vec<u64>,
     /// Rounds executed.
@@ -54,11 +51,7 @@ pub fn replay<S: CheckSpec>(spec: &S, graph: &Graph, schedule: &[RoundSchedule])
     for rs in schedule {
         engine.step_scripted(&rs.script);
     }
-    ReplayOutcome {
-        fingerprint: engine.network_fingerprint(),
-        words: raw_words(engine.nodes()),
-        rounds: engine.round(),
-    }
+    ReplayOutcome { words: raw_words(engine.nodes()), rounds: engine.round() }
 }
 
 /// Replay the shortest schedule to state `target` and compare the Engine's
@@ -78,13 +71,6 @@ pub fn replay_state<S: CheckSpec>(
         return Err(format!(
             "replay diverged from checker at state {target}: engine words {:?}, checker words {expected:?}",
             outcome.words
-        ));
-    }
-    let expected_fp = mtm_engine::fingerprint::of_nodes(ex.nodes_of(target));
-    if outcome.fingerprint != expected_fp {
-        return Err(format!(
-            "replay fingerprint mismatch at state {target}: engine {:?}, checker {expected_fp:?}",
-            outcome.fingerprint
         ));
     }
     Ok(outcome)

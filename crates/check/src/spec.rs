@@ -8,8 +8,8 @@
 //! (used to quotient out symmetries such as a uniform epoch shift).
 
 use mtm_core::{
-    BitConvergence, BlindGossip, MaintainedGossip, MaintenanceConfig, NonSyncBitConvergence, Ppush,
-    PullOnly, PushOnly, PushPull, TagConfig,
+    BitConvergence, BlindGossip, MaintainedGossip, MaintenanceConfig, NonSyncBitConvergence, Rumor,
+    Strategy, TagConfig,
 };
 use mtm_engine::{EpochView, LeaderView, ModelParams, Protocol, RumorView};
 
@@ -149,66 +149,37 @@ impl CheckSpec for BitConvergenceSpec {
     }
 }
 
-/// Rumor spreading — PUSH-PULL, PPUSH and the PUSH-only / PULL-only
-/// ablations: agreement is every up node informed.
-pub struct RumorSpec<P> {
-    name: &'static str,
-    /// Tag bits the protocol advertises.
-    b: u32,
-    /// `spawn(n, sources)`: `n` nodes, nodes `0..sources` informed.
-    spawn: fn(usize, usize) -> Vec<P>,
-    n: usize,
-    sources: usize,
+/// Rumor spreading under any [`Strategy`]: agreement is every up node
+/// informed.
+pub struct RumorSpec {
+    /// Who proposes, and the tag width the model grants.
+    pub strategy: Strategy,
+    /// Node count.
+    pub n: usize,
+    /// Nodes `0..sources` start informed.
+    pub sources: usize,
 }
 
-impl RumorSpec<PushPull> {
-    /// PUSH-PULL (`b = 0`).
-    pub fn push_pull(n: usize, sources: usize) -> Self {
-        RumorSpec { name: "push-pull", b: 0, spawn: PushPull::spawn, n, sources }
-    }
-}
-
-impl RumorSpec<Ppush> {
-    /// PPUSH (`b = 1`, advertisement-driven).
-    pub fn ppush(n: usize, sources: usize) -> Self {
-        RumorSpec { name: "ppush", b: 1, spawn: Ppush::spawn, n, sources }
-    }
-}
-
-impl RumorSpec<PushOnly> {
-    /// The PUSH-only ablation (`b = 0`).
-    pub fn push_only(n: usize, sources: usize) -> Self {
-        RumorSpec { name: "push-only", b: 0, spawn: PushOnly::spawn, n, sources }
-    }
-}
-
-impl RumorSpec<PullOnly> {
-    /// The PULL-only ablation (`b = 0`).
-    pub fn pull_only(n: usize, sources: usize) -> Self {
-        RumorSpec { name: "pull-only", b: 0, spawn: PullOnly::spawn, n, sources }
-    }
-}
-
-impl<P: Protocol + RumorView + Clone + std::fmt::Debug> CheckSpec for RumorSpec<P> {
-    type P = P;
+impl CheckSpec for RumorSpec {
+    type P = Rumor;
 
     fn name(&self) -> &'static str {
-        self.name
+        self.strategy.name()
     }
 
     fn params(&self) -> ModelParams {
-        ModelParams::mobile(self.b)
+        ModelParams::mobile(self.strategy.tag_bits())
     }
 
-    fn initial(&self) -> Vec<P> {
-        (self.spawn)(self.n, self.sources)
+    fn initial(&self) -> Vec<Rumor> {
+        Rumor::spawn(self.strategy, self.n, self.sources)
     }
 
-    fn agreed(&self, nodes: &[P], crashed: u64) -> bool {
+    fn agreed(&self, nodes: &[Rumor], crashed: u64) -> bool {
         up_nodes(nodes.len(), crashed).all(|u| nodes[u].informed())
     }
 
-    fn summarize(&self, nodes: &[P]) -> String {
+    fn summarize(&self, nodes: &[Rumor]) -> String {
         let informed: Vec<u8> = nodes.iter().map(|p| u8::from(p.informed())).collect();
         format!("informed={informed:?}")
     }

@@ -42,12 +42,12 @@
 //! `--threads` (other than 1) are rejected under it. Deterministic per seed.
 
 use mtm_core::{
-    BitConvergence, BlindGossip, MaintainedGossip, MaintenanceConfig, NonSyncBitConvergence, Ppush,
-    PushPull, TagConfig, UidPool,
+    BitConvergence, BlindGossip, MaintainedGossip, MaintenanceConfig, NonSyncBitConvergence, Rumor,
+    Strategy, TagConfig, UidPool,
 };
 use mtm_engine::{
-    ActivationSchedule, Engine, EventEngine, LatencyModel, ModelParams, Protocol, RumorView,
-    RunStatus, ServiceConfig, ServiceStatus,
+    ActivationSchedule, Engine, EventEngine, LatencyModel, ModelParams, RunStatus, ServiceConfig,
+    ServiceStatus,
 };
 use mtm_experiments::ExpOpts;
 use mtm_graph::dynamic::{BoxedTopology, RelabelingAdversary, StaticTopology};
@@ -612,26 +612,32 @@ fn cmd_spread(args: &[String]) -> Result<i32, String> {
     let (algo, rest) = args.split_first().ok_or("spread: missing algorithm")?;
     let a = parse_run_args(rest, "--seed --tau --max-rounds --threads --backend --latency-spread")?;
     let g = a.connected_graph()?;
-    let n = g.node_count();
-    match algo.as_str() {
-        "push-pull" => run_spread(algo, g, ModelParams::mobile(0), PushPull::spawn(n, 1), &a),
-        "classical" if a.backend != Backend::Lockstep => Err(
-            "the classical baseline (accept-all) has no event-backend model; use --backend lockstep"
-                .into(),
-        ),
-        "classical" => run_spread(algo, g, ModelParams::classical(), PushPull::spawn(n, 1), &a),
-        "ppush" => run_spread(algo, g, ModelParams::mobile(1), Ppush::spawn(n, 1), &a),
-        other => Err(format!("unknown algorithm: {other} (expected push-pull|ppush|classical)")),
-    }
+    let (strategy, classical) = match algo.as_str() {
+        "push-pull" => (Strategy::PushPull, false),
+        "ppush" => (Strategy::Ppush, false),
+        "classical" if a.backend != Backend::Lockstep => {
+            return Err("the classical baseline (accept-all) has no event-backend model; \
+                        use --backend lockstep"
+                .into())
+        }
+        "classical" => (Strategy::PushPull, true),
+        other => {
+            return Err(format!("unknown algorithm: {other} (expected push-pull|ppush|classical)"))
+        }
+    };
+    let params =
+        if classical { ModelParams::classical() } else { ModelParams::mobile(strategy.tag_bits()) };
+    let nodes = Rumor::spawn(strategy, g.node_count(), 1);
+    run_spread(algo, g, params, nodes, &a)
 }
 
 /// One rumor-spreading run of `nodes` on `a`'s backend. Under the event
 /// backend `--max-rounds` bounds simulation ticks.
-fn run_spread<P: Protocol + RumorView>(
+fn run_spread(
     algo: &str,
     g: Graph,
     params: ModelParams,
-    nodes: Vec<P>,
+    nodes: Vec<Rumor>,
     a: &RunArgs,
 ) -> Result<i32, String> {
     let (n, delta, graph) = (g.node_count(), g.max_degree(), a.source.describe());

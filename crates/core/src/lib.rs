@@ -19,14 +19,18 @@
 //!   `(position, bit)`. Stabilizes in `O((1/α)·Δ^(1/τ̂)·τ̂·log⁸n)` rounds
 //!   after the last activation (Theorem VIII.2).
 //!
-//! Two rumor-spreading strategies (§V, used as subroutines and baselines):
+//! One rumor-spreading protocol (§V, used as a subroutine and baseline),
+//! [`Rumor`], whose [`Strategy`] is data:
 //!
-//! * [`PushPull`] — `b = 0`; identical round structure to blind gossip. In
-//!   the mobile model it achieves `O((1/α)·Δ²·log²n)` (Corollary VI.6); in
-//!   the classical model ([`mtm_engine::ConnectionPolicy::AcceptAll`]) it
-//!   is the textbook PUSH-PULL baseline.
-//! * [`Ppush`] — `b = 1`; informed nodes advertise 0 and propose to
-//!   neighbors advertising 1 (productive push).
+//! * [`Strategy::PushPull`] — `b = 0`; identical round structure to blind
+//!   gossip. In the mobile model it achieves `O((1/α)·Δ²·log²n)`
+//!   (Corollary VI.6); in the classical model
+//!   ([`mtm_engine::ConnectionPolicy::AcceptAll`]) it is the textbook
+//!   PUSH-PULL baseline.
+//! * [`Strategy::Ppush`] — `b = 1`; informed nodes advertise 0 and propose
+//!   to neighbors advertising 1 (productive push).
+//! * [`Strategy::PushOnly`] and [`Strategy::PullOnly`] — `b = 0`; only
+//!   informed, respectively uninformed, nodes propose (the A3 ablations).
 //!
 //! All protocols treat UIDs as opaque comparable values ([`u64`]s here),
 //! exchange at most one UID + `O(polylog N)` bits per connection, and need
@@ -39,7 +43,6 @@ pub mod id;
 pub mod maintenance;
 pub mod nonsync;
 pub mod rumor;
-pub mod rumor_ablation;
 
 pub use bit_convergence::BitConvergence;
 pub use blind_gossip::BlindGossip;
@@ -47,5 +50,4 @@ pub use config::TagConfig;
 pub use id::{IdPair, UidPool};
 pub use maintenance::{Heartbeat, MaintainedGossip, MaintenanceConfig};
 pub use nonsync::NonSyncBitConvergence;
-pub use rumor::{Ppush, PushPull};
-pub use rumor_ablation::{PullOnly, PushOnly};
+pub use rumor::{Rumor, Strategy};

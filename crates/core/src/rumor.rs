@@ -1,15 +1,27 @@
-//! Rumor spreading strategies (Section V).
+//! Rumor spreading (Section V): one protocol, [`Rumor`], whose
+//! [`Strategy`] decides which nodes propose.
 //!
-//! * [`PushPull`] — the classical strategy, `b = 0`: coin-flip send/receive,
-//!   uniform neighbor choice, both directions trade the rumor. Run under the
-//!   mobile policy it is the subject of Corollary VI.6
-//!   (`O((1/α)·Δ²·log²n)`); run under the classical
+//! Every strategy holds one bit and trades it over every connection, so a
+//! connection informs both ends if either end knows the rumor. The
+//! strategies differ only in what a node advertises and its act rule:
+//!
+//! * [`Strategy::PushPull`] — the classical strategy, `b = 0`: coin-flip
+//!   send/receive, uniform neighbor choice, both directions trade the
+//!   rumor. Run under the mobile policy it is the subject of Corollary
+//!   VI.6 (`O((1/α)·Δ²·log²n)`); run under the classical
 //!   [`mtm_engine::ConnectionPolicy::AcceptAll`] policy it is the textbook
 //!   baseline for the model-gap experiment.
-//! * [`Ppush`] — *productive push*, `b = 1` (from \[1\], Theorem V.2):
-//!   informed nodes advertise `0`, uninformed advertise `1`; an informed
-//!   node proposes to a uniformly random neighbor advertising `1` (if any),
-//!   an uninformed node listens. The bit makes every connection productive.
+//! * [`Strategy::Ppush`] — *productive push*, `b = 1` (from \[1\], Theorem
+//!   V.2): informed nodes advertise `0`, uninformed advertise `1`; an
+//!   informed node proposes to a uniformly random neighbor advertising `1`
+//!   (if any), an uninformed node listens. The bit makes every connection
+//!   productive.
+//! * [`Strategy::PushOnly`] and [`Strategy::PullOnly`] — `b = 0` direction
+//!   ablations (experiment A3): only informed, respectively uninformed,
+//!   nodes flip the coin; the rest listen. Who proposes fixes the
+//!   direction: a PUSH-only proposer is informed, so the rumor can only
+//!   move to its receiver, and a PULL-only proposer is uninformed, so it
+//!   can only move back to the proposer.
 
 use mtm_engine::{ActRule, PayloadCost, Protocol, RumorView, Tag};
 use rand::rngs::SmallRng;
@@ -27,97 +39,84 @@ impl PayloadCost for RumorBit {
     }
 }
 
-/// Classical PUSH-PULL, `b = 0`.
-#[derive(Clone, Debug)]
-pub struct PushPull {
-    informed: bool,
+/// Which nodes propose, and what they advertise.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Strategy {
+    /// Classical PUSH-PULL, `b = 0`: every node flips the coin.
+    PushPull,
+    /// Productive push, `b = 1`: informed nodes propose to uninformed ones.
+    Ppush,
+    /// `b = 0`: informed nodes flip the coin, uninformed nodes listen.
+    PushOnly,
+    /// `b = 0`: uninformed nodes flip the coin, informed nodes listen.
+    PullOnly,
 }
 
-impl PushPull {
-    /// A node that starts informed or not.
-    pub fn new(informed: bool) -> PushPull {
-        PushPull { informed }
-    }
+impl Strategy {
+    /// Every strategy.
+    pub const ALL: [Strategy; 4] =
+        [Strategy::PushPull, Strategy::Ppush, Strategy::PushOnly, Strategy::PullOnly];
 
-    /// `n` nodes with exactly `sources` informed (nodes `0..sources`).
-    pub fn spawn(n: usize, sources: usize) -> Vec<PushPull> {
-        assert!(sources >= 1 && sources <= n);
-        (0..n).map(|u| PushPull::new(u < sources)).collect()
-    }
-}
-
-impl Protocol for PushPull {
-    type Payload = RumorBit;
-
-    fn advertise(&mut self, _local_round: u64, _rng: &mut SmallRng) -> Tag {
-        Tag::EMPTY
-    }
-
-    fn act_rule(&self) -> ActRule {
-        ActRule::CoinFlip
-    }
-
-    fn payload(&self) -> RumorBit {
-        RumorBit(self.informed)
-    }
-
-    fn on_connect(&mut self, peer: &RumorBit, _rng: &mut SmallRng) {
-        self.informed |= peer.0;
-    }
-
-    fn state_words(&self, out: &mut Vec<u64>) {
-        out.push(self.informed as u64);
-    }
-}
-
-impl RumorView for PushPull {
-    fn informed(&self) -> bool {
-        self.informed
-    }
-}
-
-/// Productive push (PPUSH), `b = 1`.
-#[derive(Clone, Debug)]
-pub struct Ppush {
-    informed: bool,
-}
-
-impl Ppush {
-    /// A node that starts informed or not.
-    pub fn new(informed: bool) -> Ppush {
-        Ppush { informed }
-    }
-
-    /// `n` nodes with exactly `sources` informed (nodes `0..sources`).
-    pub fn spawn(n: usize, sources: usize) -> Vec<Ppush> {
-        assert!(sources >= 1 && sources <= n);
-        (0..n).map(|u| Ppush::new(u < sources)).collect()
-    }
-
-    /// PPUSH tag convention: informed → 0, uninformed → 1.
-    fn my_tag(&self) -> Tag {
-        if self.informed {
-            Tag(0)
-        } else {
-            Tag(1)
+    /// The strategy's name on the command line and in checker reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            Strategy::PushPull => "push-pull",
+            Strategy::Ppush => "ppush",
+            Strategy::PushOnly => "push-only",
+            Strategy::PullOnly => "pull-only",
         }
     }
+
+    /// The strategy called `name`, if any.
+    pub fn parse(name: &str) -> Option<Strategy> {
+        Strategy::ALL.into_iter().find(|s| s.name() == name)
+    }
+
+    /// Tag bits the strategy advertises: the model's `b`.
+    pub fn tag_bits(self) -> u32 {
+        u32::from(self == Strategy::Ppush)
+    }
 }
 
-impl Protocol for Ppush {
+/// One rumor-spreading node.
+#[derive(Clone, Debug)]
+pub struct Rumor {
+    strategy: Strategy,
+    informed: bool,
+}
+
+impl Rumor {
+    /// A node that starts informed or not.
+    pub fn new(strategy: Strategy, informed: bool) -> Rumor {
+        Rumor { strategy, informed }
+    }
+
+    /// `n` nodes with exactly `sources` informed (nodes `0..sources`).
+    pub fn spawn(strategy: Strategy, n: usize, sources: usize) -> Vec<Rumor> {
+        assert!(sources >= 1 && sources <= n);
+        (0..n).map(|u| Rumor::new(strategy, u < sources)).collect()
+    }
+}
+
+impl Protocol for Rumor {
     type Payload = RumorBit;
 
     fn advertise(&mut self, _local_round: u64, _rng: &mut SmallRng) -> Tag {
-        self.my_tag()
+        match self.strategy {
+            // PPUSH tag convention: informed → 0, uninformed → 1.
+            Strategy::Ppush => Tag(u32::from(!self.informed)),
+            _ => Tag::EMPTY,
+        }
     }
 
     fn act_rule(&self) -> ActRule {
-        if self.informed {
-            // Propose to a uniformly random neighbor advertising 1.
-            ActRule::PushTo(Tag(1))
-        } else {
-            // Advertising 1: receive only.
-            ActRule::Listen
+        match (self.strategy, self.informed) {
+            (Strategy::PushPull, _) | (Strategy::PushOnly, true) | (Strategy::PullOnly, false) => {
+                ActRule::CoinFlip
+            }
+            // A uniformly random neighbor advertising 1, else listen.
+            (Strategy::Ppush, true) => ActRule::PushTo(Tag(1)),
+            _ => ActRule::Listen,
         }
     }
 
@@ -134,7 +133,7 @@ impl Protocol for Ppush {
     }
 }
 
-impl RumorView for Ppush {
+impl RumorView for Rumor {
     fn informed(&self) -> bool {
         self.informed
     }
@@ -146,43 +145,51 @@ mod tests {
     use mtm_engine::{Action, ActivationSchedule, Engine, ModelParams, Scan};
     use mtm_graph::{gen, StaticTopology};
 
-    fn spread_push_pull(g: mtm_graph::Graph, seed: u64, max: u64) -> Option<u64> {
+    fn spread(strategy: Strategy, g: mtm_graph::Graph, seed: u64, max: u64) -> Option<u64> {
         let n = g.node_count();
         let mut e = Engine::new(
             StaticTopology::new(g),
-            ModelParams::mobile(0),
+            ModelParams::mobile(strategy.tag_bits()),
             ActivationSchedule::synchronized(n),
-            PushPull::spawn(n, 1),
-            seed,
-        );
-        e.run_to_full_information(max).stabilized_round
-    }
-
-    fn spread_ppush(g: mtm_graph::Graph, seed: u64, max: u64) -> Option<u64> {
-        let n = g.node_count();
-        let mut e = Engine::new(
-            StaticTopology::new(g),
-            ModelParams::mobile(1),
-            ActivationSchedule::synchronized(n),
-            Ppush::spawn(n, 1),
+            Rumor::spawn(strategy, n, 1),
             seed,
         );
         e.run_to_full_information(max).stabilized_round
     }
 
     #[test]
-    fn push_pull_informs_clique() {
-        assert!(spread_push_pull(gen::clique(64), 1, 100_000).is_some());
+    fn act_rules_follow_the_strategy_table() {
+        use ActRule::{CoinFlip, Listen, PushTo};
+        let table = [
+            (Strategy::PushPull, CoinFlip, CoinFlip),
+            (Strategy::Ppush, PushTo(Tag(1)), Listen),
+            (Strategy::PushOnly, CoinFlip, Listen),
+            (Strategy::PullOnly, Listen, CoinFlip),
+        ];
+        for (strategy, informed, uninformed) in table {
+            assert_eq!(Rumor::new(strategy, true).act_rule(), informed, "{strategy:?} informed");
+            assert_eq!(
+                Rumor::new(strategy, false).act_rule(),
+                uninformed,
+                "{strategy:?} uninformed"
+            );
+        }
     }
 
     #[test]
-    fn push_pull_informs_path() {
-        assert!(spread_push_pull(gen::path(20), 2, 1_000_000).is_some());
+    fn strategy_names_parse_back() {
+        for s in Strategy::ALL {
+            assert_eq!(Strategy::parse(s.name()), Some(s));
+        }
+        assert_eq!(Strategy::parse("classical"), None);
     }
 
     #[test]
-    fn ppush_informs_clique() {
-        assert!(spread_ppush(gen::clique(64), 3, 100_000).is_some());
+    fn every_strategy_informs_clique_and_path() {
+        for (i, s) in (0..).zip(Strategy::ALL) {
+            assert!(spread(s, gen::clique(24), i, 200_000).is_some(), "{s:?} on a clique");
+            assert!(spread(s, gen::path(12), i + 4, 2_000_000).is_some(), "{s:?} on a path");
+        }
     }
 
     #[test]
@@ -190,13 +197,16 @@ mod tests {
         // On a line of stars the hub degree punishes blind proposals;
         // PPUSH focuses connections on uninformed nodes. Compare medians
         // over a few seeds.
-        let rounds = |f: &dyn Fn(u64) -> Option<u64>| -> u64 {
-            let mut xs: Vec<u64> = (0..5).map(|s| f(s).expect("must finish")).collect();
+        let rounds = |s: Strategy| -> u64 {
+            let mut xs: Vec<u64> = (0..5)
+                .map(|seed| {
+                    spread(s, gen::line_of_stars(4, 16), seed, 5_000_000).expect("must finish")
+                })
+                .collect();
             xs.sort_unstable();
             xs[2]
         };
-        let pp = rounds(&|s| spread_push_pull(gen::line_of_stars(4, 16), s, 5_000_000));
-        let pr = rounds(&|s| spread_ppush(gen::line_of_stars(4, 16), s, 5_000_000));
+        let (pp, pr) = (rounds(Strategy::PushPull), rounds(Strategy::Ppush));
         assert!(
             pr < pp,
             "PPUSH (median {pr}) should beat PUSH-PULL (median {pp}) on the line of stars"
@@ -206,17 +216,17 @@ mod tests {
     #[test]
     fn informed_flag_monotone() {
         let mut rng = mtm_graph::rng::stream_rng(0, 0);
-        let mut n = PushPull::new(true);
+        let mut n = Rumor::new(Strategy::PushPull, true);
         n.on_connect(&RumorBit(false), &mut rng);
         assert!(n.informed(), "rumor must never be forgotten");
-        let mut m = Ppush::new(false);
+        let mut m = Rumor::new(Strategy::Ppush, false);
         m.on_connect(&RumorBit(true), &mut rng);
         assert!(m.informed());
     }
 
     #[test]
     fn ppush_informed_with_no_uninformed_neighbors_listens() {
-        let mut node = Ppush::new(true);
+        let mut node = Rumor::new(Strategy::Ppush, true);
         let neighbors = [1u32, 2];
         let tags = [Tag(0), Tag(0)];
         let scan = Scan { neighbors: &neighbors, tags: &tags, round: 1, local_round: 1 };
@@ -226,7 +236,7 @@ mod tests {
 
     #[test]
     fn ppush_targets_only_uninformed() {
-        let mut node = Ppush::new(true);
+        let mut node = Rumor::new(Strategy::Ppush, true);
         let neighbors = [1u32, 2, 3];
         let tags = [Tag(0), Tag(1), Tag(0)];
         let scan = Scan { neighbors: &neighbors, tags: &tags, round: 1, local_round: 1 };
@@ -248,7 +258,7 @@ mod tests {
                 StaticTopology::new(g.clone()),
                 params,
                 ActivationSchedule::synchronized(n),
-                PushPull::spawn(n, 1),
+                Rumor::spawn(Strategy::PushPull, n, 1),
                 seed,
             );
             e.run_to_full_information(10_000_000)
@@ -260,6 +270,29 @@ mod tests {
         assert!(
             classical * 4 < mobile,
             "classical ({classical}) should be ≫ faster than mobile ({mobile}) on a star"
+        );
+    }
+
+    #[test]
+    fn push_pull_beats_push_only_on_star_pulls() {
+        // On a star with the source at a leaf, PUSH alone must wait for the
+        // source to push to the hub and the hub to push n-1 times; PULL
+        // lets uninformed leaves fetch from the hub concurrently with the
+        // hub's own pushes. PUSH-PULL ≤ PUSH-only in rounds (medians).
+        let median = |s: Strategy| {
+            let mut xs: Vec<u64> = (0..5)
+                .map(|seed| {
+                    spread(s, gen::star(48), seed, 10_000_000)
+                        .expect("the strategy completes on this instance")
+                })
+                .collect();
+            xs.sort_unstable();
+            xs[2]
+        };
+        let (push_only, push_pull) = (median(Strategy::PushOnly), median(Strategy::PushPull));
+        assert!(
+            push_pull <= push_only,
+            "PUSH-PULL ({push_pull}) should not lose to PUSH-only ({push_only})"
         );
     }
 }

@@ -34,8 +34,7 @@
 //!   has a sleeping node;
 //! - its activation round: 8 bytes in the [`ActivationSchedule`], only for
 //!   a non-synchronized schedule. Local rounds are read from the schedule:
-//!   a synchronized node's local round is the engine round;
-//! - a fingerprint: 8 bytes, only with stuck detection on.
+//!   a synchronized node's local round is the engine round.
 //!
 //! Per-round buffers grow with the round's proposals: 8 bytes per proposal
 //! in its shard's list and again in the merged pair list, 4 in the arena,
@@ -472,10 +471,7 @@ pub struct Engine<P: Protocol, T: DynamicTopology> {
     active: Vec<bool>,
     all_active: bool,
     inbox: Inbox,
-    // Per-node fingerprint cache for the stuck detector (empty until the
-    // first detector update; thereafter only active nodes are re-hashed),
-    // and the scratch their progress words are pushed into.
-    fp_cache: Vec<u64>,
+    // Scratch the stuck detector pushes each node's progress words into.
     fp_words: Vec<u64>,
     auditor: crate::audit::Auditor,
 }
@@ -518,7 +514,6 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
             active: Vec::new(),
             all_active: false,
             inbox: Inbox::default(),
-            fp_cache: Vec::new(),
             fp_words: Vec::new(),
             auditor: crate::audit::Auditor::default(),
         }
@@ -567,7 +562,7 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
     /// order ([`crate::fingerprint::of_nodes`]), or `None` if the protocol
     /// pushes no progress words.
     pub fn network_fingerprint(&self) -> Option<u64> {
-        crate::fingerprint::of_nodes(&self.nodes)
+        crate::fingerprint::of_nodes(&self.nodes, &mut Vec::new())
     }
 
     /// Inject message loss: each proposal is independently dropped with
@@ -649,7 +644,6 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
         self.nodes.clone_from_slice(nodes);
         self.round = round;
         self.all_active = false;
-        self.fp_cache.clear();
     }
 
     /// Immutable view of node `u`'s protocol state.
@@ -845,30 +839,12 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
         }
     }
 
-    /// Advance the stuck-run detector after a completed round.
-    ///
-    /// Node fingerprints are cached per node: only active nodes run any
-    /// phase, so inactive entries cannot have changed and are not
-    /// re-hashed. The fold over the cache stays in node order, matching
-    /// [`Engine::network_fingerprint`] exactly.
+    /// Advance the stuck-run detector after a completed round: fold
+    /// [`Engine::network_fingerprint`] through the reused scratch, so a
+    /// detector round allocates nothing.
     fn update_stuck_detector(&mut self, topo_may_change: bool) {
-        const SUPPORTED: &str = "progress-word support is constant and was checked at enable time";
-        let n = self.nodes.len();
-        let words = &mut self.fp_words;
-        if self.fp_cache.len() != n {
-            self.fp_cache.clear();
-            for node in &self.nodes {
-                self.fp_cache.push(crate::fingerprint::of_node(node, words).expect(SUPPORTED));
-            }
-        } else {
-            for u in 0..n {
-                if self.all_active || self.active[u] {
-                    self.fp_cache[u] =
-                        crate::fingerprint::of_node(&self.nodes[u], words).expect(SUPPORTED);
-                }
-            }
-        }
-        let fp = crate::fingerprint::of_words(&self.fp_cache);
+        let fp = crate::fingerprint::of_nodes(&self.nodes, &mut self.fp_words)
+            .expect("progress-word support is constant and was checked at enable time");
         // Frozen state is only evidence of a fixed point while the world
         // holds still: pending activations or a topology change window can
         // legitimately unfreeze it, so those rounds reset the count.

@@ -44,10 +44,10 @@ pub fn of_node<P: Protocol>(node: &P, scratch: &mut Vec<u64>) -> Option<u64> {
 
 /// The network fingerprint: every node's [`of_node`] digest folded in node
 /// order, or `None` if the protocol does not support progress tracking.
-/// Equals [`of_words`] over the per-node digests.
-pub fn of_nodes<P: Protocol>(nodes: &[P]) -> Option<u64> {
-    let mut scratch = Vec::new();
-    nodes.iter().try_fold(SEED, |acc, node| Some(mix(acc, of_node(node, &mut scratch)?)))
+/// Equals [`of_words`] over the per-node digests. `scratch` is reused as
+/// in [`of_node`].
+pub fn of_nodes<P: Protocol>(nodes: &[P], scratch: &mut Vec<u64>) -> Option<u64> {
+    nodes.iter().try_fold(SEED, |acc, node| Some(mix(acc, of_node(node, scratch)?)))
 }
 
 #[cfg(test)]

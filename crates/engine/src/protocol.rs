@@ -251,9 +251,9 @@ pub trait Protocol: Send {
 
     /// Record that this node takes `action` this round: the act phase's
     /// side effects, run by `act` after its draw and by the checker on an
-    /// element of [`Protocol::enumerate_actions`] — e.g. `MaintainedGossip`
-    /// latches whether it saw neighbors, the rumor ablations set their
-    /// per-round receptivity flags. Default: no side effects.
+    /// element of [`Protocol::enumerate_actions`]. Only `MaintainedGossip`
+    /// has any: it latches whether it saw neighbors. Default: no side
+    /// effects.
     fn apply_action(&mut self, _scan: &Scan<'_>, _action: Action) {}
 
     /// Push this node's *exact* durable state onto `out`, as words. The

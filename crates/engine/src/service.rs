@@ -179,6 +179,7 @@ where
 
         let mut wedge = (cfg.wedge_window > 0)
             .then(|| StuckDetector::new(cfg.wedge_window, start_round, self.metrics().connections));
+        let mut fp_words = Vec::new();
 
         let mut final_agreement: Option<(u64, u64)> = None;
         while self.round() < end_round {
@@ -220,7 +221,7 @@ where
             // topology holds still and every node has activated. Agreement
             // resets the window too.
             if let Some(det) = &mut wedge {
-                if let Some(fp) = self.network_fingerprint() {
+                if let Some(fp) = crate::fingerprint::of_nodes(self.nodes(), &mut fp_words) {
                     let reset = self.topology().may_change_at(round)
                         || round <= self.schedule().last_activation()
                         || s.agreement.is_some();

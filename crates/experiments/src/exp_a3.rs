@@ -9,7 +9,7 @@
 //! hub-free expander and the hub-heavy star.
 
 use mtm_analysis::table::{fmt_f64, Table};
-use mtm_core::{PullOnly, PushOnly, PushPull};
+use mtm_core::{Rumor, Strategy};
 use mtm_engine::runner::run_trials;
 use mtm_engine::{ActivationSchedule, Engine, ModelParams};
 use mtm_graph::rng::derive_seed;
@@ -21,7 +21,7 @@ use crate::opts::{ExpOpts, Scale};
 fn run_strategy(
     family: GraphFamily,
     n: usize,
-    strategy: &'static str,
+    strategy: Strategy,
     trials: usize,
     base_seed: u64,
     threads: usize,
@@ -30,42 +30,14 @@ fn run_strategy(
     run_trials(trials, base_seed, threads, move |_t, seed| {
         let g = family.build(n, derive_seed(seed, 0));
         let n_actual = g.node_count();
-        let params = ModelParams::mobile(0);
-        let sched = ActivationSchedule::synchronized(n_actual);
-        let engine_seed = derive_seed(seed, 11);
-        match strategy {
-            "push-pull" => {
-                let mut e = Engine::new(
-                    StaticTopology::new(g),
-                    params,
-                    sched,
-                    PushPull::spawn(n_actual, 1),
-                    engine_seed,
-                );
-                e.run_to_full_information(max_rounds).stabilized_round
-            }
-            "push" => {
-                let mut e = Engine::new(
-                    StaticTopology::new(g),
-                    params,
-                    sched,
-                    PushOnly::spawn(n_actual, 1),
-                    engine_seed,
-                );
-                e.run_to_full_information(max_rounds).stabilized_round
-            }
-            "pull" => {
-                let mut e = Engine::new(
-                    StaticTopology::new(g),
-                    params,
-                    sched,
-                    PullOnly::spawn(n_actual, 1),
-                    engine_seed,
-                );
-                e.run_to_full_information(max_rounds).stabilized_round
-            }
-            _ => unreachable!(),
-        }
+        let mut e = Engine::new(
+            StaticTopology::new(g),
+            ModelParams::mobile(strategy.tag_bits()),
+            ActivationSchedule::synchronized(n_actual),
+            Rumor::spawn(strategy, n_actual, 1),
+            derive_seed(seed, 11),
+        );
+        e.run_to_full_information(max_rounds).stabilized_round
     })
 }
 
@@ -86,33 +58,20 @@ pub fn run(opts: &ExpOpts) -> Table {
     ]);
     for family in [GraphFamily::Expander8, GraphFamily::Star] {
         for &n in sizes {
-            let pp = summarize(&run_strategy(
-                family,
-                n,
-                "push-pull",
-                trials,
-                opts.seed,
-                opts.threads,
-                max_rounds,
-            ));
-            let push = summarize(&run_strategy(
-                family,
-                n,
-                "push",
-                trials,
-                opts.seed ^ 1,
-                opts.threads,
-                max_rounds,
-            ));
-            let pull = summarize(&run_strategy(
-                family,
-                n,
-                "pull",
-                trials,
-                opts.seed ^ 2,
-                opts.threads,
-                max_rounds,
-            ));
+            let run = |strategy, seed| {
+                summarize(&run_strategy(
+                    family,
+                    n,
+                    strategy,
+                    trials,
+                    seed,
+                    opts.threads,
+                    max_rounds,
+                ))
+            };
+            let pp = run(Strategy::PushPull, opts.seed);
+            let push = run(Strategy::PushOnly, opts.seed ^ 1);
+            let pull = run(Strategy::PullOnly, opts.seed ^ 2);
             let cell = |x: &crate::harness::TrialSummary| {
                 x.summary.as_ref().map_or("-".to_string(), |s| fmt_f64(s.mean))
             };

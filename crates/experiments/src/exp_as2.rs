@@ -16,7 +16,7 @@
 //! every spread, matching the asynchronous-gossip follow-up's claim.
 
 use mtm_analysis::table::{fmt_f64, Table};
-use mtm_core::PushPull;
+use mtm_core::{Rumor, Strategy};
 use mtm_engine::runner::run_trials;
 use mtm_engine::{ActivationSchedule, Engine, EventEngine, LatencyModel, ModelParams};
 use mtm_graph::dynamic::StaticTopology;
@@ -39,7 +39,7 @@ fn event_trial(
     let mut e = EventEngine::new(
         g,
         ModelParams::mobile(0),
-        PushPull::spawn(n_actual, 1),
+        Rumor::spawn(Strategy::PushPull, n_actual, 1),
         derive_seed(seed, 11),
         LatencyModel::multipeer(spread),
     );
@@ -54,7 +54,7 @@ fn lockstep_trial(family: GraphFamily, n: usize, seed: u64, max_rounds: u64) -> 
         StaticTopology::new(g),
         ModelParams::mobile(0),
         ActivationSchedule::synchronized(n_actual),
-        PushPull::spawn(n_actual, 1),
+        Rumor::spawn(Strategy::PushPull, n_actual, 1),
         derive_seed(seed, 11),
     );
     e.run_to_full_information(max_rounds).stabilized_round

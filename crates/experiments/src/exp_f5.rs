@@ -13,7 +13,7 @@
 
 use mtm_analysis::stats::Summary;
 use mtm_analysis::table::{fmt_f64, Table};
-use mtm_core::Ppush;
+use mtm_core::{Rumor, Strategy};
 use mtm_engine::runner::run_trials;
 use mtm_engine::{ActivationSchedule, Engine, ModelParams};
 use mtm_graph::rng::derive_seed;
@@ -58,9 +58,9 @@ fn ppush_trial(m: usize, d: usize, r: u64, seed: u64) -> u64 {
     let n = g.node_count();
     let mut e = Engine::new(
         StaticTopology::new(g),
-        ModelParams::mobile(1),
+        ModelParams::mobile(Strategy::Ppush.tag_bits()),
         ActivationSchedule::synchronized(n),
-        Ppush::spawn(n, m), // nodes 0..m (all of L) start informed
+        Rumor::spawn(Strategy::Ppush, n, m), // nodes 0..m (all of L) start informed
         derive_seed(seed, 1),
     );
     e.run_rounds(r);

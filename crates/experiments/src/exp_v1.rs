@@ -4,14 +4,15 @@
 //! Unlike every other experiment in the registry, V1 measures nothing
 //! statistical: it is the *exhaustive* product-automaton exploration of
 //! `mtm-check` run over all 38 connected 4-node topologies, certifying
-//! that BlindGossip, BitConvergence and PushPull reach agreement under
-//! every adversarial matching schedule, and that MaintainedGossip never
-//! regresses its epoch within the bounded horizon. The final row is the
-//! negative control: the A1 `β = 1` tag-collision instance, where the
-//! checker must *find* the two-leader deadlock and produce a minimal
-//! engine-replayable witness. A certified row going uncertified — or the
-//! control row's deadlock disappearing — is a semantic change to the
-//! protocol stack, caught here as table drift by `regen --check`.
+//! that BlindGossip, BitConvergence and `Rumor` under PUSH-PULL reach
+//! agreement under every adversarial matching schedule, and that
+//! MaintainedGossip never regresses its epoch within the bounded horizon.
+//! The final row is the negative control: the A1 `β = 1` tag-collision
+//! instance, where the checker must *find* the two-leader deadlock and
+//! produce a minimal engine-replayable witness. A certified row going
+//! uncertified — or the control row's deadlock disappearing — is a
+//! semantic change to the protocol stack, caught here as table drift by
+//! `regen --check`.
 //!
 //! The table is fully deterministic (no trials, no seeds): quick and full
 //! scales are identical, and the registry digest pins every cell.

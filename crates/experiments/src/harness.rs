@@ -2,7 +2,9 @@
 //! trial runners, and summary helpers.
 
 use mtm_analysis::stats::Summary;
-use mtm_core::{BitConvergence, BlindGossip, NonSyncBitConvergence, PushPull, TagConfig, UidPool};
+use mtm_core::{
+    BitConvergence, BlindGossip, NonSyncBitConvergence, Rumor, Strategy, TagConfig, UidPool,
+};
 use mtm_engine::runner::run_trials;
 use mtm_engine::{ActivationSchedule, Engine, ModelParams};
 use mtm_graph::dynamic::{BoxedTopology, LineOfStarsShuffle, RelabelingAdversary, StaticTopology};
@@ -270,7 +272,7 @@ pub fn push_pull_rounds(
             topo,
             params,
             ActivationSchedule::synchronized(n),
-            PushPull::spawn(n, 1),
+            Rumor::spawn(Strategy::PushPull, n, 1),
             derive_seed(seed, 11),
         );
         e.run_to_full_information(max_rounds).stabilized_round

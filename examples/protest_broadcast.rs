@@ -28,9 +28,9 @@ fn main() {
     let push_pull = median(trials, |t| {
         let mut e = Engine::new(
             StaticTopology::new(graph.clone()),
-            ModelParams::mobile(0),
+            ModelParams::mobile(Strategy::PushPull.tag_bits()),
             ActivationSchedule::synchronized(n),
-            PushPull::spawn(n, 1),
+            Rumor::spawn(Strategy::PushPull, n, 1),
             seed + t,
         );
         e.run_to_full_information(50_000_000).stabilized_round.expect("PUSH-PULL must finish")
@@ -40,9 +40,9 @@ fn main() {
     let ppush = median(trials, |t| {
         let mut e = Engine::new(
             StaticTopology::new(graph.clone()),
-            ModelParams::mobile(1),
+            ModelParams::mobile(Strategy::Ppush.tag_bits()),
             ActivationSchedule::synchronized(n),
-            Ppush::spawn(n, 1),
+            Rumor::spawn(Strategy::Ppush, n, 1),
             seed + t,
         );
         e.run_to_full_information(50_000_000).stabilized_round.expect("PPUSH must finish")
@@ -61,9 +61,9 @@ fn main() {
         let topo = LineOfStarsShuffle::new(12, 12, 1, seed + t);
         let mut e = Engine::new(
             topo,
-            ModelParams::mobile(1),
+            ModelParams::mobile(Strategy::Ppush.tag_bits()),
             ActivationSchedule::synchronized(n),
-            Ppush::spawn(n, 1),
+            Rumor::spawn(Strategy::Ppush, n, 1),
             seed + t,
         );
         e.run_to_full_information(50_000_000)

@@ -52,7 +52,7 @@ pub use mtm_graph as graph;
 pub mod prelude {
     pub use mtm_core::{
         BitConvergence, BlindGossip, Heartbeat, IdPair, MaintainedGossip, MaintenanceConfig,
-        NonSyncBitConvergence, Ppush, PullOnly, PushOnly, PushPull, TagConfig, UidPool,
+        NonSyncBitConvergence, Rumor, Strategy, TagConfig, UidPool,
     };
     pub use mtm_engine::{
         rounds_after_activation, ActivationSchedule, ConnectionPolicy, Engine, EpochRecord,

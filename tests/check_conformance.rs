@@ -9,7 +9,7 @@
 //! powers (proposal loss, crashes), replay each state's minimal witness
 //! schedule from round 0 through [`mtm_engine::Engine::step_scripted`],
 //! with each crash window opening at its own round, and require identical
-//! durable state words and network fingerprints. A protocol that keys on
+//! durable state words. A protocol that keys on
 //! more of the round counter than its period, or a crash observed before
 //! its round, fails here before it can corrupt a certification run.
 
@@ -17,7 +17,7 @@ use mtm_check::{
     analyze, explore, BitConvergenceSpec, BlindGossipSpec, CheckConfig, CheckSpec,
     MaintainedGossipSpec, RumorSpec,
 };
-use mtm_core::TagConfig;
+use mtm_core::{Strategy, TagConfig};
 use mtm_graph::{gen, Graph};
 use mtm_testkit::{run_cases, Rng, SmallRng};
 
@@ -62,7 +62,7 @@ fn push_pull_schedules_replay_exactly_with_loss() {
     run_cases(0xC0F0_0002, 10, |_case, rng| {
         let g = arb_graph(rng);
         let n = g.node_count();
-        let spec = RumorSpec::push_pull(n, rng.gen_range(1..=n));
+        let spec = RumorSpec { strategy: Strategy::PushPull, n, sources: rng.gen_range(1..=n) };
         let cfg =
             CheckConfig { horizon: 6, max_states: 30_000, loss: true, ..CheckConfig::default() };
         assert_conformant(&spec, &g, &cfg, 5);

@@ -23,31 +23,19 @@ fn blind_gossip_sample(g: &Graph, trials: u64, base_seed: u64) -> Vec<f64> {
         .collect()
 }
 
-fn rumor_sample(g: &Graph, ppush: bool, trials: u64, base_seed: u64) -> Vec<f64> {
+fn rumor_sample(g: &Graph, strategy: Strategy, trials: u64, base_seed: u64) -> Vec<f64> {
     (0..trials)
         .map(|t| {
             let n = g.node_count();
             let seed = base_seed.wrapping_add(t * 104729);
-            let r = if ppush {
-                let mut e = Engine::new(
-                    StaticTopology::new(g.clone()),
-                    ModelParams::mobile(1),
-                    ActivationSchedule::synchronized(n),
-                    Ppush::spawn(n, 1),
-                    seed,
-                );
-                e.run_to_full_information(50_000_000).stabilized_round
-            } else {
-                let mut e = Engine::new(
-                    StaticTopology::new(g.clone()),
-                    ModelParams::mobile(0),
-                    ActivationSchedule::synchronized(n),
-                    PushPull::spawn(n, 1),
-                    seed,
-                );
-                e.run_to_full_information(50_000_000).stabilized_round
-            };
-            r.expect("must inform all") as f64
+            let mut e = Engine::new(
+                StaticTopology::new(g.clone()),
+                ModelParams::mobile(strategy.tag_bits()),
+                ActivationSchedule::synchronized(n),
+                Rumor::spawn(strategy, n, 1),
+                seed,
+            );
+            e.run_to_full_information(50_000_000).stabilized_round.expect("must inform all") as f64
         })
         .collect()
 }
@@ -55,8 +43,8 @@ fn rumor_sample(g: &Graph, ppush: bool, trials: u64, base_seed: u64) -> Vec<f64>
 #[test]
 fn ppush_beats_push_pull_significantly_on_hub_graph() {
     let g = gen::line_of_stars(5, 10);
-    let pp = rumor_sample(&g, false, 12, 1);
-    let pr = rumor_sample(&g, true, 12, 2);
+    let pp = rumor_sample(&g, Strategy::PushPull, 12, 1);
+    let pr = rumor_sample(&g, Strategy::Ppush, 12, 2);
     let (_, p) = mann_whitney_u(&pp, &pr);
     let mean_pp = Summary::of(&pp).mean;
     let mean_pr = Summary::of(&pr).mean;

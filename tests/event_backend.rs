@@ -58,7 +58,7 @@ fn same_seed_same_trace_across_protocols() {
         EventEngine::new(
             g,
             ModelParams::mobile(0),
-            PushPull::spawn(n, 1),
+            Rumor::spawn(Strategy::PushPull, n, 1),
             derive_seed(5, 11),
             LatencyModel::multipeer(16),
         )
@@ -173,15 +173,15 @@ fn bitconv_hash() -> u64 {
     trace_hash(&e)
 }
 
-/// A rumor protocol with `tag_bits` of advertisement, one source, run to
+/// A rumor strategy under the tag width it advertises, one source, run to
 /// full information.
-fn rumor_hash<P: Protocol + RumorView>(tag_bits: u32, spawn: fn(usize, usize) -> Vec<P>) -> u64 {
+fn rumor_hash(strategy: Strategy) -> u64 {
     let g = GraphFamily::Expander8.build(256, derive_seed(1, 0));
     let n = g.node_count();
     let mut e = EventEngine::new(
         g,
-        ModelParams::mobile(tag_bits),
-        spawn(n, 1),
+        ModelParams::mobile(strategy.tag_bits()),
+        Rumor::spawn(strategy, n, 1),
         derive_seed(1, 11),
         LatencyModel::multipeer(8),
     );
@@ -210,8 +210,8 @@ fn event_traces_match_recorded_hashes() {
         ("blind spread 8", || blind_hash(256, 8, 10_000_000), 0xcf1e_e6c7_31a0_e062),
         ("blind spread 64", || blind_hash(256, 64, 10_000_000), 0x9371_642a_1765_6650),
         ("bit convergence b = 1", bitconv_hash, 0x6f47_812f_1937_2391),
-        ("push-pull", || rumor_hash(0, PushPull::spawn), 0x1c23_f39b_9e3f_0e4b),
-        ("ppush", || rumor_hash(1, Ppush::spawn), 0x010f_b493_934c_7c3c),
+        ("push-pull", || rumor_hash(Strategy::PushPull), 0x1c23_f39b_9e3f_0e4b),
+        ("ppush", || rumor_hash(Strategy::Ppush), 0x010f_b493_934c_7c3c),
         ("blind spread 8 cut at tick 300", || blind_hash(256, 8, CUT_AT), 0x0f5e_168d_803e_f9e2),
         ("blind n 2048 spread 0", || blind_hash(2048, 0, 10_000_000), 0x4573_e61e_de9a_a006),
         ("blind n 2048 spread 8", || blind_hash(2048, 8, 10_000_000), 0x71d1_c6fd_9c67_e12c),

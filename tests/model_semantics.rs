@@ -38,7 +38,7 @@ fn classical_policy_can_exceed_mobile_cap() {
             StaticTopology::new(g.clone()),
             params,
             ActivationSchedule::synchronized(n),
-            PushPull::spawn(n, 1),
+            Rumor::spawn(Strategy::PushPull, n, 1),
             3,
         );
         let mut max_conn = 0;
@@ -160,7 +160,7 @@ fn rumor_spreading_monotone_informed_count() {
         StaticTopology::new(g),
         ModelParams::mobile(1),
         ActivationSchedule::synchronized(n),
-        Ppush::spawn(n, 1),
+        Rumor::spawn(Strategy::Ppush, n, 1),
         12,
     );
     let mut last = e.informed_count();

@@ -127,11 +127,7 @@ fn different_fault_seeds_diverge() {
 }
 
 /// PUSH-PULL on a 24-node expander under the given fault mix.
-fn rumor_engine(
-    seed: u64,
-    crash: f64,
-    loss: f64,
-) -> Engine<PushPull, FaultyTopology<StaticTopology>> {
+fn rumor_engine(seed: u64, crash: f64, loss: f64) -> Engine<Rumor, FaultyTopology<StaticTopology>> {
     let g = GraphFamily::Expander8.build(24, derive_seed(seed, 0));
     let n = g.node_count();
     let cfg = if crash > 0.0 { FaultConfig::crashes(crash, 0.2) } else { FaultConfig::NONE };
@@ -140,7 +136,7 @@ fn rumor_engine(
         topo,
         ModelParams::mobile(0),
         ActivationSchedule::synchronized(n),
-        PushPull::spawn(n, 1),
+        Rumor::spawn(Strategy::PushPull, n, 1),
         derive_seed(seed, 11),
     );
     if loss > 0.0 {
@@ -198,7 +194,7 @@ fn ppush_completes_under_loss_and_crashes() {
         topo,
         ModelParams::mobile(1),
         ActivationSchedule::synchronized(n),
-        Ppush::spawn(n, 1),
+        Rumor::spawn(Strategy::Ppush, n, 1),
         derive_seed(7, 11),
     );
     e.set_proposal_loss(0.3);

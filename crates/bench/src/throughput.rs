@@ -138,7 +138,7 @@ fn ppush_entry(name: &str, graph: &Graph, rounds: u64, reps: u32, threads: usize
         &|| {
             Engine::new(
                 StaticTopology::new(graph.clone()),
-                ModelParams::mobile(Strategy::Ppush.tag_bits()),
+                ModelParams::mobile(1),
                 ActivationSchedule::synchronized(n),
                 Rumor::spawn(Strategy::Ppush, n, 1),
                 5,

@@ -187,8 +187,8 @@ mod tests {
     #[test]
     fn every_strategy_informs_clique_and_path() {
         for (i, s) in (0..).zip(Strategy::ALL) {
-            assert!(spread(s, gen::clique(24), i, 200_000).is_some(), "{s:?} on a clique");
-            assert!(spread(s, gen::path(12), i + 4, 2_000_000).is_some(), "{s:?} on a path");
+            assert!(spread(s, gen::clique(64), i, 100_000).is_some(), "{s:?} on a clique");
+            assert!(spread(s, gen::path(20), i + 4, 1_000_000).is_some(), "{s:?} on a path");
         }
     }
 

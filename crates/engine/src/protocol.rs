@@ -88,7 +88,7 @@ impl ActRule {
     /// `usize` `gen_range` over the scan. `PushTo` draws one `u32`
     /// `gen_range` over the eligible neighbors (in scan order) when there
     /// are any. `Listen` draws nothing.
-    #[inline]
+    #[inline(always)]
     pub fn draw(self, scan: &Scan<'_>, rng: &mut SmallRng) -> Action {
         match self {
             ActRule::Listen => Action::Listen,
@@ -192,6 +192,13 @@ pub trait Protocol: Send {
     /// Phase 3: act on the scan — propose to one visible neighbor or
     /// listen. Draws the action by [`Protocol::act_rule`], then records it
     /// with [`Protocol::apply_action`].
+    ///
+    /// It runs once per active node per round, so it and [`ActRule::draw`]
+    /// are always inlined: a rule chosen at run time from all three
+    /// variants (`Rumor`'s strategy) otherwise leaves both out of line, and
+    /// the call costs `mtm spread push-pull star 2048` about a fifth of
+    /// its time.
+    #[inline(always)]
     fn act(&mut self, scan: &Scan<'_>, rng: &mut SmallRng) -> Action {
         let action = self.act_rule().draw(scan, rng);
         self.apply_action(scan, action);
@@ -277,7 +284,9 @@ pub trait Protocol: Send {
     /// that keeps changing at a fixed point (e.g. the bit position a node
     /// advertises this group), which would make a deadlocked network look
     /// busy, or to support stuck detection outside the checker. Push words
-    /// always or never.
+    /// always or never. A protocol that pushes `state_words` must push
+    /// progress words that its `state_words` fully determine: the checker's
+    /// replay compares only state words.
     fn progress_words(&self, out: &mut Vec<u64>) {
         self.state_words(out);
     }

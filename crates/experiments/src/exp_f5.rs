@@ -58,7 +58,7 @@ fn ppush_trial(m: usize, d: usize, r: u64, seed: u64) -> u64 {
     let n = g.node_count();
     let mut e = Engine::new(
         StaticTopology::new(g),
-        ModelParams::mobile(Strategy::Ppush.tag_bits()),
+        ModelParams::mobile(1),
         ActivationSchedule::synchronized(n),
         Rumor::spawn(Strategy::Ppush, n, m), // nodes 0..m (all of L) start informed
         derive_seed(seed, 1),

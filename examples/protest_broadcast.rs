@@ -28,7 +28,7 @@ fn main() {
     let push_pull = median(trials, |t| {
         let mut e = Engine::new(
             StaticTopology::new(graph.clone()),
-            ModelParams::mobile(Strategy::PushPull.tag_bits()),
+            ModelParams::mobile(0),
             ActivationSchedule::synchronized(n),
             Rumor::spawn(Strategy::PushPull, n, 1),
             seed + t,
@@ -40,7 +40,7 @@ fn main() {
     let ppush = median(trials, |t| {
         let mut e = Engine::new(
             StaticTopology::new(graph.clone()),
-            ModelParams::mobile(Strategy::Ppush.tag_bits()),
+            ModelParams::mobile(1),
             ActivationSchedule::synchronized(n),
             Rumor::spawn(Strategy::Ppush, n, 1),
             seed + t,
@@ -61,7 +61,7 @@ fn main() {
         let topo = LineOfStarsShuffle::new(12, 12, 1, seed + t);
         let mut e = Engine::new(
             topo,
-            ModelParams::mobile(Strategy::Ppush.tag_bits()),
+            ModelParams::mobile(1),
             ActivationSchedule::synchronized(n),
             Rumor::spawn(Strategy::Ppush, n, 1),
             seed + t,

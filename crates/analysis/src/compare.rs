@@ -19,7 +19,10 @@ pub fn bootstrap_mean_ci(samples: &[f64], resamples: usize, alpha: f64, seed: u6
         })
         .collect();
     means.sort_by(f64::total_cmp);
+    // alpha ∈ (0, 1), so both products lie in [0, resamples].
+    #[allow(clippy::cast_possible_truncation)]
     let lo_idx = ((alpha / 2.0) * resamples as f64) as usize;
+    #[allow(clippy::cast_possible_truncation)]
     let hi_idx = (((1.0 - alpha / 2.0) * resamples as f64) as usize).min(resamples - 1);
     (means[lo_idx], means[hi_idx])
 }
@@ -71,7 +74,7 @@ pub fn mann_whitney_u(a: &[f64], b: &[f64]) -> (f64, f64) {
 
 /// Standard normal CDF via the Abramowitz–Stegun erf approximation
 /// (max abs error ≈ 1.5e-7 — ample for significance screening).
-pub fn normal_cdf(z: f64) -> f64 {
+fn normal_cdf(z: f64) -> f64 {
     let x = z / std::f64::consts::SQRT_2;
     let t = 1.0 / (1.0 + 0.3275911 * x.abs());
     let poly = t

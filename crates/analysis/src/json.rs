@@ -1,11 +1,10 @@
 //! Minimal JSON value, parser, and renderer.
 //!
 //! The offline build has no serde, so JSON documents round-trip through
-//! this hand-rolled module (same approach as `mtm-lint`'s report writer):
-//! the bench harness's `BENCH_engine.json` and the results provenance
-//! manifest `results/MANIFEST.json` both use it. Objects preserve
-//! insertion order via a `Vec<(String, Value)>` — no hash maps, so
-//! rendering is deterministic.
+//! this hand-rolled module: the bench harness's `BENCH_engine.json` and
+//! the results provenance manifest `results/MANIFEST.json` both use it.
+//! Objects preserve insertion order via a `Vec<(String, Value)>` — no hash
+//! maps, so rendering is deterministic.
 
 use std::fmt::Write as _;
 
@@ -90,6 +89,8 @@ impl Value {
             Value::Num(x) => {
                 assert!(x.is_finite(), "cannot render non-finite number");
                 if x.fract() == 0.0 && x.abs() < 9e15 {
+                    // an integer below 9e15 < 2^63 in magnitude.
+                    #[allow(clippy::cast_possible_truncation)]
                     let _ = write!(out, "{}", *x as i64);
                 } else {
                     // {:?} is Rust's shortest round-trippable f64 repr.

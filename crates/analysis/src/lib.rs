@@ -10,6 +10,9 @@
 //!   build has no serde; shared by the bench harness and the results
 //!   provenance manifest).
 
+// An `as` that can truncate states its bound in an `#[allow]` (DESIGN.md §8.1).
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 pub mod compare;
 pub mod fit;
 pub mod json;
@@ -17,8 +20,9 @@ pub mod stats;
 pub mod table;
 
 /// A small deterministic RNG for resampling utilities.
+// bootstrap-resampling stream from an explicit seed.
+#[allow(clippy::disallowed_methods)]
 pub(crate) fn splitmix_rng(seed: u64) -> rand::rngs::SmallRng {
     use rand::SeedableRng;
-    // bootstrap-resampling stream from an explicit seed. mtm-lint: allow(smallrng-outside-engine)
     rand::rngs::SmallRng::seed_from_u64(seed)
 }

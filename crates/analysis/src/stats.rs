@@ -59,6 +59,8 @@ impl Summary {
 pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty());
     assert!((0.0..=1.0).contains(&q));
+    // q ∈ [0, 1], so rank ∈ [0, sorted.len()].
+    #[allow(clippy::cast_possible_truncation)]
     let rank = (q * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
 }

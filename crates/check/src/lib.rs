@@ -34,6 +34,9 @@
 //! [`matrix::certification_matrix`] then certifies the main protocols on all
 //! 38 connected 4-node topologies under the full adversary.
 
+// An `as` that can truncate states its bound in an `#[allow]` (DESIGN.md §8.1).
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 pub mod cli;
 pub mod explore;
 pub mod matrix;

@@ -14,7 +14,7 @@ use mtm_core::{
 use mtm_engine::{EpochView, LeaderView, ModelParams, Protocol, RumorView};
 
 /// Iterate the indices of up (non-crashed) nodes under a crash bitmask.
-pub fn up_nodes(n: usize, crashed: u64) -> impl Iterator<Item = usize> {
+fn up_nodes(n: usize, crashed: u64) -> impl Iterator<Item = usize> {
     (0..n).filter(move |&u| crashed & (1u64 << u) == 0)
 }
 

@@ -500,7 +500,8 @@ fn cmd_elect(args: &[String]) -> Result<i32, String> {
 /// elect, heartbeat, detect failures, re-elect — under optional fault
 /// injection, and report the service-quality counters. Exit codes: 0 the
 /// horizon completed, 2 usage error, 3 the wedge detector cut the run
-/// short (frozen disagreeing state that no future round can change).
+/// short (durable state frozen for a full window with the up participants
+/// disagreeing).
 fn cmd_serve(args: &[String]) -> Result<i32, String> {
     let a = parse_run_args(
         args,
@@ -596,7 +597,10 @@ fn cmd_serve(args: &[String]) -> Result<i32, String> {
                 report.fixed_since, report.detected_round, report.window
             );
             if report.idle_connections == 0 {
-                println!("diagnosis: zero connections over the window — the topology is partitioned or dead");
+                println!(
+                    "diagnosis: no connection formed during the window — a partitioned or dead \
+                     topology, or a window too short to rule out chance"
+                );
             } else {
                 println!(
                     "diagnosis: {} connections during the window changed nothing — a disagreeing fixed point",

@@ -55,7 +55,8 @@ impl BitConvergence {
     /// One node per UID, with independent uniform `k`-bit tags derived from
     /// `tag_seed`.
     pub fn spawn(uids: &UidPool, config: TagConfig, tag_seed: u64) -> Vec<BitConvergence> {
-        // spawn-time tag sampling from an explicit seed. mtm-lint: allow(smallrng-outside-engine)
+        // spawn-time tag sampling from an explicit seed.
+        #[allow(clippy::disallowed_methods)]
         let mut rng = SmallRng::seed_from_u64(tag_seed);
         uids.as_slice()
             .iter()

@@ -22,7 +22,8 @@ impl TagConfig {
     pub fn new(n_bound: usize, beta: f64, max_degree: usize) -> TagConfig {
         assert!(n_bound >= 2, "N must be ≥ 2");
         assert!(beta >= 1.0, "β must be ≥ 1 for w.h.p. tag uniqueness");
-        // intended float->int conversion, clamped to [1, 63] right here. mtm-lint: allow(truncating-cast)
+        // intended float->int conversion, clamped to [1, 63] right here.
+        #[allow(clippy::cast_possible_truncation)]
         let k = ((beta * (n_bound as f64).log2()).ceil() as u32).clamp(1, 63);
         let log_delta = ceil_log2(max_degree.max(2));
         TagConfig { k, group_len: (2 * log_delta as u64).max(2) }
@@ -58,6 +59,8 @@ impl TagConfig {
     /// reciprocal table, which covers every config [`TagConfig::new`]
     /// builds; anything else takes the two methods' divisions.
     #[inline]
+    // g < 128 and group < k <= 127, both checked on entry.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn locate(&self, round: u64) -> (bool, u32) {
         debug_assert!(round >= 1);
         let r = round - 1;
@@ -67,7 +70,6 @@ impl TagConfig {
         }
         let groups = fastdiv(r, RECIPROCALS[g as usize]);
         let group = fastmod(groups, RECIPROCALS[k], self.k.into());
-        // group < k <= 127. mtm-lint: allow(truncating-cast)
         (r == groups * g && group == 0, group as u32)
     }
 

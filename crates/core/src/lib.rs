@@ -36,6 +36,9 @@
 //! exchange at most one UID + `O(polylog N)` bits per connection, and need
 //! no knowledge of the stability factor `τ`.
 
+// An `as` that can truncate states its bound in an `#[allow]` (DESIGN.md §8.1).
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 pub mod bit_convergence;
 pub mod blind_gossip;
 pub mod config;

@@ -53,7 +53,8 @@ impl NonSyncBitConvergence {
 
     /// One node per UID with independent uniform `k`-bit tags.
     pub fn spawn(uids: &UidPool, config: TagConfig, tag_seed: u64) -> Vec<NonSyncBitConvergence> {
-        // spawn-time tag sampling from an explicit seed. mtm-lint: allow(smallrng-outside-engine)
+        // spawn-time tag sampling from an explicit seed.
+        #[allow(clippy::disallowed_methods)]
         let mut rng = SmallRng::seed_from_u64(tag_seed);
         uids.as_slice()
             .iter()

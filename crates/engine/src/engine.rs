@@ -328,15 +328,20 @@ pub enum RunStatus {
 /// The detector watches the network fingerprint — the fold of every node's
 /// [`Protocol::progress_words`] digest — and fires after `window` consecutive
 /// rounds without change, with the topology static over the window and all
-/// activations complete. When `idle_connections == 0` this is a *provable*
-/// fixed point for the paper's algorithms: their durable state changes only
-/// through connections, their decisions depend only on that state, and with
-/// no connections and no state change the round is reproduced verbatim
-/// forever (the A1 β=1 two-leader deadlock is exactly this shape). With
-/// `idle_connections > 0` the verdict is heuristic — connections formed but
-/// none carried news for a full window, which for the paper's *monotone*
-/// protocols still means a fixed point whenever the window exceeds the
-/// information diameter of the frozen state.
+/// activations complete. When `idle_connections == 0` no payload moved in
+/// the window. That proves a fixed point only for a protocol that draws
+/// nothing while no connection forms: its durable state changes only
+/// through connections and its decisions depend only on that state, so the
+/// round is reproduced verbatim forever. The A1 β=1 two-leader deadlock is
+/// this shape — bit convergence's tag collision leaves no node a neighbor
+/// to propose to. A coin-flip protocol (blind gossip, PUSH-PULL,
+/// `MaintainedGossip`) can go several rounds without a connection by
+/// chance, so for it a zero count shows only that no connection formed: a
+/// partitioned or dead topology and a window too short to rule out chance
+/// each produce it. With `idle_connections > 0` the verdict is heuristic —
+/// connections formed but none carried news for a full window, which for
+/// the paper's *monotone* protocols still means a fixed point whenever the
+/// window exceeds the information diameter of the frozen state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StuckReport {
     /// Last round at the end of which the network fingerprint changed (or
@@ -347,8 +352,8 @@ pub struct StuckReport {
     pub detected_round: u64,
     /// The configured window length W, in rounds.
     pub window: u64,
-    /// Connections formed during the idle window. Zero makes the fixed
-    /// point provable (no payload was exchanged at all).
+    /// Connections formed during the idle window. Zero means no payload was
+    /// exchanged at all; the type's docs say when that proves a fixed point.
     pub idle_connections: u64,
 }
 

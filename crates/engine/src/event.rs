@@ -160,7 +160,7 @@ pub enum EventKind {
     Proposal,
     /// A listener's window closed and its buffer was resolved.
     ListenEnd,
-    /// A response (accept/reject/timeout) arrived at a proposer.
+    /// A response, accepted or rejected, arrived at a proposer.
     Response,
 }
 
@@ -251,6 +251,8 @@ const RADIX_MIN: usize = 128;
 
 /// The ring slot of tick `time`.
 #[inline]
+// the slot is below NEAR = 64.
+#[allow(clippy::cast_possible_truncation)]
 fn ring_index(time: u64) -> usize {
     (time % NEAR as u64) as usize
 }
@@ -305,6 +307,8 @@ enum Phase {
 /// Uniform integer draw in `[min, min + spread]` from a counter-based coin
 /// — a pure function of `(seed, a, b)`, independent of evaluation order.
 #[inline]
+// the coin is in [0, 1), so the product is below spread + 1.
+#[allow(clippy::cast_possible_truncation)]
 fn draw(seed: u64, a: u64, b: u64, min: u64, spread: u64) -> u64 {
     min + (counter_coin(seed, a, b) * (spread + 1) as f64) as u64
 }
@@ -447,7 +451,8 @@ impl<P: Protocol> EventEngine<P> {
         };
         for u in 0..n {
             let jitter = draw(engine.start_seed, u as u64, 0, 0, 4 * engine.latency.spread);
-            // node count fits a NodeId by graph construction. mtm-lint: allow(truncating-cast)
+            // node count fits a NodeId by graph construction.
+            #[allow(clippy::cast_possible_truncation)]
             engine.schedule(jitter, u as NodeId, Ev::RoundStart);
         }
         engine

@@ -32,6 +32,9 @@
 //! matching-shaped acceptance, proposal conservation), in every build
 //! profile — see [`audit`].
 
+// An `as` that can truncate states its bound in an `#[allow]` (DESIGN.md §8.1).
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 pub mod activation;
 pub mod audit;
 pub mod engine;

@@ -169,7 +169,8 @@ pub(super) fn scan_act<P: Protocol>(
                 {
                     scratch.dropped += 1;
                 } else {
-                    // hot path: u < n <= u32::MAX. mtm-lint: allow(truncating-cast)
+                    // hot path: u < n <= u32::MAX.
+                    #[allow(clippy::cast_possible_truncation)]
                     scratch.proposed.push((u as NodeId, v));
                 }
                 Slot::propose(v)
@@ -196,7 +197,8 @@ pub(super) fn accept(
             continue;
         }
         let vi = base + i;
-        // receivers are node ids: vi < n <= u32::MAX. mtm-lint: allow(truncating-cast)
+        // receivers are node ids: vi < n <= u32::MAX.
+        #[allow(clippy::cast_possible_truncation)]
         let v = vi as NodeId;
         let pick = match (ctx.choices, ctx.params.policy) {
             (Choices::Scripted(_), _) => inbox.picks[vi],

@@ -25,11 +25,13 @@
 //! if the network's durable state (the fold of every node's
 //! [`progress_words`](crate::Protocol::progress_words) digest) freezes for
 //! a full window of rounds *while the up participants disagree* and the
-//! topology holds still, no future round can differ from the last one and
-//! the run is diagnosed [`ServiceStatus::Wedged`] with the same
-//! [`StuckReport`] evidence the single-shot path produces. Agreement
-//! resets the window — a frozen fingerprint under full agreement is the
-//! *goal* state, not a wedge.
+//! topology holds still, the run is diagnosed [`ServiceStatus::Wedged`]
+//! with the same [`StuckReport`] evidence the single-shot path produces.
+//! The maintenance protocol flips coins, so a window of rounds without a
+//! connection can also be chance: the verdict proves a dead end only when
+//! the window is long enough to rule that out (see [`StuckReport`]).
+//! Agreement resets the window — a frozen fingerprint under full agreement
+//! is the *goal* state, not a wedge.
 
 use mtm_graph::{nid, DynamicTopology};
 
@@ -68,8 +70,9 @@ pub enum ServiceStatus {
     /// a completed run may still have been leaderless for most of it.
     Completed,
     /// The wedge detector fired: durable state froze for a full window with
-    /// the up participants in disagreement and the topology still. The run
-    /// was cut short because no future round can differ.
+    /// the up participants in disagreement and the topology still, and the
+    /// run was cut short. Under a coin-flip protocol a short window can
+    /// freeze by chance; [`StuckReport`] says when the freeze is a proof.
     Wedged(StuckReport),
 }
 

@@ -32,9 +32,10 @@ use crate::opts::{ExpOpts, Scale};
 /// `σ((i + c_j) mod m)`. Distinct shifts make the matchings edge-disjoint
 /// by construction (no rejection), each is a perfect matching, and the two
 /// outer permutations randomize which cyclic structure any node sees.
-pub fn regular_bipartite(m: usize, d: usize, seed: u64) -> Graph {
+fn regular_bipartite(m: usize, d: usize, seed: u64) -> Graph {
     assert!(d >= 1 && d <= m);
-    // per-trial stream from the harness-derived seed. mtm-lint: allow(smallrng-outside-engine)
+    // per-trial stream from the harness-derived seed.
+    #[allow(clippy::disallowed_methods)]
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut left_perm: Vec<u32> = (0..m as u32).collect();
     let mut right_perm: Vec<u32> = (0..m as u32).collect();

@@ -73,7 +73,7 @@ pub struct Manifest {
 }
 
 /// Engine/build identifiers for manifests written by this build.
-pub fn engine_info() -> Vec<(String, String)> {
+fn engine_info() -> Vec<(String, String)> {
     vec![
         ("workspace_version".to_string(), env!("CARGO_PKG_VERSION").to_string()),
         (
@@ -95,15 +95,15 @@ pub fn engine_info() -> Vec<(String, String)> {
 /// The `.txt` and `.csv` bodies emitted for a table, exactly as
 /// `mtm experiment <id> --csv results/<id>.csv > results/<id>.txt` prints
 /// them, so regenerated files are byte-identical to hand-run ones.
-pub struct Emitted {
-    pub txt: String,
-    pub csv: String,
+struct Emitted {
+    txt: String,
+    csv: String,
 }
 
 /// Render the canonical file contents for `table` produced by `exp`.
 /// `csv_rel` is the path string echoed in the txt trailer (the committed
 /// files use `results/<id>.csv`).
-pub fn render_outputs(exp: &Experiment, table: &Table, csv_rel: &str) -> Emitted {
+fn render_outputs(exp: &Experiment, table: &Table, csv_rel: &str) -> Emitted {
     let txt = format!(
         "== {}: {} ==\n{}\n(csv written to {csv_rel})\n",
         exp.display_id(),
@@ -116,7 +116,7 @@ pub fn render_outputs(exp: &Experiment, table: &Table, csv_rel: &str) -> Emitted
 /// Digest of a quick-scale run of `exp`: SHA-256 over the rendered table
 /// plus its CSV. Pure function of (seed, executor); trials/threads come
 /// from quick defaults so `--check --quick` recomputes the same bytes.
-pub fn quick_digest(exp: &Experiment, seed: u64, threads: usize) -> String {
+fn quick_digest(exp: &Experiment, seed: u64, threads: usize) -> String {
     let opts = ExpOpts { scale: Scale::Quick, seed, threads, ..ExpOpts::default() };
     let table = (exp.run)(&opts);
     let mut bytes = table.render();
@@ -132,7 +132,7 @@ impl Manifest {
 
     /// Insert or replace the entry with `entry.id`, keeping `order` (a
     /// list of ids) as the table order for ids that appear in it.
-    pub fn upsert(&mut self, entry: TableEntry, order: &[&str]) {
+    fn upsert(&mut self, entry: TableEntry, order: &[&str]) {
         match self.tables.iter_mut().find(|t| t.id == entry.id) {
             Some(slot) => *slot = entry,
             None => self.tables.push(entry),
@@ -456,7 +456,9 @@ mod tests {
     #[test]
     fn parse_rejects_wrong_schema() {
         let text = sample().render().replace(SCHEMA, "something-else/v9");
-        assert!(Manifest::parse(&text).unwrap_err().contains("unsupported schema"));
+        assert!(Manifest::parse(&text)
+            .expect_err("a foreign schema is rejected")
+            .contains("unsupported schema"));
     }
 
     #[test]

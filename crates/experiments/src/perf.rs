@@ -40,7 +40,7 @@ pub fn peak_rss_bytes() -> Option<u64> {
 /// `/proc/self/status`). Unlike [`peak_rss_bytes`] this is an instantaneous
 /// reading: it falls when memory is freed, which is what makes per-cell
 /// attribution possible (see [`RssSampler`]).
-pub fn current_rss_bytes() -> Option<u64> {
+fn current_rss_bytes() -> Option<u64> {
     read_proc_status_kb("VmRSS:")
 }
 
@@ -93,9 +93,11 @@ impl RssReading {
 /// cannot touch simulation state, so determinism is unaffected.
 pub struct RssSampler {
     start: u64,
-    // measurement-only thread, no simulation state. mtm-lint: allow(parallelism-outside-engine)
+    // measurement-only thread, no simulation state.
+    #[allow(clippy::disallowed_types)]
     stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
-    // measurement-only accumulator. mtm-lint: allow(parallelism-outside-engine)
+    // measurement-only accumulator.
+    #[allow(clippy::disallowed_types)]
     peak: std::sync::Arc<std::sync::atomic::AtomicU64>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
@@ -107,13 +109,16 @@ impl RssSampler {
     /// get a reading.
     pub fn start(interval_ms: u64) -> RssSampler {
         use std::sync::atomic::Ordering;
-        // measurement-only thread state. mtm-lint: allow(parallelism-outside-engine)
+        // measurement-only thread state.
+        #[allow(clippy::disallowed_types)]
         let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
         let start = current_rss_bytes().unwrap_or(0);
-        // measurement-only accumulator. mtm-lint: allow(parallelism-outside-engine)
+        // measurement-only accumulator.
+        #[allow(clippy::disallowed_types)]
         let peak = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(start));
         let (stop2, peak2) = (stop.clone(), peak.clone());
-        // measurement only, joined in stop(). mtm-lint: allow(parallelism-outside-engine)
+        // measurement only, joined in stop().
+        #[allow(clippy::disallowed_methods)]
         let handle = std::thread::spawn(move || {
             while !stop2.load(Ordering::Relaxed) {
                 if let Some(rss) = current_rss_bytes() {

@@ -147,7 +147,8 @@ impl RelabelingAdversary {
 
     fn relabel(&self, epoch: u64) -> Graph {
         let n = self.base.node_count();
-        // per-epoch stream derived from the topology seed. mtm-lint: allow(smallrng-outside-engine)
+        // per-epoch stream derived from the topology seed.
+        #[allow(clippy::disallowed_methods)]
         let mut rng = SmallRng::seed_from_u64(crate::rng::derive_seed(self.seed, epoch));
         let mut perm: Vec<NodeId> = (0..nid(n)).collect();
         perm.shuffle(&mut rng);
@@ -193,7 +194,8 @@ impl LineOfStarsShuffle {
 
     fn shuffled(&self, epoch: u64) -> Graph {
         let n = self.spine + self.spine * self.points;
-        // per-epoch stream derived from the topology seed. mtm-lint: allow(smallrng-outside-engine)
+        // per-epoch stream derived from the topology seed.
+        #[allow(clippy::disallowed_methods)]
         let mut rng = SmallRng::seed_from_u64(crate::rng::derive_seed(self.seed, epoch));
         let mut leaves: Vec<NodeId> = (nid(self.spine)..nid(n)).collect();
         leaves.shuffle(&mut rng);
@@ -248,7 +250,8 @@ pub struct WaypointMobility {
 impl WaypointMobility {
     pub fn new(n: usize, radius: f64, speed: f64, tau: u64, seed: u64) -> Self {
         assert!(n >= 1);
-        // generator stream from an explicit seed parameter. mtm-lint: allow(smallrng-outside-engine)
+        // generator stream from an explicit seed parameter.
+        #[allow(clippy::disallowed_methods)]
         let mut rng = SmallRng::seed_from_u64(seed);
         let positions: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen(), rng.gen())).collect();
         let waypoints: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen(), rng.gen())).collect();

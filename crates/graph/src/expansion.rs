@@ -101,7 +101,8 @@ pub fn alpha_upper_bound_sampled(g: &Graph, samples: usize, seed: u64) -> f64 {
     let n = g.node_count();
     assert!(n >= 2);
     let half = n / 2;
-    // sampling stream from an explicit seed parameter. mtm-lint: allow(smallrng-outside-engine)
+    // sampling stream from an explicit seed parameter.
+    #[allow(clippy::disallowed_methods)]
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut best = f64::INFINITY;
     let mut cut = Cut::new(g);

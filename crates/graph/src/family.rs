@@ -120,11 +120,14 @@ impl GraphFamily {
                 }
             }
             GraphFamily::Hypercube => {
-                // intended float->int rounding for a degree parameter. mtm-lint: allow(truncating-cast)
+                // intended float->int rounding for a degree parameter.
+                #[allow(clippy::cast_possible_truncation)]
                 let d = (n_target.max(2) as f64).log2().round().max(1.0) as u32;
                 gen::hypercube(d)
             }
             GraphFamily::Torus => {
+                // intended float->int rounding: the side is at most √n_target.
+                #[allow(clippy::cast_possible_truncation)]
                 let side = ((n_target as f64).sqrt().round() as usize).max(3);
                 gen::torus(side, side)
             }

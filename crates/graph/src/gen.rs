@@ -82,6 +82,8 @@ pub fn line_of_stars(spine: usize, points: usize) -> Graph {
 /// Convenience: the symmetric `√n` line-of-stars closest to a target size.
 /// Returns the graph and the chosen `(spine, points)`.
 pub fn line_of_stars_sqrt(n_target: usize) -> (Graph, usize, usize) {
+    // intended float->int rounding: s is at most √n_target.
+    #[allow(clippy::cast_possible_truncation)]
     let s = (n_target as f64).sqrt().floor().max(1.0) as usize;
     (line_of_stars(s, s), s, s)
 }
@@ -194,7 +196,8 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Graph {
         assert!(n <= 1, "0-regular graph on >1 nodes is disconnected");
         return GraphBuilder::new(n).build();
     }
-    // generator stream from an explicit seed parameter. mtm-lint: allow(smallrng-outside-engine)
+    // generator stream from an explicit seed parameter.
+    #[allow(clippy::disallowed_methods)]
     let mut rng = SmallRng::seed_from_u64(seed);
     for _ in 0..1_000 {
         // Pairing (configuration) model with local swap repair: full
@@ -440,7 +443,8 @@ pub fn random_regular_cycles(n: usize, d: usize, seed: u64) -> Graph {
     // CSR finalization: uniform-degree offsets, per-row sort, and a linear
     // simplicity sweep (sorted rows make duplicates adjacent).
     assert!(n * d <= u32::MAX as usize, "edge-slot count n·d must fit the u32 CSR offsets");
-    // asserted just above: i * d <= n * d <= u32::MAX. mtm-lint: allow(truncating-cast)
+    // asserted just above: i * d <= n * d <= u32::MAX.
+    #[allow(clippy::cast_possible_truncation)]
     let offsets: Vec<u32> = (0..=n).map(|i| (i * d) as u32).collect();
     for u in 0..n {
         let row = &mut adjacency[u * d..(u + 1) * d];
@@ -459,7 +463,8 @@ pub fn random_regular_cycles(n: usize, d: usize, seed: u64) -> Graph {
 /// the regimes we use, `p ≥ 2·ln n / n`).
 pub fn erdos_renyi_connected(n: usize, p: f64, seed: u64) -> Graph {
     assert!((0.0..=1.0).contains(&p));
-    // generator stream from an explicit seed parameter. mtm-lint: allow(smallrng-outside-engine)
+    // generator stream from an explicit seed parameter.
+    #[allow(clippy::disallowed_methods)]
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut b = GraphBuilder::new(n);
     for u in 0..nid(n) {
@@ -509,7 +514,8 @@ pub fn dumbbell_expander(half: usize, d: usize, seed: u64) -> Graph {
 pub fn preferential_attachment(n: usize, m: usize, seed: u64) -> Graph {
     assert!(m >= 1, "each new node needs ≥ 1 edge");
     assert!(n > m, "need n > m");
-    // generator stream from an explicit seed parameter. mtm-lint: allow(smallrng-outside-engine)
+    // generator stream from an explicit seed parameter.
+    #[allow(clippy::disallowed_methods)]
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut b = GraphBuilder::new(n);
     // Flat endpoint list: each edge contributes both endpoints, so a

@@ -101,6 +101,8 @@ pub fn from_edge_list(text: &str) -> Result<Graph, ParseError> {
         (Some(n), Some((m, line_no))) if u64::from(m) >= n => {
             return Err(ParseError::OutOfRange { line_no, node: u64::from(m) });
         }
+        // n <= NodeId::MAX, checked where it was read.
+        #[allow(clippy::cast_possible_truncation)]
         (Some(n), _) => n as usize,
         (None, max) => max.map_or(0, |(m, _)| m as usize + 1),
     };
@@ -337,7 +339,7 @@ mod tests {
 
     #[test]
     fn parse_error_display() {
-        let e = from_edge_list("oops").unwrap_err();
+        let e = from_edge_list("oops").expect_err("a lone word is not an edge line");
         assert!(e.to_string().contains("line 1"));
     }
 }

@@ -26,6 +26,9 @@
 //! least `τ` rounds pass between changes (Section III of the paper). The
 //! types here mirror those definitions exactly.
 
+// An `as` that can truncate states its bound in an `#[allow]` (DESIGN.md §8.1).
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 pub mod dynamic;
 pub mod expansion;
 pub mod family;

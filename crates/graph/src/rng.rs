@@ -31,8 +31,9 @@ pub fn derive_seed(parent: u64, stream: u64) -> u64 {
 
 /// A `SmallRng` for `(parent seed, stream index)`.
 #[inline]
+// this IS the sanctioned stream constructor.
+#[allow(clippy::disallowed_methods)]
 pub fn stream_rng(parent: u64, stream: u64) -> SmallRng {
-    // this IS the sanctioned stream constructor. mtm-lint: allow(smallrng-outside-engine)
     SmallRng::seed_from_u64(derive_seed(parent, stream))
 }
 

@@ -99,7 +99,7 @@ impl Graph {
     }
 
     /// Number of nodes reachable from `start` (including `start`).
-    pub fn bfs_reach(&self, start: NodeId) -> usize {
+    fn bfs_reach(&self, start: NodeId) -> usize {
         let n = self.node_count();
         let mut seen = vec![false; n];
         let mut queue = std::collections::VecDeque::with_capacity(n.min(1024));

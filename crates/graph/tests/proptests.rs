@@ -475,7 +475,8 @@ fn reference_random_regular(n: usize, d: usize, seed: u64) -> Graph {
         assert!(n <= 1, "0-regular graph on >1 nodes is disconnected");
         return GraphBuilder::new(n).build();
     }
-    // generator stream from an explicit seed parameter. mtm-lint: allow(smallrng-outside-engine)
+    // generator stream from an explicit seed parameter.
+    #[allow(clippy::disallowed_methods)]
     let mut rng = SmallRng::seed_from_u64(seed);
     for _ in 0..1_000 {
         // Pairing (configuration) model with local swap repair: full

@@ -36,7 +36,8 @@ where
 {
     for case in 0..cases {
         let case_seed = splitmix64(test_seed ^ splitmix64(case));
-        // per-case stream from the deterministic case seed. mtm-lint: allow(smallrng-outside-engine)
+        // per-case stream from the deterministic case seed.
+        #[allow(clippy::disallowed_methods)]
         let mut rng = SmallRng::seed_from_u64(case_seed);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             f(case, &mut rng);

@@ -56,7 +56,10 @@ fn main() {
         "merged mesh converged at round {stabilized} ({} rounds after the merge)",
         stabilized - join_round + 1
     );
-    println!("  unified coordinator: {:#018x}", outcome.winner.unwrap());
+    println!(
+        "  unified coordinator: {:#018x}",
+        outcome.winner.expect("a converged mesh has a winner")
+    );
     assert!(
         outcome.winner == Some(north_leader) || outcome.winner == Some(south_leader),
         "the unified coordinator is whichever team leader holds the smaller ID pair"

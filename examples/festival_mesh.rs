@@ -57,7 +57,7 @@ fn main() {
 
     match stabilized_at {
         Some(r) => {
-            let leader = engine.leaders_agree().unwrap();
+            let leader = engine.leaders_agree().expect("agreement was seen at this round");
             println!(
                 "\ncoordinator elected: {leader:#018x} (checkpointed at round {r}, \
                  ≤ {} rounds after the last arrival)",
@@ -81,5 +81,5 @@ fn agreement_fraction(nodes: &[NonSyncBitConvergence]) -> f64 {
 
 /// The UID of the globally smallest (tag, uid) pair — who must win.
 fn expected_winner(nodes: &[NonSyncBitConvergence]) -> u64 {
-    nodes.iter().map(|p| p.best_pair()).min().unwrap().uid
+    nodes.iter().map(|p| p.best_pair()).min().expect("the mesh has phones").uid
 }

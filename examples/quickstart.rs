@@ -56,7 +56,7 @@ fn main() {
     report(&format!("nonsync bitconv   (b = {})", config.nonsync_tag_bits()), &nonsync);
     println!(
         "\nnonsync stabilized {} rounds after the last of its staggered activations",
-        nonsync.rounds_after_activation.unwrap()
+        nonsync.rounds_after_activation.expect("the nonsync run stabilized")
     );
 }
 
@@ -64,7 +64,7 @@ fn report(name: &str, outcome: &RunOutcome) {
     match outcome.stabilized_round {
         Some(r) => println!(
             "{name}: stabilized in {r:>6} rounds   (leader {:#018x}, {} connections)",
-            outcome.winner.unwrap(),
+            outcome.winner.expect("a stabilized run has a winner"),
             outcome.metrics.connections
         ),
         None => println!("{name}: did not stabilize"),

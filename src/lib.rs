@@ -51,14 +51,14 @@ pub use mtm_graph as graph;
 /// The types most programs need, in one import.
 pub mod prelude {
     pub use mtm_core::{
-        BitConvergence, BlindGossip, Heartbeat, IdPair, MaintainedGossip, MaintenanceConfig,
+        BitConvergence, BlindGossip, IdPair, MaintainedGossip, MaintenanceConfig,
         NonSyncBitConvergence, Rumor, Strategy, TagConfig, UidPool,
     };
     pub use mtm_engine::{
-        rounds_after_activation, ActivationSchedule, ConnectionPolicy, Engine, EpochRecord,
-        EpochView, EventEngine, EventOutcome, EventRecord, LatencyModel, LeaderView, ModelParams,
-        Protocol, RumorView, RunOutcome, RunStatus, Scan, ServiceConfig, ServiceMetrics,
-        ServiceOutcome, ServiceStatus, StuckReport, Tag,
+        rounds_after_activation, ActivationSchedule, Engine, EpochRecord, EpochView, EventEngine,
+        EventRecord, LatencyModel, LeaderView, ModelParams, Protocol, RumorView, RunOutcome,
+        RunStatus, Scan, ServiceConfig, ServiceMetrics, ServiceOutcome, ServiceStatus, StuckReport,
+        Tag,
     };
     pub use mtm_graph::dynamic::{
         JoinSchedule, LineOfStarsShuffle, RelabelingAdversary, StaticTopology, WaypointMobility,

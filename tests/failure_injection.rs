@@ -160,11 +160,11 @@ fn topology_node_count_change_rejected() {
 fn corrupt_graph_json_rejected() {
     // Hand-crafted CSR with an asymmetric edge must fail validation.
     let bad = r#"{"offsets":[0,1,1],"adjacency":[1]}"#;
-    let err = mobile_telephone::graph::io::from_json(bad).unwrap_err();
+    let err = mobile_telephone::graph::io::from_json(bad).expect_err("asymmetric CSR is rejected");
     assert!(err.contains("asymmetric"), "unexpected error: {err}");
     // Self loop.
     let bad = r#"{"offsets":[0,1],"adjacency":[0]}"#;
-    let err = mobile_telephone::graph::io::from_json(bad).unwrap_err();
+    let err = mobile_telephone::graph::io::from_json(bad).expect_err("self loop is rejected");
     assert!(err.contains("self loop"), "unexpected error: {err}");
     // Offset overflow.
     let bad = r#"{"offsets":[0,9],"adjacency":[0]}"#;

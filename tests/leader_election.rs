@@ -50,7 +50,8 @@ fn bit_convergence_elects_min_pair_everywhere() {
         let uids = UidPool::random(n, 2);
         let config = TagConfig::for_network(n, delta);
         let nodes = BitConvergence::spawn(&uids, config, 3);
-        let expect = nodes.iter().map(|p| p.active_pair()).min().unwrap().uid;
+        let expect =
+            nodes.iter().map(|p| p.active_pair()).min().expect("the network has nodes").uid;
         let mut e = Engine::new(
             StaticTopology::new(g),
             ModelParams::mobile(1),
@@ -74,7 +75,7 @@ fn nonsync_elects_min_pair_with_staggered_starts() {
         let uids = UidPool::random(n, 3);
         let config = TagConfig::for_network(n, delta);
         let nodes = NonSyncBitConvergence::spawn(&uids, config, 4);
-        let expect = nodes.iter().map(|p| p.best_pair()).min().unwrap().uid;
+        let expect = nodes.iter().map(|p| p.best_pair()).min().expect("the network has nodes").uid;
         let mut e = Engine::new(
             StaticTopology::new(g),
             ModelParams::mobile(config.nonsync_tag_bits()),
@@ -84,7 +85,10 @@ fn nonsync_elects_min_pair_with_staggered_starts() {
         );
         let out = e.run_to_stabilization(MAX_ROUNDS);
         assert_eq!(out.winner, Some(expect), "{family}: wrong winner");
-        assert!(out.rounds_after_activation.unwrap() <= out.stabilized_round.unwrap());
+        assert!(
+            out.rounds_after_activation.expect("the run stabilized")
+                <= out.stabilized_round.expect("the run stabilized")
+        );
         e.run_rounds(500);
         assert_eq!(e.leaders_agree(), Some(expect), "{family}: leader changed");
     }
@@ -112,7 +116,7 @@ fn all_three_algorithms_work_under_maximum_churn() {
 
     let config = TagConfig::for_network(n, base.max_degree());
     let nodes = BitConvergence::spawn(&uids, config, 41);
-    let expect = nodes.iter().map(|p| p.active_pair()).min().unwrap().uid;
+    let expect = nodes.iter().map(|p| p.active_pair()).min().expect("the network has nodes").uid;
     let mut bc = Engine::new(
         RelabelingAdversary::new(base.clone(), 1, 22),
         ModelParams::mobile(1),
@@ -123,7 +127,7 @@ fn all_three_algorithms_work_under_maximum_churn() {
     assert_eq!(bc.run_to_stabilization(MAX_ROUNDS).winner, Some(expect), "bitconv under churn");
 
     let nodes = NonSyncBitConvergence::spawn(&uids, config, 42);
-    let expect = nodes.iter().map(|p| p.best_pair()).min().unwrap().uid;
+    let expect = nodes.iter().map(|p| p.best_pair()).min().expect("the network has nodes").uid;
     let mut ns = Engine::new(
         RelabelingAdversary::new(base, 1, 23),
         ModelParams::mobile(config.nonsync_tag_bits()),
@@ -144,7 +148,7 @@ fn self_stabilization_after_component_join() {
     let uids = UidPool::random(n, 12);
     let config = TagConfig::for_network(n, 4);
     let nodes = NonSyncBitConvergence::spawn(&uids, config, 13);
-    let expect = nodes.iter().map(|p| p.best_pair()).min().unwrap().uid;
+    let expect = nodes.iter().map(|p| p.best_pair()).min().expect("the network has nodes").uid;
     let mut e = Engine::new(
         topo,
         ModelParams::mobile(config.nonsync_tag_bits()),
@@ -161,7 +165,7 @@ fn self_stabilization_after_component_join() {
     // Post-join: one leader, the global minimum pair.
     let out = e.run_to_stabilization(MAX_ROUNDS);
     assert_eq!(out.winner, Some(expect));
-    assert!(out.stabilized_round.unwrap() >= join_round);
+    assert!(out.stabilized_round.expect("the run stabilized") >= join_round);
 }
 
 #[test]
